@@ -34,7 +34,7 @@ from .inference import (
     TestResult,
     run_test,
 )
-from .kernels import SeriesKernel, kernel_from_config, polynomial_series
+from .kernels import kernel_from_config, polynomial_series
 from .losses import LOSS_NAMES, loss_by_name
 from .simulation import (
     DESIGNS,
@@ -372,6 +372,7 @@ def _model_record(model) -> dict:
             "steps": [float(s) for s in trace.steps],
             "multipliers": [float(r) for r in trace.multipliers],
             "objectives": [float(o) for o in trace.objectives],
+            "gaps": [float(g) for g in trace.gaps],
         }
     return record
 
@@ -482,11 +483,7 @@ def _plan_from_config(config: RunConfig) -> HypothesisPlan:
     if config.fit.solver == "greedy":
         from .kernels import CompositeKernel
 
-        terms = r0.terms if isinstance(r0, CompositeKernel) else ((r0, None),)
-        if all(isinstance(k, SeriesKernel) for k, _ in terms):
-            fit_terms = terms
-        else:
-            fit_terms = terms  # Gram-path greedy
+        fit_terms = r0.terms if isinstance(r0, CompositeKernel) else ((r0, None),)
     return HypothesisPlan(
         name="config", r0=r0, r1=r1, fit_terms=fit_terms, instruments=instruments
     )

@@ -276,6 +276,10 @@ class GreedyTrace:
     multipliers: np.ndarray
     objectives: np.ndarray
     norms: np.ndarray  # constraint norm (lk or hk per config) after each step
+    # Frank-Wolfe duality gap of the iterate before each step,
+    # <grad mean L(f), f - s> = -grad.delta / n; it bounds that iterate's
+    # objective gap from above (Jaggi 2013)
+    gaps: np.ndarray
 
 
 def line_search(objective: Callable[[float], float], tol: float = 1e-6) -> float:
@@ -470,7 +474,7 @@ def _greedy_fit_series(x, y, loss, terms, config) -> SeriesModel:
     coeff = np.zeros(all_feats.shape[1])
     fitted = np.zeros(n)
 
-    coords, steps, multipliers, objectives, norms = [], [], [], [], []
+    coords, steps, multipliers, objectives, norms, gaps = [], [], [], [], [], []
     for m in range(1, config.iterations + 1):
         grad = np.asarray(loss.deriv(1, y, fitted), dtype=float)
         a_all = all_feats.T @ grad / n
@@ -495,10 +499,11 @@ def _greedy_fit_series(x, y, loss, terms, config) -> SeriesModel:
             cand = budget * (blocks[picked] @ direction)
 
         delta = cand - fitted
+        gaps.append(float(-(grad @ delta)) / n)
         tau = _step_size(
             config.step_rule,
             m,
-            lambda t: float(np.mean(loss.value(y, fitted + t * delta))),
+            loss.segment_mean(y, fitted, delta),
             config.line_search_tol,
         )
         coeff *= 1.0 - tau
@@ -522,6 +527,7 @@ def _greedy_fit_series(x, y, loss, terms, config) -> SeriesModel:
         multipliers=np.array(multipliers),
         objectives=np.array(objectives),
         norms=np.array(norms),
+        gaps=np.array(gaps),
     )
     return SeriesModel(
         terms=terms,
@@ -544,7 +550,7 @@ def _greedy_fit_gram(x, y, loss, terms, config) -> GreedyGramModel:
     alpha = np.zeros((n, n_terms))
     fitted = np.zeros(n)
 
-    coords, steps, multipliers, objectives, norms = [], [], [], [], []
+    coords, steps, multipliers, objectives, norms, gaps = [], [], [], [], [], []
     for m in range(1, config.iterations + 1):
         grad = np.asarray(loss.deriv(1, y, fitted), dtype=float)
         w = [g @ grad for g in grams]
@@ -568,10 +574,11 @@ def _greedy_fit_gram(x, y, loss, terms, config) -> GreedyGramModel:
             cand = budget * (w[picked] * (-1.0 / (2.0 * rho * n)))
 
         delta = cand - fitted
+        gaps.append(float(-(grad @ delta)) / n)
         tau = _step_size(
             config.step_rule,
             m,
-            lambda t: float(np.mean(loss.value(y, fitted + t * delta))),
+            loss.segment_mean(y, fitted, delta),
             config.line_search_tol,
         )
         alpha *= 1.0 - tau
@@ -605,6 +612,7 @@ def _greedy_fit_gram(x, y, loss, terms, config) -> GreedyGramModel:
         multipliers=np.array(multipliers),
         objectives=np.array(objectives),
         norms=np.array(norms),
+        gaps=np.array(gaps),
     )
     return GreedyGramModel(
         terms=terms,

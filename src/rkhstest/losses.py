@@ -54,6 +54,29 @@ class LossSpec:
         self._validate(y)
         return self._value(y, t)
 
+    def segment_mean(self, y, start, delta) -> Callable[[float], float]:
+        """The 1-D objective t -> mean L(y, start + t * delta) on [0, 1].
+
+        The checks of :meth:`value` run once here, not once per evaluation:
+        y's domain check, and finiteness of the segment's ends ``start`` and
+        ``start + delta`` (every point between two finite ends is finite).
+        Each evaluation returns exactly ``float(np.mean(self.value(...)))``,
+        since ``np.mean`` is the same ``add.reduce`` and the same division.
+        """
+        y = np.asarray(y, dtype=float)
+        start = np.asarray(start, dtype=float)
+        delta = np.asarray(delta, dtype=float)
+        if not (np.all(np.isfinite(start)) and np.all(np.isfinite(start + delta))):
+            raise ValueError("fitted value t must be finite")
+        self._validate(y)
+        value, total = self._value, np.add.reduce
+        n = np.broadcast(y, start, delta).size
+
+        def objective(t: float) -> float:
+            return float(total(value(y, start + t * delta), axis=None) / n)
+
+        return objective
+
     def deriv(self, order: int, y, t):
         if order not in (1, 2, 3):
             raise ValueError("derivative order must be 1, 2 or 3")

@@ -40,6 +40,8 @@ from rkhstest.losses import (
 )
 from rkhstest.simulation import DgpSpec, McConfig, run_monte_carlo
 
+pytestmark = pytest.mark.acceptance
+
 MASTER_SEED = 7
 N_JOBS = 2
 

@@ -1,5 +1,6 @@
 """Config parsing, CSV ingestion, result emission and the subcommands."""
 
+import json
 from pathlib import Path
 
 import numpy as np
@@ -193,6 +194,22 @@ class TestCommands:
         assert rc == 0
         assert (out / "model.json").exists()
         assert (out / "config.yaml").exists()
+
+    def test_greedy_model_records_duality_gaps(self, tmp_path):
+        data = tmp_path / "d.csv"
+        _write_dataset(data)
+        cfg = tmp_path / "cfg.yaml"
+        cfg.write_text(
+            f"seed: 1\ndata: {{path: {data}}}\nloss: rescaled_square\n"
+            "kernels: {r0: {kind: sum, terms: [{kind: gaussian_rbf, coords: [0]}, "
+            "{kind: gaussian_rbf, coords: [1]}]}}\n"
+            "fit: {solver: greedy, budget: 1.0, iterations: 30}\n"
+        )
+        out = tmp_path / "out"
+        assert main(["fit", "--config", str(cfg), "--out", str(out)]) == 0
+        trace = json.loads((out / "model.json").read_text())["trace"]
+        assert len(trace["gaps"]) == len(trace["steps"]) == 30
+        assert min(trace["gaps"]) >= 0.0
 
     def test_test_command_outputs(self, tmp_path, capsys):
         data = tmp_path / "d.csv"

@@ -17,13 +17,15 @@ from rkhstest.estimators import (
 )
 from rkhstest.kernels import (
     CompositeKernel,
+    GaussianRBF,
     LinearKernel,
     PolynomialKernel,
+    additive_kernel,
     linear_series,
     polynomial_series,
     polynomial_weights,
 )
-from rkhstest.losses import poisson_loss, rescaled_square_loss, square_loss
+from rkhstest.losses import logistic_loss, poisson_loss, rescaled_square_loss, square_loss
 
 RNG = np.random.default_rng(2024)
 
@@ -342,6 +344,46 @@ class TestGreedyFit:
         assert model.norm_hk <= 0.7 * (1 + 1e-8)
         assert np.all(model.trace.norms <= 0.7 * (1 + 1e-8))
         assert np.all(model.trace.coords == -1)
+
+    def test_pinned_traces(self):
+        # figures of the per-evaluation-checked line search; a cheaper step
+        # evaluation must reproduce them bit for bit, so they compare with ==
+        rng = np.random.default_rng(2024)
+        x = rng.uniform(-2, 2, (80, 3))
+        score = np.sin(x[:, 0]) + 0.5 * x[:, 1] + 0.5 * rng.standard_normal(80)
+        y = np.where(score > 0, 1.0, -1.0)
+        terms = [(polynomial_series(6), (c,)) for c in range(3)]
+        series = greedy_fit(x, y, logistic_loss(), terms, FitConfig(budget=1.5, iterations=100))
+        assert series.trace.objectives[-1] == 0.2593536027056832
+        assert series.trace.steps.sum() == 3.405164946805968
+
+        rng = np.random.default_rng(2025)
+        x = rng.uniform(-2, 2, (60, 2))
+        y = np.sin(1.5 * x[:, 0]) + 0.25 * x[:, 1] ** 2 + 0.3 * rng.standard_normal(60)
+        terms = [(GaussianRBF(1.0), (c,)) for c in range(2)]
+        cfg = FitConfig(budget=1.0, norm_kind="hk", iterations=60)
+        gram = greedy_fit(x, y, square_loss(), terms, cfg)
+        assert gram.trace.objectives[-1] == 0.23074515146453092
+        assert gram.trace.steps.sum() == 23.3542713132973
+
+    @pytest.mark.parametrize("rule", ["line_search", "one_over_m"])
+    def test_duality_gap_bounds_objective_gap(self, rule):
+        # criterion 5's instance: hk ball of radius 1.2, where the budget binds
+        rng = np.random.default_rng(515)
+        x = rng.uniform(-2, 2, (200, 3))
+        y = 0.6 * x[:, 0] - 0.4 * x[:, 1] ** 2 + 0.3 * np.sin(2 * x[:, 2])
+        y = y + 0.4 * rng.standard_normal(200)
+        oracle = fit_constrained_ridge(
+            additive_kernel(polynomial_series(10, 2.2), 3), x, y, budget=1.2
+        )
+        optimum = float(np.mean((y - oracle.gram @ oracle.coeffs) ** 2))
+        terms = [(polynomial_series(10, 2.2), (c,)) for c in range(3)]
+        cfg = FitConfig(budget=1.2, norm_kind="hk", iterations=500, step_rule=rule)
+        trace = greedy_fit(x, y, square_loss(), terms, cfg).trace
+        # gaps[m] belongs to the iterate after m steps; iterate 0 is f = 0
+        before = np.concatenate(([float(np.mean(y**2))], trace.objectives[:-1]))
+        assert trace.gaps.shape == trace.steps.shape
+        assert np.all(trace.gaps >= before - optimum - 1e-12)
 
 
 class TestPredict:

@@ -91,6 +91,49 @@ class TestDerivatives:
             assert np.all(d2 > 0)
 
 
+def _golden_points(count):
+    """The first ``count`` points the golden-section line search evaluates."""
+    from rkhstest.estimators import line_search
+
+    seen = []
+    line_search(lambda t: seen.append(t) or (t - 0.3) ** 2)
+    return seen[:count]
+
+
+class TestSegmentMean:
+    @pytest.mark.parametrize("name", sorted(SMOOTH))
+    def test_equals_mean_of_value_exactly(self, name):
+        loss, draw_y = SMOOTH[name]
+        rng = np.random.default_rng(17)
+        y = draw_y(rng)
+        start, delta = rng.uniform(-1, 1, size=20), rng.uniform(-2, 2, size=20)
+        objective = loss.segment_mean(y, start, delta)
+        for t in [0.0, 1.0] + _golden_points(6):
+            assert objective(t) == float(np.mean(loss.value(y, start + t * delta)))
+
+    @pytest.mark.parametrize(
+        "loss, y, start, delta",
+        [
+            (square_loss(), np.zeros(3), np.array([0.0, np.nan, 0.0]), np.zeros(3)),
+            (square_loss(), np.zeros(3), np.zeros(3), np.array([0.0, np.inf, 0.0])),
+            (square_loss(), np.zeros(2), np.full(2, 1e308), np.full(2, 1e308)),
+            (poisson_loss(), np.array([1.0, -1.0]), np.zeros(2), np.ones(2)),
+            (logistic_loss(), np.array([1.0, 0.5]), np.zeros(2), np.ones(2)),
+            (duration_loss(), np.array([1.0, 0.0]), np.zeros(2), np.ones(2)),
+        ],
+        ids=["nan_start", "inf_end", "overflowing_end", "poisson_negative",
+             "logistic_label", "duration_nonpositive"],
+    )
+    @pytest.mark.filterwarnings("ignore:overflow encountered")
+    def test_raises_what_value_raises(self, loss, y, start, delta):
+        bad = start if not np.all(np.isfinite(start)) else start + delta
+        with pytest.raises(ValueError) as from_value:
+            loss.value(y, bad)
+        with pytest.raises(ValueError) as from_segment:
+            loss.segment_mean(y, start, delta)
+        assert str(from_segment.value) == str(from_value.value)
+
+
 class TestErrors:
     def test_logistic_label_check(self):
         with pytest.raises(ValueError, match="-1"):
