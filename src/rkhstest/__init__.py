@@ -19,8 +19,6 @@ from .kernels import (
     PolynomialKernel,
     SeriesKernel,
     additive_kernel,
-    eval_kernel,
-    feature_matrix,
     gram_matrix,
     integrated_brownian_eval,
     kernel_from_config,

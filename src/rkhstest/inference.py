@@ -449,16 +449,16 @@ def _project_gram(model, r0, x, s_diag, raw, rho, mode="gram_columns"):
         c0 = model.gram
         s0 = float(s_diag[0])
         if np.all(s_diag == s0):
-            # (C0 + rho/s I)^{-1} via the cached eigenbasis; rho = 0 becomes
-            # the pseudo-inverse projection onto the column space
+            # C0 (C0 + rho/s I)^{-1} = U diag(kappa * inv) U' in the cached
+            # eigenbasis, thin or full, since C0 vanishes off a thin basis;
+            # rho = 0 becomes the projection onto the column space
             eig = model.eigen
             kappa = np.maximum(eig.values, 0.0)
             if rho > 0:
                 inv = 1.0 / (kappa + rho / s0)
             else:
                 inv = np.where(eig.values > eig.cutoff, 1.0 / np.maximum(kappa, 1e-300), 0.0)
-            coeff = eig.vectors @ (inv[:, None] * (eig.vectors.T @ raw))
-            projected = raw - c0 @ coeff
+            projected = raw - eig.vectors @ ((kappa * inv)[:, None] * (eig.vectors.T @ raw))
             return InstrumentSet(
                 raw=raw, projected=projected, proj_rho=float(rho), mode=mode
             ), c0

@@ -5,9 +5,8 @@ object can be shared freely across threads.  Every kernel knows how to
 
 * evaluate a single pair of points (``eval``),
 * build a cross Gram matrix over point sets (``gram``),
-
-and series kernels additionally expose the scaled feature matrix whose outer
-product reconstructs the Gram matrix exactly when the expansion is finite.
+* return a feature matrix F with F F' = gram(x) (``feature_matrix``), or
+  None when the kernel has infinite rank and so only a Gram.
 
 Points are real vectors; a sample is an ``(n, d)`` array.  Univariate kernels
 (``dim == 1``) receive the selected coordinate as an ``(n,)`` array.
@@ -20,7 +19,6 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
-from scipy.integrate import quad
 
 __all__ = [
     "Kernel",
@@ -36,11 +34,8 @@ __all__ = [
     "polynomial_weights",
     "polynomial_series",
     "linear_series",
-    "eval_kernel",
     "gram_matrix",
-    "feature_matrix",
     "integrated_brownian_eval",
-    "normalized_section_norm",
     "kernel_from_config",
 ]
 
@@ -82,6 +77,11 @@ class Kernel:
     #: expected point dimension, or None when any width is accepted
     dim: int | None = None
 
+    def __post_init__(self):
+        # a kernel's scale enters feature maps as sqrt(scale); negative is not PSD
+        if getattr(self, "scale", 0.0) < 0:
+            raise ValueError(f"{type(self).__name__} scale must be nonnegative, got {self.scale}")
+
     def eval(self, s, t) -> float:
         """Evaluate C(s, t) for a single pair of points."""
         raise NotImplementedError
@@ -89,6 +89,10 @@ class Kernel:
     def gram(self, x, z=None) -> np.ndarray:
         """Cross Gram matrix with entries C(x_i, z_j); z defaults to x."""
         raise NotImplementedError
+
+    def feature_matrix(self, x) -> np.ndarray | None:
+        """Matrix F with F F' = gram(x), or None: the kernel has only a Gram."""
+        return None
 
     def __add__(self, other: "Kernel") -> "CompositeKernel":
         terms = []
@@ -112,6 +116,9 @@ class ConstantKernel(Kernel):
         z = x if z is None else _as_sample(z, None)
         return np.full((x.shape[0], z.shape[0]), float(self.scale))
 
+    def feature_matrix(self, x) -> np.ndarray:
+        return np.full((_as_sample(x, None).shape[0], 1), math.sqrt(self.scale))
+
 
 @dataclass(frozen=True)
 class LinearKernel(Kernel):
@@ -134,6 +141,9 @@ class LinearKernel(Kernel):
             raise ValueError("dimension mismatch between point sets")
         return self.scale * (x @ z.T)
 
+    def feature_matrix(self, x) -> np.ndarray:
+        return math.sqrt(self.scale) * _as_sample(x, self.dim)
+
 
 @dataclass(frozen=True)
 class GaussianRBF(Kernel):
@@ -150,6 +160,7 @@ class GaussianRBF(Kernel):
     def __post_init__(self):
         if self.lengthscale <= 0:
             raise ValueError("lengthscale must be positive")
+        super().__post_init__()
 
     @classmethod
     def from_rate(cls, rate: float, scale: float = 1.0) -> "GaussianRBF":
@@ -295,13 +306,24 @@ def linear_series(scale: float = 1.0) -> SeriesKernel:
     )
 
 
+def _integrated_brownian(order: int, s, t):
+    # with m = min(s, t), d = |t - s| and k = V - 1, the integral of
+    # (m - u)^k (m + d - u)^k over [0, m] expands binomially into
+    # sum_j C(k, j) d^(k-j) m^(k+j+1) / (k+j+1); every term is nonnegative
+    m, d, k = np.minimum(s, t), np.abs(t - s), order - 1
+    total = sum(
+        math.comb(k, j) * d ** (k - j) * m ** (k + j + 1) / (k + j + 1)
+        for j in range(k + 1)
+    )
+    return total / math.factorial(k) ** 2
+
+
 def integrated_brownian_eval(order: int, s: float, t: float) -> float:
     """Covariance of V-fold integrated Brownian motion on [0, 1].
 
     Returns the integral over [0, 1] of G_V(s, u) G_V(t, u) with
-    G_V(r, u) = (r - u)^(V-1)/(V-1)! for u <= r and 0 otherwise.  Orders 1
-    and 2 use closed forms; higher orders fall back to adaptive quadrature
-    with absolute tolerance 1e-10.
+    G_V(r, u) = (r - u)^(V-1)/(V-1)! for u <= r and 0 otherwise, in closed
+    form for every order.
     """
     if order < 1:
         raise ValueError("order must be >= 1")
@@ -310,20 +332,7 @@ def integrated_brownian_eval(order: int, s: float, t: float) -> float:
     for name, r in (("s", s), ("t", t)):
         if not 0.0 <= r <= 1.0:
             raise ValueError(f"{name}={r} outside the kernel domain [0, 1]")
-    m = min(s, t)
-    if order == 1:
-        return m
-    if order == 2:
-        return s * t * m - (s + t) * m**2 / 2.0 + m**3 / 3.0
-    if m == 0.0:
-        return 0.0
-    fact = math.factorial(order - 1)
-
-    def integrand(u):
-        return ((s - u) ** (order - 1) / fact) * ((t - u) ** (order - 1) / fact)
-
-    value, _ = quad(integrand, 0.0, m, epsabs=1e-12, epsrel=1e-12)
-    return value
+    return float(_integrated_brownian(order, s, t))
 
 
 @dataclass(frozen=True)
@@ -348,18 +357,7 @@ class IntegratedBrownianKernel(Kernel):
         u, v = x[:, 0], z[:, 0]
         if np.any(u < 0) or np.any(u > 1) or np.any(v < 0) or np.any(v > 1):
             raise ValueError("points outside the kernel domain [0, 1]")
-        if self.order == 1:
-            return np.minimum(u[:, None], v[None, :])
-        if self.order == 2:
-            m = np.minimum(u[:, None], v[None, :])
-            prod = u[:, None] * v[None, :]
-            tot = u[:, None] + v[None, :]
-            return prod * m - tot * m**2 / 2.0 + m**3 / 3.0
-        out = np.empty((u.size, v.size))
-        for i, ui in enumerate(u):
-            for j, vj in enumerate(v):
-                out[i, j] = integrated_brownian_eval(self.order, ui, vj)
-        return out
+        return _integrated_brownian(self.order, u[:, None], v[None, :])
 
 
 @dataclass(frozen=True)
@@ -403,22 +401,31 @@ class CompositeKernel(Kernel):
             total += kernel.eval(self._slice_point(s, sel), self._slice_point(t, sel))
         return total
 
+    def _slice_sample(self, x: np.ndarray, sel) -> np.ndarray:
+        if sel is None:
+            return x
+        if max(sel) >= x.shape[1]:
+            raise ValueError(
+                f"dimension mismatch: selector {sel} needs {max(sel) + 1} "
+                f"coordinates, sample has {x.shape[1]}"
+            )
+        return x[:, list(sel)]
+
     def gram(self, x, z=None) -> np.ndarray:
         x = _as_sample(x, None)
         z2 = x if z is None else _as_sample(z, None)
         total = np.zeros((x.shape[0], z2.shape[0]))
         for kernel, sel in self.terms:
-            if sel is None:
-                xs, zs = x, z2
-            else:
-                if max(sel) >= x.shape[1]:
-                    raise ValueError(
-                        f"dimension mismatch: selector {sel} needs {max(sel) + 1} "
-                        f"coordinates, sample has {x.shape[1]}"
-                    )
-                xs, zs = x[:, list(sel)], z2[:, list(sel)]
-            total += kernel.gram(xs, zs)
+            total += kernel.gram(self._slice_sample(x, sel), self._slice_sample(z2, sel))
         return total
+
+    def feature_matrix(self, x) -> np.ndarray | None:
+        """The terms' feature blocks side by side; None if a term has none."""
+        x = _as_sample(x, None)
+        blocks = [k.feature_matrix(self._slice_sample(x, sel)) for k, sel in self.terms]
+        if not blocks or any(b is None for b in blocks):
+            return None
+        return np.hstack(blocks)
 
 
 def additive_kernel(base: Kernel, n_coords: int) -> CompositeKernel:
@@ -437,37 +444,12 @@ class NullAltSplit:
         return self.r0 + self.r1
 
 
-def eval_kernel(kernel: Kernel, s, t) -> float:
-    """Evaluate C(s, t); symmetric in its point arguments."""
-    return kernel.eval(s, t)
-
-
 def gram_matrix(kernel: Kernel, x) -> np.ndarray:
     """Gram matrix over a point sample; raises on non-finite entries."""
     g = kernel.gram(x)
     if not np.all(np.isfinite(g)):
         raise ValueError("non-finite kernel value in Gram matrix (domain violation?)")
     return g
-
-
-def feature_matrix(kernel: SeriesKernel, x, n_terms: int | None = None) -> np.ndarray:
-    """Scaled series-feature matrix, entry (i, v) = lambda_v phi_v(x_i)."""
-    if not isinstance(kernel, SeriesKernel):
-        raise TypeError("feature_matrix requires a SeriesKernel")
-    return kernel.feature_matrix(x, n_terms)
-
-
-def normalized_section_norm(kernel: Kernel, z) -> float:
-    """RKHS norm of h = C(., z) / sqrt(C(z, z)); equals 1 by reproduction.
-
-    Computed through the representer formula: h has the single coefficient
-    alpha = 1/sqrt(C(z, z)) on the anchor z, so |h|^2 = alpha^2 C(z, z).
-    """
-    czz = kernel.eval(z, z)
-    if czz <= 0:
-        raise ValueError("C(z, z) must be positive to normalize a section")
-    alpha = 1.0 / math.sqrt(czz)
-    return math.sqrt(alpha * czz * alpha)
 
 
 _CONFIG_KINDS = (
@@ -531,11 +513,9 @@ def kernel_from_config(spec) -> Kernel:
             weights = polynomial_weights(degree, decay)
         series = bool(spec.pop("series", True))
         if series:
-            decay_exp = None
             kernel = SeriesKernel(
                 weights=weights,
                 features=tuple(_monomial(v) for v in range(1, len(weights) + 1)),
-                decay_exponent=decay_exp,
             )
         else:
             kernel = PolynomialKernel(weights=weights)

@@ -1,5 +1,7 @@
 """Ridge solves, the norm-budget equation and the greedy loop."""
 
+from dataclasses import dataclass
+
 import numpy as np
 import pytest
 
@@ -17,7 +19,9 @@ from rkhstest.estimators import (
 )
 from rkhstest.kernels import (
     CompositeKernel,
+    ConstantKernel,
     GaussianRBF,
+    Kernel,
     LinearKernel,
     PolynomialKernel,
     additive_kernel,
@@ -384,6 +388,63 @@ class TestGreedyFit:
         before = np.concatenate(([float(np.mean(y**2))], trace.objectives[:-1]))
         assert trace.gaps.shape == trace.steps.shape
         assert np.all(trace.gaps >= before - optimum - 1e-12)
+
+
+@dataclass(frozen=True)
+class GramOnly(Kernel):
+    """A kernel's Gram without its feature map, forcing the n x n eigh path."""
+
+    inner: Kernel
+
+    def eval(self, s, t):
+        return self.inner.eval(s, t)
+
+    def gram(self, x, z=None):
+        return self.inner.gram(x, z)
+
+
+class TestFeaturePath:
+    BIV = CompositeKernel(((ConstantKernel(0.5), None), (LinearKernel(0.5), (0, 1))))
+    WIDE = additive_kernel(polynomial_series(10, 2.2), 2)  # p = 20 features
+
+    @pytest.mark.parametrize(
+        "kernel, n, kw, binding",
+        [
+            (BIV, 60, {"budget": 0.2}, True),
+            (BIV, 60, {"budget": 1e3}, False),
+            (BIV, 60, {"rho": 0.3}, False),
+            (WIDE, 12, {"budget": 0.5}, True),  # p >= n: the basis is square
+        ],
+        ids=["binding", "slack", "fixed_rho", "p_ge_n"],
+    )
+    def test_ridge_matches_gram_eigh_reference(self, kernel, n, kw, binding):
+        rng = np.random.default_rng(41)
+        x = rng.uniform(-2, 2, (n, 2))
+        y = 0.5 * x[:, 0] - 0.3 * x[:, 1] ** 2 + 0.3 * rng.standard_normal(n)
+        fast = fit_constrained_ridge(kernel, x, y, **kw)
+        reference = CompositeKernel(tuple((GramOnly(k), sel) for k, sel in kernel.terms))
+        ref = fit_constrained_ridge(reference, x, y, **kw)
+        p = kernel.feature_matrix(x).shape[1]
+        assert fast.eigen.vectors.shape == (n, min(n, p)) and not ref.eigen.thin
+        points = np.vstack([x, rng.uniform(-2, 2, (20, 2))])
+        want = ref.predict(points)
+        assert np.max(np.abs(fast.predict(points) - want)) <= 1e-10 * np.max(np.abs(want))
+        # the coefficients themselves solve (C + rho I) a = y, null directions included
+        assert np.max(np.abs(fast.coeffs - ref.coeffs)) <= 1e-10 * np.max(np.abs(ref.coeffs))
+        assert fast.ridge_rho == pytest.approx(ref.ridge_rho, rel=1e-10, abs=0)
+        assert fast.norm_hk == pytest.approx(ref.norm_hk, rel=1e-10)
+        assert fast.norm_lk == pytest.approx(ref.norm_lk, rel=1e-10)
+        assert fast.budget_binding == ref.budget_binding == binding
+
+    def test_thin_values_are_the_top_gram_eigenvalues(self):
+        x = np.random.default_rng(43).uniform(-2, 2, (30, 2))
+        feats = self.BIV.feature_matrix(x)
+        thin = gram_eigen(None, feats)
+        full = gram_eigen(self.BIV.gram(x))
+        assert thin.vectors.shape == (30, 3)
+        assert np.all(np.diff(thin.values) >= 0)
+        assert np.allclose(thin.values, full.values[-3:], rtol=1e-12)
+        assert np.max(np.abs(full.values[:-3])) <= 1e-12 * full.values[-1]
 
 
 class TestPredict:

@@ -21,6 +21,7 @@ from rkhstest.inference import (
     series_feature_columns,
     simulate_null,
 )
+from rkhstest.inference import _project_gram
 from rkhstest.inference import test_statistic as moment_statistic
 from rkhstest.kernels import (
     CompositeKernel,
@@ -405,6 +406,27 @@ class TestRunTest:
         )
         assert res.orthogonality is not None and res.orthogonality <= 1e-8
         assert res.proj_rho_rule == "explicit"
+
+    def test_slack_section_fit_projects_off_null_span(self):
+        # a slack budget couples rho = 0 into the projection, which then runs
+        # through the fit's thin eigenbasis of the rank-3 null Gram
+        rng = np.random.default_rng(23)
+        n = 80
+        x = rng.uniform(-2, 2, (n, 2))
+        y = 0.2 * x[:, 0] - 0.1 * x[:, 1] + 0.4 * rng.standard_normal(n)
+        r0 = CompositeKernel(((ConstantKernel(0.5), None), (LinearKernel(0.5), (0, 1))))
+        model = fit_constrained_ridge(r0, x, y, budget=1e3)
+        assert model.ridge_rho == 0.0 and model.eigen.thin
+        sections = r0 + CompositeKernel(((GaussianRBF(0.75, 0.5), (0, 1)),))
+        raw = build_instruments(
+            x, "kernel_sections_normalized", kernel=sections, anchor_indices=np.arange(0, n, 4)
+        )
+        ones = np.ones(n)
+        once, _ = _project_gram(model, r0, x, ones, raw, 0.0)
+        span = np.column_stack([ones, x])
+        assert orthogonality_defect(span, ones, once.projected) <= 1e-10
+        twice, _ = _project_gram(model, r0, x, ones, once.projected, 0.0)
+        assert np.max(np.abs(twice.projected - once.projected)) <= 1e-12
 
     def test_section_plan_full_pipeline(self):
         rng = np.random.default_rng(19)

@@ -1,9 +1,12 @@
 """Kernel evaluation, Gram construction and series features."""
 
+import math
+
 import numpy as np
 import pytest
 from scipy.integrate import quad
 
+from rkhstest.inference import build_instruments
 from rkhstest.kernels import (
     CompositeKernel,
     ConstantKernel,
@@ -13,12 +16,9 @@ from rkhstest.kernels import (
     PolynomialKernel,
     SeriesKernel,
     additive_kernel,
-    eval_kernel,
-    feature_matrix,
     gram_matrix,
     integrated_brownian_eval,
     kernel_from_config,
-    normalized_section_norm,
     polynomial_series,
     polynomial_weights,
 )
@@ -39,20 +39,20 @@ class TestEval:
     def test_rbf_diagonal_is_one(self):
         k = GaussianRBF(lengthscale=1.0)
         s = np.array([0.3, -1.2])
-        assert eval_kernel(k, s, s) == 1.0
+        assert k.eval(s, s) == 1.0
 
     def test_linear_product(self):
-        assert eval_kernel(LinearKernel(1.0), 0.5, 0.4) == pytest.approx(0.20)
+        assert LinearKernel(1.0).eval(0.5, 0.4) == pytest.approx(0.20)
 
     def test_polynomial_partial_sum_at_one(self):
         # direct-summation oracle for sum_v v^-2.2 (s t)^v at s = t = 1
         oracle = sum(v**-2.2 * (1.0 * 1.0) ** v for v in range(1, 11))
         assert oracle == pytest.approx(1.4410028461622895, rel=1e-15)
-        assert eval_kernel(polynomial_series(10, 2.2), 1.0, 1.0) == pytest.approx(
+        assert polynomial_series(10, 2.2).eval(1.0, 1.0) == pytest.approx(
             oracle, rel=1e-12
         )
-        assert eval_kernel(
-            PolynomialKernel(polynomial_weights(10, 2.2)), 1.0, 1.0
+        assert PolynomialKernel(polynomial_weights(10, 2.2)).eval(
+            1.0, 1.0
         ) == pytest.approx(oracle, rel=1e-12)
 
     def test_dimension_mismatch(self):
@@ -70,7 +70,7 @@ class TestGram:
         x = np.array([[0.7]])
         g = gram_matrix(k, x)
         assert g.shape == (1, 1)
-        assert g[0, 0] == eval_kernel(k, x[0], x[0])
+        assert g[0, 0] == k.eval(x[0], x[0])
 
     def test_linear_outer_product(self):
         g = gram_matrix(LinearKernel(1.0), np.array([1.0, 2.0]))
@@ -82,7 +82,7 @@ class TestGram:
         g = gram_matrix(k, x)
         for i in range(5):
             for j in range(5):
-                assert g[i, j] == pytest.approx(eval_kernel(k, x[i], x[j]), rel=1e-12)
+                assert g[i, j] == pytest.approx(k.eval(x[i], x[j]), rel=1e-12)
 
     def test_nonfinite_entries_rejected(self):
         x = np.array([1e200, 1e200])
@@ -102,7 +102,7 @@ class TestGram:
         lo, hi = (0.0, 1.0) if isinstance(kernel, IntegratedBrownianKernel) else (-2, 2)
         for _ in range(10):
             s, t = RNG.uniform(lo, hi, 2)
-            assert eval_kernel(kernel, s, t) == eval_kernel(kernel, t, s)
+            assert kernel.eval(s, t) == kernel.eval(t, s)
 
     def test_composite_symmetry(self):
         k = CompositeKernel(
@@ -114,7 +114,7 @@ class TestGram:
         )
         for _ in range(10):
             s, t = RNG.uniform(-2, 2, (2, 2))
-            assert eval_kernel(k, s, t) == eval_kernel(k, t, s)
+            assert k.eval(s, t) == k.eval(t, s)
 
 
 class TestComposite:
@@ -133,8 +133,8 @@ class TestComposite:
         base = polynomial_series(6)
         k = additive_kernel(base, 4)
         point = np.full(4, 0.8)
-        assert eval_kernel(k, point, point) == pytest.approx(
-            4 * eval_kernel(base, 0.8, 0.8), rel=1e-14
+        assert k.eval(point, point) == pytest.approx(
+            4 * base.eval(0.8, 0.8), rel=1e-14
         )
 
     def test_add_operator_flattens(self):
@@ -148,7 +148,7 @@ class TestComposite:
 class TestSeries:
     def test_feature_matrix_single_term(self):
         k = polynomial_series(10, 2.2)
-        f = feature_matrix(k, np.array([0.5]), n_terms=1)
+        f = k.feature_matrix(np.array([0.5]), n_terms=1)
         assert f.shape == (1, 1)
         assert f[0, 0] == pytest.approx(np.sqrt(1.0) * 0.5)
 
@@ -157,7 +157,7 @@ class TestSeries:
         x = RNG.uniform(-2, 2, (4, 1))
         series = polynomial_series(10, 2.2)
         closed = PolynomialKernel(polynomial_weights(10, 2.2))
-        f = feature_matrix(series, x)
+        f = series.feature_matrix(x)
         assert np.allclose(f @ f.T, closed.gram(x), rtol=1e-10, atol=0)
 
     def test_series_equals_closed_form_eval(self):
@@ -165,21 +165,85 @@ class TestSeries:
         closed = PolynomialKernel(polynomial_weights(10, 2.2))
         for _ in range(20):
             s, t = RNG.uniform(-2, 2, 2)
-            assert eval_kernel(series, s, t) == pytest.approx(
-                eval_kernel(closed, s, t), rel=1e-12
+            assert series.eval(s, t) == pytest.approx(
+                closed.eval(s, t), rel=1e-12
             )
 
     def test_zero_point_gives_zero_row(self):
-        f = feature_matrix(polynomial_series(8), np.array([0.0]))
+        f = polynomial_series(8).feature_matrix(np.array([0.0]))
         assert np.array_equal(f, np.zeros((1, 8)))
 
     def test_too_many_terms_rejected(self):
         with pytest.raises(ValueError, match="series terms"):
-            feature_matrix(polynomial_series(5), np.array([0.5]), n_terms=6)
+            polynomial_series(5).feature_matrix(np.array([0.5]), n_terms=6)
 
     def test_weights_must_be_positive(self):
         with pytest.raises(ValueError, match="positive"):
             SeriesKernel(weights=(1.0, -0.1), features=(lambda u: u, lambda u: u**2))
+
+
+class TestFeatureMatrix:
+    @pytest.mark.parametrize(
+        "kernel, width",
+        [
+            (ConstantKernel(0.5), 2),
+            (LinearKernel(0.7), 3),
+            (polynomial_series(10, 2.2), 1),
+            (
+                CompositeKernel(
+                    (
+                        (ConstantKernel(0.5), None),
+                        (LinearKernel(0.5), (0, 1)),
+                        (polynomial_series(6), (2,)),
+                    )
+                ),
+                3,
+            ),
+        ],
+        ids=["constant", "linear", "series", "composite"],
+    )
+    def test_outer_product_is_gram(self, kernel, width):
+        x = RNG.uniform(-2, 2, (15, width))
+        f = kernel.feature_matrix(x)
+        g = kernel.gram(x)
+        assert f.shape[0] == 15
+        assert np.max(np.abs(f @ f.T - g)) <= 1e-12 * np.max(np.abs(g))
+
+    def test_composite_stacks_term_blocks(self):
+        x = RNG.uniform(-2, 2, (4, 2))
+        k = CompositeKernel(((ConstantKernel(4.0), None), (LinearKernel(9.0), (1,))))
+        assert np.array_equal(k.feature_matrix(x), np.column_stack([np.full(4, 2.0), 3.0 * x[:, 1]]))
+
+    @pytest.mark.parametrize(
+        "kernel",
+        [
+            GaussianRBF(0.75, 0.5),
+            PolynomialKernel(polynomial_weights(10, 2.2)),
+            IntegratedBrownianKernel(order=2),
+            CompositeKernel(((LinearKernel(0.5), (0,)), (GaussianRBF(0.75, 0.5), (1,)))),
+        ],
+        ids=["rbf", "closed_polynomial", "integrated_brownian", "composite_with_rbf"],
+    )
+    def test_gram_only_kernels_return_none(self, kernel):
+        width = 1 if isinstance(kernel, (PolynomialKernel, IntegratedBrownianKernel)) else 2
+        assert kernel.feature_matrix(RNG.uniform(0, 1, (5, width))) is None
+
+
+class TestScale:
+    @pytest.mark.parametrize(
+        "make",
+        [ConstantKernel, LinearKernel, lambda scale: GaussianRBF(1.0, scale)],
+        ids=["constant", "linear", "rbf"],
+    )
+    def test_negative_scale_rejected(self, make):
+        with pytest.raises(ValueError, match="scale must be nonnegative"):
+            make(-0.5)
+        assert make(0.0).scale == 0.0
+
+    def test_negative_scale_from_config(self):
+        spec = [{"kind": "constant", "scale": 0.5}, {"kind": "linear", "scale": -1.0}]
+        with pytest.raises(ValueError, match="LinearKernel scale must be nonnegative"):
+            kernel_from_config(spec)
 
 
 class TestIntegratedBrownian:
@@ -224,9 +288,26 @@ class TestIntegratedBrownian:
         with pytest.raises(ValueError, match="domain"):
             IntegratedBrownianKernel(order=1).gram(np.array([0.5, 1.4]))
 
+    @pytest.mark.parametrize("order", range(1, 7))
+    def test_closed_form_against_quadrature(self, order):
+        fact = math.factorial(order - 1)
+
+        def oracle(s, t):
+            val, _ = quad(
+                lambda u: (s - u) ** (order - 1) * (t - u) ** (order - 1) / fact**2,
+                0.0, min(s, t), epsabs=1e-14, epsrel=1e-12,
+            )
+            return val
+
+        pairs = [(0.0, 0.6), (1.0, 1.0), (0.5, 0.5), *RNG.uniform(0, 1, (8, 2))]
+        for s, t in pairs:
+            assert integrated_brownian_eval(order, s, t) == pytest.approx(
+                oracle(s, t), abs=1e-12
+            )
+
     def test_gram_matches_scalar_eval(self):
         x = RNG.uniform(0, 1, (6, 1))
-        for order in (1, 2, 3):
+        for order in (1, 2, 3, 5):
             k = IntegratedBrownianKernel(order=order)
             g = k.gram(x)
             for i in range(6):
@@ -242,7 +323,16 @@ def test_normalized_section_has_unit_norm():
         (polynomial_series(10, 2.2), np.array([1.3])),
         (LinearKernel(2.0), np.array([0.7])),
     ):
-        assert normalized_section_norm(kernel, z) == pytest.approx(1.0, abs=1e-12)
+        # h = C(., z) / sqrt(C(z, z)); reproduction gives |h|^2 = h(z) / sqrt(C(z, z))
+        root = np.sqrt(kernel.eval(z, z))
+        h_at_z = build_instruments(
+            z[None, :], "kernel_sections_normalized", kernel=kernel, anchors=z[None, :]
+        )[0, 0]
+        assert h_at_z / root == pytest.approx(1.0, abs=1e-12)
+        # with features, h has the coefficient vector F(z) / sqrt(C(z, z))
+        feats = kernel.feature_matrix(z[None, :])
+        if feats is not None:
+            assert np.linalg.norm(feats) / root == pytest.approx(1.0, abs=1e-12)
 
 
 class TestConfig:
