@@ -15,7 +15,6 @@ from rkhstest import (
     GaussianRBF,
     IntegratedBrownianKernel,
     LinearKernel,
-    NullAltSplit,
     PolynomialKernel,
     additive_kernel,
     gram_matrix,
@@ -55,15 +54,13 @@ print("symmetric:", np.array_equal(gram, gram.T))
 
 print("\n=== a null/alternative split ===")
 # linear null on two coordinates vs a universal alternative on the pair
-split = NullAltSplit(
-    r0=CompositeKernel(((ConstantKernel(0.5), None), (LinearKernel(0.5), (0, 1)))),
-    r1=CompositeKernel(((GaussianRBF(0.75, 0.5), (0, 1)),)),
-)
+r0 = CompositeKernel(((ConstantKernel(0.5), None), (LinearKernel(0.5), (0, 1))))
+r1 = CompositeKernel(((GaussianRBF(0.75, 0.5), (0, 1)),))
 pts = rng.uniform(-2, 2, (12, 2))
-for name, kern in (("C_R0", split.r0), ("C_R1", split.r1), ("sum", split.combined())):
+for name, kern in (("C_R0", r0), ("C_R1", r1), ("sum", r0 + r1)):
     g = gram_matrix(kern, pts)
     print(f"{name}: min eig / trace = {np.linalg.eigvalsh(g).min() / np.trace(g):+.2e}")
-f0 = split.r0.feature_matrix(pts)            # columns sqrt(0.5) * (1, s1, s2)
+f0 = r0.feature_matrix(pts)                  # columns sqrt(0.5) * (1, s1, s2)
 print(f"C_R0 feature map: {f0.shape[1]} columns, max |F F' - Gram| = "
-      f"{np.abs(f0 @ f0.T - split.r0.gram(pts)).max():.1e}")
-print("C_R1 feature map:", split.r1.feature_matrix(pts), "(infinite rank, Gram only)")
+      f"{np.abs(f0 @ f0.T - r0.gram(pts)).max():.1e}")
+print("C_R1 feature map:", r1.feature_matrix(pts), "(infinite rank, Gram only)")

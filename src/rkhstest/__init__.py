@@ -15,7 +15,6 @@ from .kernels import (
     IntegratedBrownianKernel,
     Kernel,
     LinearKernel,
-    NullAltSplit,
     PolynomialKernel,
     SeriesKernel,
     additive_kernel,
@@ -74,7 +73,6 @@ from .simulation import (
     RejectionTable,
     gen_covariates,
     gen_response,
-    hypothesis_split,
     null_kernel_for,
     run_monte_carlo,
 )

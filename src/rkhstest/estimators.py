@@ -415,7 +415,11 @@ class SeriesModel:
 class GreedyGramModel:
     """Greedy fit stored as per-term representer coefficients.
 
-    ``budget_binding`` follows the rule of :class:`SeriesModel`.
+    ``budget_binding`` follows the rule of :class:`SeriesModel`.  Like
+    :class:`RepresenterModel`, the model carries the Gram it was fitted
+    through: ``gram`` is the sum of the term Grams, equal to
+    ``gram_matrix(CompositeKernel(terms), anchors)``, and ``fitted`` holds
+    the in-sample fitted values, equal to ``predict(anchors)``.
     """
 
     terms: tuple[tuple[Kernel, tuple[int, ...] | None], ...]
@@ -428,6 +432,8 @@ class GreedyGramModel:
     ridge_rho: float
     budget_binding: bool
     trace: GreedyTrace
+    fitted: np.ndarray = field(repr=False)
+    gram: np.ndarray = field(repr=False)
 
     def predict(self, x) -> np.ndarray:
         x = np.asarray(x, dtype=float)
@@ -567,9 +573,12 @@ def _greedy_fit_series(x, y, loss, terms, config) -> SeriesModel:
 def _greedy_fit_gram(x, y, loss, terms, config) -> GreedyGramModel:
     n = x.shape[0]
     budget = config.budget
-    grams = [kernel.gram(_slice_cols(x, sel)) for kernel, sel in terms]
+    grams = [gram_matrix(kernel, _slice_cols(x, sel)) for kernel, sel in terms]
     n_terms = len(terms)
     alpha = np.zeros((n, n_terms))
+    # u[:, t] = G_t alpha[:, t], updated from the products G_t grad each
+    # step already needs, so the trace norms cost O(n) per term
+    u = np.zeros((n, n_terms))
     fitted = np.zeros(n)
 
     coords, steps, multipliers, objectives, norms, gaps = [], [], [], [], [], []
@@ -604,30 +613,39 @@ def _greedy_fit_gram(x, y, loss, terms, config) -> GreedyGramModel:
             config.line_search_tol,
         )
         alpha *= 1.0 - tau
+        u *= 1.0 - tau
+        u_step = tau * budget * (-1.0 / (2.0 * rho * n))
         if config.norm_kind == "hk":
             alpha += (tau * budget) * beta[:, None]
+            for t in range(n_terms):
+                u[:, t] += u_step * w[t]
         else:
             alpha[:, picked] += tau * budget * beta
+            u[:, picked] += u_step * w[picked]
         fitted = fitted + tau * delta
 
         coords.append(picked)
         steps.append(tau)
         multipliers.append(rho)
         objectives.append(float(np.mean(loss.value(y, fitted))))
-        block_norms = np.array(
-            [
-                math.sqrt(max(float(alpha[:, t] @ (grams[t] @ alpha[:, t])), 0.0))
-                for t in range(n_terms)
-            ]
-        )
+        block_norms = np.sqrt(np.maximum(np.einsum("it,it->t", alpha, u), 0.0))
         norms.append(_constraint_norm(config.norm_kind, block_norms))
 
+    # the reported norms, and so model.json, use the exact quadratic forms
+    products = [g @ alpha[:, t] for t, g in enumerate(grams)]
     block_norms = np.array(
         [
-            math.sqrt(max(float(alpha[:, t] @ (grams[t] @ alpha[:, t])), 0.0))
+            math.sqrt(max(float(alpha[:, t] @ products[t]), 0.0))
             for t in range(n_terms)
         ]
     )
+    # summed in term order, as predict and CompositeKernel.gram sum them
+    in_sample = np.zeros(n)
+    for product in products:
+        in_sample += product
+    gram = grams[0]
+    for g in grams[1:]:
+        gram += g
     trace = GreedyTrace(
         coords=np.array(coords, dtype=int),
         steps=np.array(steps),
@@ -647,4 +665,6 @@ def _greedy_fit_gram(x, y, loss, terms, config) -> GreedyGramModel:
         ridge_rho=float(multipliers[-1]) if multipliers else 0.0,
         budget_binding=_binds(config, block_norms),
         trace=trace,
+        fitted=in_sample,
+        gram=gram,
     )

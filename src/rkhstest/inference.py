@@ -18,11 +18,13 @@ import scipy.linalg
 
 from .estimators import (
     FitConfig,
+    GreedyGramModel,
     RepresenterModel,
+    _term_list,
     fit_constrained_ridge,
     greedy_fit,
 )
-from .kernels import Kernel, SeriesKernel, gram_matrix
+from .kernels import Kernel, SeriesKernel, _require_finite, gram_matrix
 from .losses import LossSpec
 
 __all__ = [
@@ -434,7 +436,7 @@ class TestResult:
 def _fit_restricted(x, y, plan: HypothesisPlan, loss, fit_config: FitConfig):
     if plan.fit_terms is not None and fit_config.solver == "greedy":
         model = greedy_fit(x, y, loss, plan.fit_terms, fit_config)
-        fitted = model.predict(x)
+        fitted = model.fitted if isinstance(model, GreedyGramModel) else model.predict(x)
         return model, fitted
     model = fit_constrained_ridge(
         plan.r0, x, y, budget=fit_config.budget, rho=fit_config.ridge_rho
@@ -444,7 +446,7 @@ def _fit_restricted(x, y, plan: HypothesisPlan, loss, fit_config: FitConfig):
 
 
 def _project_gram(model, r0, x, s_diag, raw, rho, mode="gram_columns"):
-    """Gram-mode projection, reusing the fit's eigendecomposition if we can."""
+    """Gram-mode projection, reusing the fit's Gram or eigendecomposition if we can."""
     if isinstance(model, RepresenterModel) and model.kernel is r0:
         c0 = model.gram
         s0 = float(s_diag[0])
@@ -462,6 +464,8 @@ def _project_gram(model, r0, x, s_diag, raw, rho, mode="gram_columns"):
             return InstrumentSet(
                 raw=raw, projected=projected, proj_rho=float(rho), mode=mode
             ), c0
+    elif isinstance(model, GreedyGramModel) and model.terms == _term_list(r0):
+        c0 = _require_finite(model.gram)
     else:
         c0 = gram_matrix(r0, x)
     return project_instruments(c0, s_diag, raw, rho, mode=mode), c0

@@ -29,7 +29,6 @@ __all__ = [
     "SeriesKernel",
     "IntegratedBrownianKernel",
     "CompositeKernel",
-    "NullAltSplit",
     "additive_kernel",
     "polynomial_weights",
     "polynomial_series",
@@ -179,13 +178,19 @@ class GaussianRBF(Kernel):
         z = x if z is None else _as_sample(z, self.dim)
         if x.shape[1] != z.shape[1]:
             raise ValueError("dimension mismatch between point sets")
-        d2 = (
-            np.sum(x**2, axis=1)[:, None]
-            + np.sum(z**2, axis=1)[None, :]
-            - 2.0 * (x @ z.T)
-        )
+        # |x|^2 + |z|^2 - 2 x.z, then scale * exp(-0.5 d2 / a^2), each
+        # operation in place so that at most two n-by-m buffers are live
+        d2 = np.sum(x**2, axis=1)[:, None] + np.sum(z**2, axis=1)[None, :]
+        cross = x @ z.T
+        cross *= 2.0
+        d2 -= cross
+        del cross
         np.clip(d2, 0.0, None, out=d2)
-        return self.scale * np.exp(-0.5 * d2 / self.lengthscale**2)
+        d2 *= -0.5
+        d2 /= self.lengthscale**2
+        np.exp(d2, out=d2)
+        d2 *= self.scale
+        return d2
 
 
 @dataclass(frozen=True)
@@ -433,23 +438,15 @@ def additive_kernel(base: Kernel, n_coords: int) -> CompositeKernel:
     return CompositeKernel(tuple((base, (k,)) for k in range(n_coords)))
 
 
-@dataclass(frozen=True)
-class NullAltSplit:
-    """Decomposition C = C_R0 + C_R1 into null and alternative kernels."""
-
-    r0: Kernel
-    r1: Kernel
-
-    def combined(self) -> CompositeKernel:
-        return self.r0 + self.r1
+def _require_finite(g: np.ndarray) -> np.ndarray:
+    if not np.all(np.isfinite(g)):
+        raise ValueError("non-finite kernel value in Gram matrix (domain violation?)")
+    return g
 
 
 def gram_matrix(kernel: Kernel, x) -> np.ndarray:
     """Gram matrix over a point sample; raises on non-finite entries."""
-    g = kernel.gram(x)
-    if not np.all(np.isfinite(g)):
-        raise ValueError("non-finite kernel value in Gram matrix (domain violation?)")
-    return g
+    return _require_finite(kernel.gram(x))
 
 
 _CONFIG_KINDS = (

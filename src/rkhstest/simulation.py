@@ -27,7 +27,6 @@ from .kernels import (
     ConstantKernel,
     GaussianRBF,
     LinearKernel,
-    NullAltSplit,
     linear_series,
     polynomial_series,
 )
@@ -43,7 +42,6 @@ __all__ = [
     "gen_covariates",
     "gen_response",
     "null_kernel_for",
-    "hypothesis_split",
     "run_monte_carlo",
     "REJECTION_CSV_HEADER",
 ]
@@ -242,12 +240,6 @@ def null_kernel_for(
     raise ValueError(
         f"unknown hypothesis {hypothesis!r}; expected one of {HYPOTHESES}"
     )
-
-
-def hypothesis_split(hypothesis: str, k: int = 10) -> NullAltSplit:
-    """Null/alternative kernel pair for a registered hypothesis."""
-    plan = null_kernel_for(hypothesis, k)
-    return NullAltSplit(r0=plan.r0, r1=plan.r1)
 
 
 @dataclass(frozen=True)

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from rkhstest.estimators import (
+    BINDING_RTOL,
     FitConfig,
     budget_norm_sq,
     fit_constrained_ridge,
@@ -25,6 +26,7 @@ from rkhstest.kernels import (
     LinearKernel,
     PolynomialKernel,
     additive_kernel,
+    gram_matrix,
     linear_series,
     polynomial_series,
     polynomial_weights,
@@ -388,6 +390,77 @@ class TestGreedyFit:
         before = np.concatenate(([float(np.mean(y**2))], trace.objectives[:-1]))
         assert trace.gaps.shape == trace.steps.shape
         assert np.all(trace.gaps >= before - optimum - 1e-12)
+
+
+def _rbf_terms(count):
+    return tuple((GaussianRBF(0.6 + 0.3 * c, 1.0 + 0.5 * c), (c,)) for c in range(count))
+
+
+def _gram_path_fit(norm_kind, iterations=200):
+    rng = np.random.default_rng(606)
+    x = rng.uniform(-2, 2, (70, 3))
+    y = np.sin(1.5 * x[:, 0]) + 0.25 * x[:, 1] ** 2 + 0.3 * rng.standard_normal(70)
+    cfg = FitConfig(budget=1.5, norm_kind=norm_kind, iterations=iterations)
+    loss = rescaled_square_loss()
+    return x, y, loss, cfg, greedy_fit(x, y, loss, _rbf_terms(3), cfg)
+
+
+def _exact_blocks(alpha, grams):
+    """sqrt(alpha_t' G_t alpha_t) per term."""
+    return np.array(
+        [np.sqrt(max(float(alpha[:, t] @ (g @ alpha[:, t])), 0.0)) for t, g in enumerate(grams)]
+    )
+
+
+class TestGramPath:
+    """The Gram-path loop's O(n) norm updates and the Grams the model carries."""
+
+    @pytest.mark.parametrize("norm_kind", ["lk", "hk"])
+    def test_trace_norms_match_exact_quadratic_forms(self, norm_kind):
+        # replay the trace's steps on representer coefficients and recompute
+        # every constraint norm from alpha_t' G_t alpha_t
+        x, y, loss, cfg, model = _gram_path_fit(norm_kind)
+        trace = model.trace
+        assert trace.steps.size == 200
+        n = x.shape[0]
+        grams = [k.gram(x[:, list(sel)]) for k, sel in model.terms]
+        alpha = np.zeros_like(model.alpha)
+        exact = []
+        for picked, tau, rho in zip(trace.coords, trace.steps, trace.multipliers):
+            fitted = sum(g @ alpha[:, t] for t, g in enumerate(grams))
+            beta = -loss.deriv(1, y, fitted) / (2.0 * rho * n)
+            alpha *= 1.0 - tau
+            if picked < 0:
+                alpha += tau * cfg.budget * beta[:, None]
+            else:
+                alpha[:, picked] += tau * cfg.budget * beta
+            blocks = _exact_blocks(alpha, grams)
+            exact.append(blocks.sum() if norm_kind == "lk" else np.sqrt((blocks**2).sum()))
+        np.testing.assert_allclose(trace.norms, exact, rtol=1e-12, atol=0.0)
+
+    @pytest.mark.parametrize("norm_kind", ["lk", "hk"])
+    def test_final_norms_are_exact_quadratic_forms(self, norm_kind):
+        x, _, _, cfg, model = _gram_path_fit(norm_kind, iterations=60)
+        grams = [k.gram(x[:, list(sel)]) for k, sel in model.terms]
+        blocks = _exact_blocks(model.alpha, grams)
+        assert model.norm_hk == float(np.sqrt((blocks**2).sum()))
+        assert model.norm_lk == float(blocks.sum())
+        norm = model.norm_lk if norm_kind == "lk" else model.norm_hk
+        assert model.budget_binding == (norm >= (1.0 - BINDING_RTOL) * cfg.budget)
+
+    def test_model_carries_fitted_values_and_summed_gram(self):
+        x, _, _, _, model = _gram_path_fit("lk", iterations=60)
+        assert np.array_equal(model.fitted, model.predict(x))
+        assert np.array_equal(model.gram, gram_matrix(CompositeKernel(model.terms), x))
+
+    def test_nonfinite_covariate_names_the_gram(self):
+        rng = np.random.default_rng(5)
+        x = rng.uniform(-2, 2, (30, 2))
+        x[4, 1] = np.inf
+        y = rng.normal(size=30)
+        with np.errstate(invalid="ignore"):
+            with pytest.raises(ValueError, match="non-finite kernel value"):
+                greedy_fit(x, y, rescaled_square_loss(), _rbf_terms(2), FitConfig(budget=1.0))
 
 
 @dataclass(frozen=True)

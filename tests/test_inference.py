@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 from scipy import stats
 
-from rkhstest.estimators import FitConfig, fit_constrained_ridge
+from rkhstest import inference
+from rkhstest.estimators import FitConfig, fit_constrained_ridge, greedy_fit
 from rkhstest.inference import (
     HypothesisPlan,
     SectionInstrumentPlan,
@@ -28,6 +29,7 @@ from rkhstest.kernels import (
     ConstantKernel,
     GaussianRBF,
     LinearKernel,
+    gram_matrix,
     polynomial_series,
 )
 from rkhstest.losses import poisson_loss, rescaled_square_loss, square_loss
@@ -449,6 +451,69 @@ class TestRunTest:
         assert res.proj_rho_rule == "fit-coupled"
         assert 0 < res.p_value <= 1
         assert res.naive_statistic >= 0
+
+
+def _rbf_gram_case():
+    """A Gram-path test: three RBF null terms, an RBF alternative on x4."""
+    rng = np.random.default_rng(31)
+    n = 120
+    x = rng.uniform(-2, 2, (n, 4))
+    y = np.sin(1.5 * x[:, 0]) + 0.25 * x[:, 1] ** 2 - 0.3 * x[:, 2]
+    y = y + 0.5 * rng.standard_normal(n)
+    r0 = CompositeKernel(
+        tuple((GaussianRBF(0.7 + 0.2 * c, 1.0 + 0.25 * c), (c,)) for c in range(3))
+    )
+    plan = HypothesisPlan(
+        name="rbf",
+        r0=r0,
+        r1=CompositeKernel(((GaussianRBF(1.0), (3,)),)),
+        fit_terms=r0.terms,
+        instruments=SectionInstrumentPlan(count=30),
+    )
+    return x, y, plan, FitConfig(budget=5.0, iterations=80)
+
+
+class TestGramPathReuse:
+    """run_test reuses the greedy fit's fitted values and summed null Gram."""
+
+    def test_matches_rebuilt_predictions_and_null_gram(self, monkeypatch):
+        x, y, plan, cfg = _rbf_gram_case()
+        loss = rescaled_square_loss()
+        fast = run_test(x, y, plan, loss, cfg, n_draws=400, rng=8, diagnostics=True)
+
+        def fit_and_predict(x, y, plan, loss, fit_config):
+            model = greedy_fit(x, y, loss, plan.fit_terms, fit_config)
+            return model, model.predict(x)
+
+        def project_on_rebuilt_gram(model, r0, x, s_diag, raw, rho, mode="gram_columns"):
+            c0 = gram_matrix(r0, x)
+            return project_instruments(c0, s_diag, raw, rho, mode=mode), c0
+
+        monkeypatch.setattr(inference, "_fit_restricted", fit_and_predict)
+        monkeypatch.setattr(inference, "_project_gram", project_on_rebuilt_gram)
+        ref = run_test(x, y, plan, loss, cfg, n_draws=400, rng=8, diagnostics=True)
+        assert fast.statistic == ref.statistic
+        assert np.array_equal(fast.spectrum, ref.spectrum)
+        assert fast.p_value == ref.p_value
+        assert fast.naive_p_value == ref.naive_p_value
+        assert fast.orthogonality == ref.orthogonality
+        assert fast.residual_null_score == ref.residual_null_score
+
+    def test_builds_one_square_gram_per_null_term(self, monkeypatch):
+        x, y, plan, cfg = _rbf_gram_case()
+        n = x.shape[0]
+        square = []
+        gram = GaussianRBF.gram
+
+        def counting_gram(self, a, b=None):
+            out = gram(self, a, b)
+            if out.shape == (n, n):
+                square.append(self)
+            return out
+
+        monkeypatch.setattr(GaussianRBF, "gram", counting_gram)
+        run_test(x, y, plan, rescaled_square_loss(), cfg, n_draws=100, rng=1)
+        assert square == [kernel for kernel, _ in plan.r0.terms]
 
 
 def test_default_projection_rho_rule():

@@ -89,6 +89,27 @@ class TestGram:
         with np.errstate(over="ignore"), pytest.raises(ValueError, match="non-finite"):
             gram_matrix(LinearKernel(1.0), x)
 
+    @pytest.mark.parametrize("lengthscale", [0.3, 1.0, 2.7])
+    @pytest.mark.parametrize("scale", [0.5, 1.0, 3.0])
+    def test_rbf_in_place_gram_matches_expression(self, lengthscale, scale):
+        # the in-place construction keeps the operations and their order of
+        # scale * exp(-0.5 (|x|^2 + |z|^2 - 2 x.z) / a^2), so it compares with ==
+        k = GaussianRBF(lengthscale=lengthscale, scale=scale)
+        rng = np.random.default_rng(77)
+        for d in (1, 3):
+            x = rng.uniform(-2, 2, (40, d))
+            z = rng.normal(size=(7, d))
+            for other in (None, z):
+                zz = x if other is None else other
+                d2 = (
+                    np.sum(x**2, axis=1)[:, None]
+                    + np.sum(zz**2, axis=1)[None, :]
+                    - 2.0 * (x @ zz.T)
+                )
+                np.clip(d2, 0.0, None, out=d2)
+                expected = scale * np.exp(-0.5 * d2 / lengthscale**2)
+                assert np.array_equal(k.gram(x, other), expected)
+
     @pytest.mark.parametrize("kernel", ALL_SCALAR_KERNELS)
     def test_psd_on_random_points(self, kernel):
         lo, hi = (0.0, 1.0) if isinstance(kernel, IntegratedBrownianKernel) else (-2, 2)

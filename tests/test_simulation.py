@@ -12,7 +12,6 @@ from rkhstest.simulation import (
     _correlation_matrix,
     gen_covariates,
     gen_response,
-    hypothesis_split,
     null_kernel_for,
     run_monte_carlo,
 )
@@ -134,9 +133,9 @@ class TestRegistry:
     def test_split_kernels_are_psd(self):
         rng = np.random.default_rng(9)
         for name, k in (("Lin3", 10), ("LinPoly", 10), ("Lin1NonLin", 2), ("BivLinAll", 2)):
-            split = hypothesis_split(name, k=k)
+            plan = null_kernel_for(name, k=k)
             x = rng.uniform(-2, 2, (15, k))
-            for kern in (split.r0, split.r1):
+            for kern in (plan.r0, plan.r1):
                 g = kern.gram(x)
                 assert np.linalg.eigvalsh(g).min() >= -1e-8 * np.trace(g)
 
