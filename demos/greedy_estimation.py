@@ -30,7 +30,7 @@ print(f"n={n}, K={k}, budget B={budget}, true signal uses coordinates 0, 1, 3\n"
 
 # the exact optimum over the joint-norm ball, from the ridge + budget solve
 oracle = fit_constrained_ridge(additive_kernel(polynomial_series(10, 2.2), k), x, y, budget=budget)
-opt = 0.5 * np.mean((y - oracle.gram @ oracle.coeffs) ** 2)
+opt = 0.5 * np.mean((y - oracle.fitted) ** 2)
 print(f"ridge-at-budget optimum: objective {opt:.6f}, binding={oracle.budget_binding}, "
       f"rho={oracle.ridge_rho:.4f}")
 

@@ -36,11 +36,9 @@ from .losses import (
     square_loss,
 )
 from .estimators import (
+    AdditiveModel,
     FitConfig,
-    GreedyGramModel,
     GreedyTrace,
-    RepresenterModel,
-    SeriesModel,
     fit_constrained_ridge,
     fit_ridge,
     greedy_direction,

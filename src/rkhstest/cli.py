@@ -20,10 +20,9 @@ import numpy as np
 import yaml
 
 from .estimators import (
+    AdditiveModel,
     FitConfig,
-    SeriesModel,
-    GreedyGramModel,
-    RepresenterModel,
+    _term_list,
     fit_constrained_ridge,
     greedy_fit,
 )
@@ -345,35 +344,32 @@ def ingest_csv(
     )
 
 
-def _model_record(model) -> dict:
+def _model_record(model: AdditiveModel) -> dict:
     record = {
         "norm_hk": model.norm_hk,
         "norm_lk": model.norm_lk,
         "ridge_rho": model.ridge_rho,
         "budget": model.budget,
         "budget_binding": model.budget_binding,
+        "representation": model.representation,
     }
-    if isinstance(model, RepresenterModel):
-        record["representation"] = "representer"
-        record["coeffs"] = [float(a) for a in model.coeffs]
+    if model.representation == "representer":
+        record["coeffs"] = [float(a) for a in model.coeffs[0]]
         record["anchors"] = [[float(v) for v in row] for row in model.anchors]
-    elif isinstance(model, (SeriesModel, GreedyGramModel)):
-        record["representation"] = (
-            "series" if isinstance(model, SeriesModel) else "representer_greedy"
-        )
-        record["norm_kind"] = model.norm_kind
-        if isinstance(model, SeriesModel):
-            record["coeffs"] = [[float(v) for v in block] for block in model.coeffs]
-        else:
-            record["coeffs"] = [[float(v) for v in row] for row in model.alpha]
-        trace = model.trace
-        record["trace"] = {
-            "coords": [int(c) for c in trace.coords],
-            "steps": [float(s) for s in trace.steps],
-            "multipliers": [float(r) for r in trace.multipliers],
-            "objectives": [float(o) for o in trace.objectives],
-            "gaps": [float(g) for g in trace.gaps],
-        }
+        return record
+    # series: one row of V feature coefficients per term; representer_greedy:
+    # one row of T term weights per anchor
+    rows = model.coeffs if model.representation == "series" else np.column_stack(model.coeffs)
+    record["coeffs"] = [[float(v) for v in row] for row in rows]
+    record["norm_kind"] = model.norm_kind
+    trace = model.trace
+    record["trace"] = {
+        "coords": [int(c) for c in trace.coords],
+        "steps": [float(s) for s in trace.steps],
+        "multipliers": [float(r) for r in trace.multipliers],
+        "objectives": [float(o) for o in trace.objectives],
+        "gaps": [float(g) for g in trace.gaps],
+    }
     return record
 
 
@@ -421,7 +417,7 @@ def emit_results(result, out_dir, config: RunConfig | None = None) -> list[Path]
             "test_result.json",
             json.dumps(result.to_record(), indent=2, sort_keys=True) + "\n",
         )
-    elif isinstance(result, (RepresenterModel, SeriesModel, GreedyGramModel)):
+    elif isinstance(result, AdditiveModel):
         _write(
             "model.json",
             json.dumps(_model_record(result), indent=2, sort_keys=True) + "\n",
@@ -479,11 +475,7 @@ def _plan_from_config(config: RunConfig) -> HypothesisPlan:
             count=settings.r,
             normalized=settings.instrument_mode == "kernel_sections_normalized",
         )
-    fit_terms = None
-    if config.fit.solver == "greedy":
-        from .kernels import CompositeKernel
-
-        fit_terms = r0.terms if isinstance(r0, CompositeKernel) else ((r0, None),)
+    fit_terms = _term_list(r0) if config.fit.solver == "greedy" else None
     return HypothesisPlan(
         name="config", r0=r0, r1=r1, fit_terms=fit_terms, instruments=instruments
     )

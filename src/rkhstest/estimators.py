@@ -8,10 +8,11 @@ Two solvers are provided:
 * a Frank-Wolfe greedy loop for general smooth losses under either the
   per-coordinate-sum norm ball (``lk``) or the joint-norm ball (``hk``).
 
-Models are immutable after fitting and carry the Gram eigendecomposition
-where one was computed, so downstream testing code can reuse it.  For a
-kernel with a feature matrix F the decomposition is thin, taken from the SVD
-of F, and the Gram vanishes on the complement of its basis.
+Both return an :class:`AdditiveModel`, which carries its in-sample fitted
+values and, where one was computed, the Gram and its eigendecomposition, so
+downstream testing code can reuse them.  For a kernel with a feature matrix
+F the decomposition is thin, taken from the SVD of F, and the Gram vanishes
+on the complement of its basis.
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ import numpy as np
 import scipy.linalg
 from scipy.optimize import brentq
 
-from .kernels import CompositeKernel, Kernel, SeriesKernel, gram_matrix
+from .kernels import CompositeKernel, Kernel, SeriesKernel, _as_sample, gram_matrix
 from .losses import LossSpec
 
 __all__ = [
@@ -33,12 +34,10 @@ __all__ = [
     "fit_ridge",
     "solve_rho_for_budget",
     "budget_norm_sq",
-    "RepresenterModel",
+    "AdditiveModel",
     "fit_constrained_ridge",
     "FitConfig",
     "GreedyTrace",
-    "SeriesModel",
-    "GreedyGramModel",
     "greedy_fit",
     "greedy_direction",
     "greedy_direction_series",
@@ -180,34 +179,83 @@ def _slice_cols(x: np.ndarray, sel) -> np.ndarray:
 
 
 @dataclass
-class RepresenterModel:
-    """Kernel ridge fit in representer form, mu(x) = sum_i a_i C(X_i, x)."""
+class GreedyTrace:
+    """Per-iteration diagnostics of the greedy loop."""
 
-    kernel: Kernel
-    anchors: np.ndarray
-    coeffs: np.ndarray
+    coords: np.ndarray
+    steps: np.ndarray
+    multipliers: np.ndarray
+    objectives: np.ndarray
+    norms: np.ndarray  # constraint norm (lk or hk per config) after each step
+    # Frank-Wolfe duality gap of the iterate before each step,
+    # <grad mean L(f), f - s> = -grad.delta / n; it bounds that iterate's
+    # objective gap from above (Jaggi 2013)
+    gaps: np.ndarray
+
+
+@dataclass
+class AdditiveModel:
+    """A fitted additive function mu = sum_t f_t with one coefficient block per term.
+
+    ``representation`` says what the blocks in ``coeffs`` multiply:
+
+    * ``"representer"`` (closed-form ridge): one term, the whole kernel C,
+      with n representer weights a, so mu(x) = sum_i a_i C(X_i, x);
+    * ``"series"`` (greedy, every term a series kernel): block t holds the
+      coefficients on term t's scaled features lambda_v phi_v, so per-term
+      RKHS norms are the Euclidean norms of the blocks;
+    * ``"representer_greedy"`` (greedy through Gram matrices): block t holds
+      n representer weights on term t's kernel.
+
+    ``fitted`` holds the in-sample values, equal to ``predict(anchors)``
+    (to rounding for ridge, whose Gram a series kernel symmetrises).
+    ``gram`` is the summed Gram at the anchors when the fit built one,
+    ``eigen`` its eigendecomposition (ridge only) and ``trace`` the greedy
+    diagnostics (None for ridge).
+
+    A greedy fit's ``ridge_rho`` is its last iteration's multiplier, and it
+    binds when its final lk or hk norm (per ``norm_kind``) is at least
+    (1 - BINDING_RTOL) * budget.  Frank-Wolfe iterates reach a boundary
+    optimum only from inside: after 500 line-search steps, LinAll fits at
+    n=1000 whose least-squares lk norm exceeds the budget by 9 to 20 percent
+    end at 0.957 to 0.970 of it.  Slow step rules, or a least-squares norm
+    within a few percent of the budget, can leave a binding fit flagged slack.
+    """
+
+    representation: str
+    terms: tuple[tuple[Kernel, tuple[int, ...] | None], ...]
+    coeffs: tuple[np.ndarray, ...]
+    budget: float | None
+    norm_kind: str
     norm_hk: float
     norm_lk: float
     ridge_rho: float
-    budget: float | None
     budget_binding: bool
-    gram: np.ndarray = field(repr=False)
-    eigen: GramEigen = field(repr=False)
+    anchors: np.ndarray = field(repr=False)
+    fitted: np.ndarray = field(repr=False)
+    trace: GreedyTrace | None = None
+    gram: np.ndarray | None = field(default=None, repr=False)
+    eigen: GramEigen | None = field(default=None, repr=False)
 
     def predict(self, x) -> np.ndarray:
-        x = np.asarray(x, dtype=float)
-        if x.ndim == 1:
-            x = x[:, None]
+        x = _as_sample(x, None)
         if x.shape[1] != self.anchors.shape[1]:
             raise ValueError(
                 f"dimension mismatch: model expects {self.anchors.shape[1]} "
                 f"columns, got {x.shape[1]}"
             )
-        return self.kernel.gram(x, self.anchors) @ self.coeffs
+        out = np.zeros(x.shape[0])
+        for (kernel, sel), block in zip(self.terms, self.coeffs):
+            cols = _slice_cols(x, sel)
+            if self.representation == "series":
+                out += kernel.feature_matrix(cols) @ block
+            else:
+                out += kernel.gram(cols, _slice_cols(self.anchors, sel)) @ block
+        return out
 
 
-def _representer_norms(kernel, x, a, gram) -> tuple[float, float]:
-    norm_hk = math.sqrt(max(float(a @ (gram @ a)), 0.0))
+def _representer_norms(kernel, x, a, fitted) -> tuple[float, float]:
+    norm_hk = math.sqrt(max(float(a @ fitted), 0.0))
     if isinstance(kernel, CompositeKernel) and len(kernel.terms) > 1:
         norm_lk = 0.0
         for term, sel in kernel.terms:
@@ -229,15 +277,15 @@ def fit_constrained_ridge(
     *,
     budget: float | None = None,
     rho: float | None = None,
-) -> RepresenterModel:
+) -> AdditiveModel:
     """Square-loss kernel ridge under an RKHS-norm budget.
 
     Either ``budget`` (penalty solved so the norm constraint binds when
-    needed) or a fixed ``rho`` must be given.
+    needed) or a fixed finite ``rho`` >= 0 must be given.
     """
-    x = np.asarray(x, dtype=float)
-    if x.ndim == 1:
-        x = x[:, None]
+    if rho is not None and not 0.0 <= rho < math.inf:
+        raise ValueError(f"ridge penalty rho must be finite and nonnegative, got {rho!r}")
+    x = _as_sample(x, None)
     y = np.asarray(y, dtype=float)
     gram = gram_matrix(kernel, x)
     eig = gram_eigen(gram, kernel.feature_matrix(x))
@@ -248,16 +296,20 @@ def fit_constrained_ridge(
         rho = solve_rho_for_budget(gram, y, budget, eig=eig)
         binding = rho > 0.0
     a = _ridge_from_eigen(eig, y, float(rho))
-    norm_hk, norm_lk = _representer_norms(kernel, x, a, gram)
-    return RepresenterModel(
-        kernel=kernel,
-        anchors=x,
-        coeffs=a,
+    fitted = gram @ a
+    norm_hk, norm_lk = _representer_norms(kernel, x, a, fitted)
+    return AdditiveModel(
+        representation="representer",
+        terms=((kernel, None),),
+        coeffs=(a,),
+        budget=budget,
+        norm_kind="hk",
         norm_hk=norm_hk,
         norm_lk=norm_lk,
         ridge_rho=float(rho),
-        budget=budget,
         budget_binding=binding,
+        anchors=x,
+        fitted=fitted,
         gram=gram,
         eigen=eig,
     )
@@ -273,7 +325,6 @@ class FitConfig:
     iterations: int = 500
     step_rule: str = "line_search"
     line_search_tol: float = 1e-6
-    rho_tol: float = 1e-12
     ridge_rho: float | None = None
 
     def __post_init__(self):
@@ -287,21 +338,14 @@ class FitConfig:
             raise ValueError("iterations must be >= 0")
         if not np.isfinite(self.budget) or self.budget <= 0:
             raise ValueError("budget must be finite and positive")
-
-
-@dataclass
-class GreedyTrace:
-    """Per-iteration diagnostics of the greedy loop."""
-
-    coords: np.ndarray
-    steps: np.ndarray
-    multipliers: np.ndarray
-    objectives: np.ndarray
-    norms: np.ndarray  # constraint norm (lk or hk per config) after each step
-    # Frank-Wolfe duality gap of the iterate before each step,
-    # <grad mean L(f), f - s> = -grad.delta / n; it bounds that iterate's
-    # objective gap from above (Jaggi 2013)
-    gaps: np.ndarray
+        if not 0.0 < self.line_search_tol < math.inf:
+            raise ValueError(
+                f"line_search_tol must be finite and positive, got {self.line_search_tol!r}"
+            )
+        if self.ridge_rho is not None and not 0.0 <= self.ridge_rho < math.inf:
+            raise ValueError(
+                f"ridge_rho must be finite and nonnegative, got {self.ridge_rho!r}"
+            )
 
 
 def line_search(objective: Callable[[float], float], tol: float = 1e-6) -> float:
@@ -309,7 +353,10 @@ def line_search(objective: Callable[[float], float], tol: float = 1e-6) -> float
 
     The returned point is snapped to an endpoint whenever the endpoint does
     at least as well, so boundary minimizers come back as exactly 0 or 1.
+    ``tol`` is the final bracket width and must be finite and positive.
     """
+    if not 0.0 < tol < math.inf:
+        raise ValueError(f"line search tolerance must be finite and positive, got {tol!r}")
     invphi = (math.sqrt(5.0) - 1.0) / 2.0
     a, b = 0.0, 1.0
     c = b - invphi * (b - a)
@@ -331,6 +378,21 @@ def line_search(objective: Callable[[float], float], tol: float = 1e-6) -> float
     return candidates[int(np.argmin(values))]
 
 
+def _unit_direction(v: np.ndarray, q: float, n: int = 1) -> tuple[np.ndarray, float]:
+    """Unit-norm direction -v / (n sqrt(q)) and its multiplier sqrt(q) / 2.
+
+    q > 0 is the gradient's squared dual norm: a'a for series coefficients
+    a = F'grad / n (with n = 1), or grad'G grad / n^2 with v = grad.
+    """
+    root = math.sqrt(q)
+    return -v / (root * n), 0.5 * root
+
+
+def _largest(qs) -> int:
+    """Index of the term with the largest multiplier sqrt(max(q_t, 0)) / 2."""
+    return int(np.argmax(np.sqrt(np.maximum(qs, 0.0))))
+
+
 def greedy_direction(grad: np.ndarray, gram: np.ndarray) -> tuple[np.ndarray, float]:
     """Unit-norm descent direction for one coordinate via its Gram matrix.
 
@@ -345,9 +407,7 @@ def greedy_direction(grad: np.ndarray, gram: np.ndarray) -> tuple[np.ndarray, fl
     q = float(grad @ (gram @ grad)) / n**2
     if q <= 0.0:
         return np.zeros(n), 1.0
-    rho = 0.5 * math.sqrt(q)
-    beta = -grad / (2.0 * rho * n)
-    return beta, rho
+    return _unit_direction(grad, q, n)
 
 
 def greedy_direction_series(
@@ -362,88 +422,127 @@ def greedy_direction_series(
     grad = np.asarray(grad, dtype=float)
     if not np.all(np.isfinite(grad)):
         raise ValueError("gradient vector must be finite")
-    n = grad.shape[0]
-    a = scaled_features.T @ grad / n
+    a = scaled_features.T @ grad / grad.shape[0]
     q = float(a @ a)
     if q <= 0.0:
         return np.zeros(scaled_features.shape[1]), 1.0
-    rho = 0.5 * math.sqrt(q)
-    coeffs = -a / math.sqrt(q)
-    return coeffs, rho
+    return _unit_direction(a, q)
 
 
-@dataclass
-class SeriesModel:
-    """Greedy fit stored as coefficients on scaled series features.
+class _SeriesBlocks:
+    """Series terms as stacked scaled features, with one coefficient vector.
 
-    ``coeffs[t]`` multiplies the unit-norm functions lambda_v phi_v applied
-    to the coordinates selected by term t, so per-term RKHS norms are plain
-    Euclidean norms of the coefficient blocks.  ``ridge_rho`` records the
-    multiplier of the last iteration (it decays toward the stationarity
-    multiplier as the loop converges).  ``budget_binding`` is true when the
-    final constraint norm (lk or hk per ``norm_kind``) is at least
-    (1 - BINDING_RTOL) * budget, with BINDING_RTOL = 0.05.  Frank-Wolfe
-    iterates reach a boundary optimum only from inside: after 500
-    line-search steps, LinAll fits at n=1000 whose least-squares lk norm
-    exceeds the budget by 9 to 20 percent end at 0.957 to 0.970 of the
-    budget.  Slow step rules, or a least-squares norm within a few percent
-    of the budget, can still leave a binding fit flagged as slack.
+    A step costs the single stacked product F'grad over every term's
+    features; the coefficient blocks are slices of the vector.
     """
 
-    terms: tuple[tuple[SeriesKernel, tuple[int, ...] | None], ...]
-    coeffs: list[np.ndarray]
-    budget: float
-    norm_kind: str
-    norm_hk: float
-    norm_lk: float
-    ridge_rho: float
-    budget_binding: bool
-    trace: GreedyTrace
+    representation = "series"
 
-    def predict(self, x) -> np.ndarray:
-        x = np.asarray(x, dtype=float)
-        if x.ndim == 1:
-            x = x[:, None]
-        out = np.zeros(x.shape[0])
-        for (kernel, sel), d in zip(self.terms, self.coeffs):
-            feats = kernel.feature_matrix(_slice_cols(x, sel))
-            out += feats @ d
-        return out
+    def __init__(self, x, terms):
+        self.n = x.shape[0]
+        self.feats, self.slices = [], []
+        start = 0
+        for kernel, sel in terms:
+            cols = _slice_cols(x, sel)
+            if cols.shape[1] != 1:
+                raise ValueError("series greedy terms must select a single coordinate")
+            self.feats.append(kernel.feature_matrix(cols))
+            self.slices.append(slice(start, start + self.feats[-1].shape[1]))
+            start += self.feats[-1].shape[1]
+        self.stacked = np.hstack(self.feats) if self.feats else np.empty((self.n, 0))
+        self.coeff = np.zeros(start)
+
+    def direction(self, grad, joint: bool):
+        """(picked term or -1, multiplier, fitted values of the unit direction)."""
+        a = self.stacked.T @ grad / self.n
+        if joint:
+            picked, self.target, feats = -1, slice(None), self.stacked
+            q = float(a @ a)
+        else:
+            qs = [float(a[sl] @ a[sl]) for sl in self.slices]
+            picked = _largest(qs)
+            self.target, feats, q = self.slices[picked], self.feats[picked], qs[picked]
+        if q <= 0.0:
+            return None
+        self.unit, rho = _unit_direction(a[self.target], q)
+        return picked, rho, feats @ self.unit
+
+    def step(self, tau: float, size: float):
+        self.coeff *= 1.0 - tau
+        self.coeff[self.target] += size * self.unit
+
+    def norms(self) -> np.ndarray:
+        return np.array([np.linalg.norm(self.coeff[sl]) for sl in self.slices])
+
+    def finish(self):
+        """(coefficient blocks, block norms, in-sample fitted values, Gram)."""
+        coeffs = tuple(self.coeff[sl].copy() for sl in self.slices)
+        fitted = np.zeros(self.n)
+        for f, c in zip(self.feats, coeffs):
+            fitted += f @ c
+        return coeffs, self.norms(), fitted, None
 
 
-@dataclass
-class GreedyGramModel:
-    """Greedy fit stored as per-term representer coefficients.
+class _GramBlocks:
+    """Terms through their n x n Grams G_t, with representer weights per term.
 
-    ``budget_binding`` follows the rule of :class:`SeriesModel`.  Like
-    :class:`RepresenterModel`, the model carries the Gram it was fitted
-    through: ``gram`` is the sum of the term Grams, equal to
-    ``gram_matrix(CompositeKernel(terms), anchors)``, and ``fitted`` holds
-    the in-sample fitted values, equal to ``predict(anchors)``.
+    A step costs one product G_t grad per term.  u[:, t] = G_t alpha[:, t]
+    is updated from those products, so the trace norms cost O(n) per term.
     """
 
-    terms: tuple[tuple[Kernel, tuple[int, ...] | None], ...]
-    anchors: np.ndarray
-    alpha: np.ndarray  # (n, T)
-    budget: float
-    norm_kind: str
-    norm_hk: float
-    norm_lk: float
-    ridge_rho: float
-    budget_binding: bool
-    trace: GreedyTrace
-    fitted: np.ndarray = field(repr=False)
-    gram: np.ndarray = field(repr=False)
+    representation = "representer_greedy"
 
-    def predict(self, x) -> np.ndarray:
-        x = np.asarray(x, dtype=float)
-        if x.ndim == 1:
-            x = x[:, None]
-        out = np.zeros(x.shape[0])
-        for t, (kernel, sel) in enumerate(self.terms):
-            cross = kernel.gram(_slice_cols(x, sel), _slice_cols(self.anchors, sel))
-            out += cross @ self.alpha[:, t]
-        return out
+    def __init__(self, x, terms):
+        self.n = x.shape[0]
+        self.grams = [gram_matrix(kernel, _slice_cols(x, sel)) for kernel, sel in terms]
+        self.alpha = np.zeros((self.n, len(terms)))
+        self.u = np.zeros((self.n, len(terms)))
+
+    def direction(self, grad, joint: bool):
+        """(picked term or -1, multiplier, fitted values of the unit direction)."""
+        n = self.n
+        self.w = [g @ grad for g in self.grams]
+        if joint:
+            self.picked, w = -1, np.sum(self.w, axis=0)
+            q = float(grad @ w) / n**2
+        else:
+            qs = [float(grad @ wt) / n**2 for wt in self.w]
+            self.picked = _largest(qs)
+            w, q = self.w[self.picked], qs[self.picked]
+        if q <= 0.0:
+            return None
+        self.beta, rho = _unit_direction(grad, q, n)
+        self.scale = -1.0 / (2.0 * rho * n)
+        return self.picked, rho, w * self.scale
+
+    def step(self, tau: float, size: float):
+        self.alpha *= 1.0 - tau
+        self.u *= 1.0 - tau
+        targets = range(len(self.grams)) if self.picked < 0 else (self.picked,)
+        for t in targets:
+            self.alpha[:, t] += size * self.beta
+            self.u[:, t] += size * self.scale * self.w[t]
+
+    def norms(self) -> np.ndarray:
+        return np.sqrt(np.maximum(np.einsum("it,it->t", self.alpha, self.u), 0.0))
+
+    def finish(self):
+        """(coefficient blocks, block norms, in-sample fitted values, Gram).
+
+        The norms are the exact quadratic forms, so model.json does not
+        carry the rounding of the O(n) updates; fitted values and Grams are
+        summed in term order, as ``predict`` and ``CompositeKernel.gram`` sum.
+        """
+        coeffs = tuple(self.alpha.T)
+        products = [g @ c for g, c in zip(self.grams, coeffs)]
+        norms = [math.sqrt(max(float(c @ p), 0.0)) for c, p in zip(coeffs, products)]
+        fitted = np.zeros(self.n)
+        for p in products:
+            fitted += p
+        gram = self.grams[0]
+        for g in self.grams[1:]:
+            gram += g
+        return coeffs, np.array(norms), fitted, gram
 
 
 def _step_size(rule: str, m: int, objective_1d, tol: float) -> float:
@@ -454,7 +553,13 @@ def _step_size(rule: str, m: int, objective_1d, tol: float) -> float:
     return 1.0 / m
 
 
-def greedy_fit(x, y, loss: LossSpec, kernels, config: FitConfig):
+def _constraint_norm(norm_kind: str, block_norms: np.ndarray) -> float:
+    if norm_kind == "lk":
+        return float(block_norms.sum())
+    return float(np.sqrt((block_norms**2).sum()))
+
+
+def greedy_fit(x, y, loss: LossSpec, kernels, config: FitConfig) -> AdditiveModel:
     """Frank-Wolfe greedy estimation in the lk- or hk-norm ball.
 
     ``kernels`` is a composite kernel or a sequence of (kernel, selector)
@@ -463,208 +568,59 @@ def greedy_fit(x, y, loss: LossSpec, kernels, config: FitConfig):
     """
     if not loss.smooth:
         raise ValueError(f"greedy fitting needs a smooth loss, got {loss.kind!r}")
-    x = np.asarray(x, dtype=float)
-    if x.ndim == 1:
-        x = x[:, None]
+    x = _as_sample(x, None)
     y = np.asarray(y, dtype=float)
     terms = _term_list(kernels)
-    if all(isinstance(k, SeriesKernel) for k, _ in terms):
-        return _greedy_fit_series(x, y, loss, terms, config)
-    return _greedy_fit_gram(x, y, loss, terms, config)
+    series = all(isinstance(k, SeriesKernel) for k, _ in terms)
+    blocks = (_SeriesBlocks if series else _GramBlocks)(x, terms)
+    n, budget = x.shape[0], config.budget
+    fitted = np.zeros(n)
 
+    coords, steps, multipliers, objectives, norms, gaps = [], [], [], [], [], []
+    for m in range(1, config.iterations + 1):
+        grad = np.asarray(loss.deriv(1, y, fitted), dtype=float)
+        found = blocks.direction(grad, config.norm_kind == "hk")
+        if found is None:
+            break
+        picked, rho, unit = found
+        delta = budget * unit - fitted
+        gaps.append(float(-(grad @ delta)) / n)
+        tau = _step_size(
+            config.step_rule,
+            m,
+            loss.segment_mean(y, fitted, delta),
+            config.line_search_tol,
+        )
+        blocks.step(tau, tau * budget)
+        fitted = fitted + tau * delta
 
-def _constraint_norm(norm_kind: str, block_norms: np.ndarray) -> float:
-    if norm_kind == "lk":
-        return float(block_norms.sum())
-    return float(np.sqrt((block_norms**2).sum()))
+        coords.append(picked)
+        steps.append(tau)
+        multipliers.append(rho)
+        objectives.append(float(np.mean(loss.value(y, fitted))))
+        norms.append(_constraint_norm(config.norm_kind, blocks.norms()))
 
-
-def _binds(config: FitConfig, block_norms: np.ndarray) -> bool:
+    coeffs, block_norms, in_sample, gram = blocks.finish()
     norm = _constraint_norm(config.norm_kind, block_norms)
-    return norm >= (1.0 - BINDING_RTOL) * config.budget
-
-
-def _greedy_fit_series(x, y, loss, terms, config) -> SeriesModel:
-    n = x.shape[0]
-    budget = config.budget
-    blocks = []
-    slices = []
-    start = 0
-    for kernel, sel in terms:
-        cols = _slice_cols(x, sel)
-        if cols.shape[1] != 1:
-            raise ValueError("series greedy terms must select a single coordinate")
-        f = kernel.feature_matrix(cols)
-        blocks.append(f)
-        slices.append(slice(start, start + f.shape[1]))
-        start += f.shape[1]
-    all_feats = np.hstack(blocks) if blocks else np.empty((n, 0))
-    coeff = np.zeros(all_feats.shape[1])
-    fitted = np.zeros(n)
-
-    coords, steps, multipliers, objectives, norms, gaps = [], [], [], [], [], []
-    for m in range(1, config.iterations + 1):
-        grad = np.asarray(loss.deriv(1, y, fitted), dtype=float)
-        a_all = all_feats.T @ grad / n
-        if config.norm_kind == "hk":
-            q = float(a_all @ a_all)
-            if q <= 0.0:
-                break
-            rho = 0.5 * math.sqrt(q)
-            direction = -a_all / math.sqrt(q)
-            picked = -1
-            cand = budget * (all_feats @ direction)
-        else:
-            rhos = np.array(
-                [0.5 * np.linalg.norm(a_all[sl]) for sl in slices]
-            )
-            picked = int(np.argmax(rhos))
-            rho = float(rhos[picked])
-            if rho <= 0.0:
-                break
-            a_k = a_all[slices[picked]]
-            direction = -a_k / np.linalg.norm(a_k)
-            cand = budget * (blocks[picked] @ direction)
-
-        delta = cand - fitted
-        gaps.append(float(-(grad @ delta)) / n)
-        tau = _step_size(
-            config.step_rule,
-            m,
-            loss.segment_mean(y, fitted, delta),
-            config.line_search_tol,
-        )
-        coeff *= 1.0 - tau
-        if config.norm_kind == "hk":
-            coeff += tau * budget * direction
-        else:
-            coeff[slices[picked]] += tau * budget * direction
-        fitted = fitted + tau * delta
-
-        block_norms = np.array([np.linalg.norm(coeff[sl]) for sl in slices])
-        coords.append(picked)
-        steps.append(tau)
-        multipliers.append(rho)
-        objectives.append(float(np.mean(loss.value(y, fitted))))
-        norms.append(_constraint_norm(config.norm_kind, block_norms))
-
-    block_norms = np.array([np.linalg.norm(coeff[sl]) for sl in slices])
-    trace = GreedyTrace(
-        coords=np.array(coords, dtype=int),
-        steps=np.array(steps),
-        multipliers=np.array(multipliers),
-        objectives=np.array(objectives),
-        norms=np.array(norms),
-        gaps=np.array(gaps),
-    )
-    return SeriesModel(
+    return AdditiveModel(
+        representation=blocks.representation,
         terms=terms,
-        coeffs=[coeff[sl].copy() for sl in slices],
+        coeffs=coeffs,
         budget=budget,
         norm_kind=config.norm_kind,
         norm_hk=float(np.sqrt((block_norms**2).sum())),
         norm_lk=float(block_norms.sum()),
         ridge_rho=float(multipliers[-1]) if multipliers else 0.0,
-        budget_binding=_binds(config, block_norms),
-        trace=trace,
-    )
-
-
-def _greedy_fit_gram(x, y, loss, terms, config) -> GreedyGramModel:
-    n = x.shape[0]
-    budget = config.budget
-    grams = [gram_matrix(kernel, _slice_cols(x, sel)) for kernel, sel in terms]
-    n_terms = len(terms)
-    alpha = np.zeros((n, n_terms))
-    # u[:, t] = G_t alpha[:, t], updated from the products G_t grad each
-    # step already needs, so the trace norms cost O(n) per term
-    u = np.zeros((n, n_terms))
-    fitted = np.zeros(n)
-
-    coords, steps, multipliers, objectives, norms, gaps = [], [], [], [], [], []
-    for m in range(1, config.iterations + 1):
-        grad = np.asarray(loss.deriv(1, y, fitted), dtype=float)
-        w = [g @ grad for g in grams]
-        if config.norm_kind == "hk":
-            w_sum = np.sum(w, axis=0)
-            q = float(grad @ w_sum) / n**2
-            if q <= 0.0:
-                break
-            rho = 0.5 * math.sqrt(q)
-            beta = -grad / (2.0 * rho * n)
-            cand = budget * (w_sum * (-1.0 / (2.0 * rho * n)))
-            picked = -1
-        else:
-            qs = np.array([float(grad @ wk) for wk in w]) / n**2
-            rhos = 0.5 * np.sqrt(np.maximum(qs, 0.0))
-            picked = int(np.argmax(rhos))
-            rho = float(rhos[picked])
-            if rho <= 0.0:
-                break
-            beta = -grad / (2.0 * rho * n)
-            cand = budget * (w[picked] * (-1.0 / (2.0 * rho * n)))
-
-        delta = cand - fitted
-        gaps.append(float(-(grad @ delta)) / n)
-        tau = _step_size(
-            config.step_rule,
-            m,
-            loss.segment_mean(y, fitted, delta),
-            config.line_search_tol,
-        )
-        alpha *= 1.0 - tau
-        u *= 1.0 - tau
-        u_step = tau * budget * (-1.0 / (2.0 * rho * n))
-        if config.norm_kind == "hk":
-            alpha += (tau * budget) * beta[:, None]
-            for t in range(n_terms):
-                u[:, t] += u_step * w[t]
-        else:
-            alpha[:, picked] += tau * budget * beta
-            u[:, picked] += u_step * w[picked]
-        fitted = fitted + tau * delta
-
-        coords.append(picked)
-        steps.append(tau)
-        multipliers.append(rho)
-        objectives.append(float(np.mean(loss.value(y, fitted))))
-        block_norms = np.sqrt(np.maximum(np.einsum("it,it->t", alpha, u), 0.0))
-        norms.append(_constraint_norm(config.norm_kind, block_norms))
-
-    # the reported norms, and so model.json, use the exact quadratic forms
-    products = [g @ alpha[:, t] for t, g in enumerate(grams)]
-    block_norms = np.array(
-        [
-            math.sqrt(max(float(alpha[:, t] @ products[t]), 0.0))
-            for t in range(n_terms)
-        ]
-    )
-    # summed in term order, as predict and CompositeKernel.gram sum them
-    in_sample = np.zeros(n)
-    for product in products:
-        in_sample += product
-    gram = grams[0]
-    for g in grams[1:]:
-        gram += g
-    trace = GreedyTrace(
-        coords=np.array(coords, dtype=int),
-        steps=np.array(steps),
-        multipliers=np.array(multipliers),
-        objectives=np.array(objectives),
-        norms=np.array(norms),
-        gaps=np.array(gaps),
-    )
-    return GreedyGramModel(
-        terms=terms,
+        budget_binding=norm >= (1.0 - BINDING_RTOL) * budget,
         anchors=x,
-        alpha=alpha,
-        budget=budget,
-        norm_kind=config.norm_kind,
-        norm_hk=float(np.sqrt((block_norms**2).sum())),
-        norm_lk=float(block_norms.sum()),
-        ridge_rho=float(multipliers[-1]) if multipliers else 0.0,
-        budget_binding=_binds(config, block_norms),
-        trace=trace,
         fitted=in_sample,
+        trace=GreedyTrace(
+            coords=np.array(coords, dtype=int),
+            steps=np.array(steps),
+            multipliers=np.array(multipliers),
+            objectives=np.array(objectives),
+            norms=np.array(norms),
+            gaps=np.array(gaps),
+        ),
         gram=gram,
     )

@@ -17,14 +17,13 @@ import numpy as np
 import scipy.linalg
 
 from .estimators import (
+    AdditiveModel,
     FitConfig,
-    GreedyGramModel,
-    RepresenterModel,
     _term_list,
     fit_constrained_ridge,
     greedy_fit,
 )
-from .kernels import Kernel, SeriesKernel, _require_finite, gram_matrix
+from .kernels import Kernel, SeriesKernel, _as_sample, _require_finite, gram_matrix
 from .losses import LossSpec
 
 __all__ = [
@@ -75,9 +74,7 @@ def series_feature_columns(
     Each column has unit RKHS norm in the additive space generated by the
     series kernel.  Orders are 1-based.
     """
-    x = np.asarray(x, dtype=float)
-    if x.ndim == 1:
-        x = x[:, None]
+    x = _as_sample(x, None)
     cache: dict[int, np.ndarray] = {}
     cols = []
     for coord, order in pairs:
@@ -109,9 +106,7 @@ def build_instruments(
     series_features
         scaled series features of ``series_kernel`` at (coord, order) pairs.
     """
-    x = np.asarray(x, dtype=float)
-    if x.ndim == 1:
-        x = x[:, None]
+    x = _as_sample(x, None)
     n = x.shape[0]
     if mode == "series_features":
         if series_kernel is None or not features:
@@ -433,41 +428,34 @@ class TestResult:
         return "\n".join(lines) + "\n"
 
 
-def _fit_restricted(x, y, plan: HypothesisPlan, loss, fit_config: FitConfig):
+def _fit_restricted(x, y, plan: HypothesisPlan, loss, fit_config: FitConfig) -> AdditiveModel:
     if plan.fit_terms is not None and fit_config.solver == "greedy":
-        model = greedy_fit(x, y, loss, plan.fit_terms, fit_config)
-        fitted = model.fitted if isinstance(model, GreedyGramModel) else model.predict(x)
-        return model, fitted
-    model = fit_constrained_ridge(
+        return greedy_fit(x, y, loss, plan.fit_terms, fit_config)
+    return fit_constrained_ridge(
         plan.r0, x, y, budget=fit_config.budget, rho=fit_config.ridge_rho
     )
-    fitted = model.gram @ model.coeffs
-    return model, fitted
 
 
 def _project_gram(model, r0, x, s_diag, raw, rho, mode="gram_columns"):
     """Gram-mode projection, reusing the fit's Gram or eigendecomposition if we can."""
-    if isinstance(model, RepresenterModel) and model.kernel is r0:
-        c0 = model.gram
+    # a ridge fit keeps r0 as its one term, a greedy fit keeps r0's terms
+    through_r0 = model.gram is not None and model.terms in (((r0, None),), _term_list(r0))
+    if through_r0 and model.eigen is not None and np.all(s_diag == s_diag[0]):
+        # C0 (C0 + rho/s I)^{-1} = U diag(kappa * inv) U' in the cached
+        # eigenbasis, thin or full, since C0 vanishes off a thin basis;
+        # rho = 0 becomes the projection onto the column space
         s0 = float(s_diag[0])
-        if np.all(s_diag == s0):
-            # C0 (C0 + rho/s I)^{-1} = U diag(kappa * inv) U' in the cached
-            # eigenbasis, thin or full, since C0 vanishes off a thin basis;
-            # rho = 0 becomes the projection onto the column space
-            eig = model.eigen
-            kappa = np.maximum(eig.values, 0.0)
-            if rho > 0:
-                inv = 1.0 / (kappa + rho / s0)
-            else:
-                inv = np.where(eig.values > eig.cutoff, 1.0 / np.maximum(kappa, 1e-300), 0.0)
-            projected = raw - eig.vectors @ ((kappa * inv)[:, None] * (eig.vectors.T @ raw))
-            return InstrumentSet(
-                raw=raw, projected=projected, proj_rho=float(rho), mode=mode
-            ), c0
-    elif isinstance(model, GreedyGramModel) and model.terms == _term_list(r0):
-        c0 = _require_finite(model.gram)
-    else:
-        c0 = gram_matrix(r0, x)
+        eig = model.eigen
+        kappa = np.maximum(eig.values, 0.0)
+        if rho > 0:
+            inv = 1.0 / (kappa + rho / s0)
+        else:
+            inv = np.where(eig.values > eig.cutoff, 1.0 / np.maximum(kappa, 1e-300), 0.0)
+        projected = raw - eig.vectors @ ((kappa * inv)[:, None] * (eig.vectors.T @ raw))
+        return InstrumentSet(
+            raw=raw, projected=projected, proj_rho=float(rho), mode=mode
+        ), model.gram
+    c0 = _require_finite(model.gram) if through_r0 else gram_matrix(r0, x)
     return project_instruments(c0, s_diag, raw, rho, mode=mode), c0
 
 
@@ -495,27 +483,25 @@ def run_test(
     n^(-0.4)).  The uncorrected statistic (raw instruments in both the
     moment and the covariance) is always computed alongside.
     """
-    x = np.asarray(x, dtype=float)
-    if x.ndim == 1:
-        x = x[:, None]
+    x = _as_sample(x, None)
     y = np.asarray(y, dtype=float)
     n = x.shape[0]
     if not isinstance(rng, np.random.Generator):
         rng = np.random.default_rng(rng)
 
-    model, fitted = _fit_restricted(x, y, plan, loss, fit_config)
-    e0 = np.asarray(loss.deriv(1, y, fitted), dtype=float)
+    model = _fit_restricted(x, y, plan, loss, fit_config)
+    e0 = np.asarray(loss.deriv(1, y, model.fitted), dtype=float)
     if known_weights is not None:
         s_diag = np.broadcast_to(np.asarray(known_weights, dtype=float), (n,)).copy()
     elif loss.smooth:
         s_diag = np.broadcast_to(
-            np.asarray(loss.deriv(2, y, fitted), dtype=float), (n,)
+            np.asarray(loss.deriv(2, y, model.fitted), dtype=float), (n,)
         ).copy()
     else:
         s_diag = np.ones(n)
 
     if proj_rho is None:
-        if isinstance(model, RepresenterModel) and isinstance(
+        if model.representation == "representer" and isinstance(
             plan.instruments, SectionInstrumentPlan
         ):
             # couple the projection ridge to the fit's realized multiplier so

@@ -207,7 +207,7 @@ class TestCriterion5GreedyErrorBound:
         kern = additive_kernel(polynomial_series(10, 2.2), 3)
         oracle = fit_constrained_ridge(kern, x, y, budget=budget)
         assert oracle.budget_binding
-        optimum = float(np.mean((y - oracle.gram @ oracle.coeffs) ** 2))
+        optimum = float(np.mean((y - oracle.fitted) ** 2))
         loss = square_loss()
         terms = tuple((polynomial_series(10, 2.2), (c,)) for c in range(3))
         sup_d2 = 2.0  # second derivative of the square loss

@@ -211,6 +211,53 @@ class TestCommands:
         assert len(trace["gaps"]) == len(trace["steps"]) == 30
         assert min(trace["gaps"]) >= 0.0
 
+    @pytest.mark.parametrize(
+        "r0, fit, representation, shape",
+        [
+            ("{kind: linear, coords: [0, 1]}", "{solver: ridge_closed_form, budget: 4.0}",
+             "representer", (40,)),
+            ("[{kind: polynomial, degree: 6, coords: [0]}, "
+             "{kind: polynomial, degree: 6, coords: [1]}]",
+             "{solver: greedy, budget: 1.0, iterations: 20}", "series", (2, 6)),
+            ("[{kind: gaussian_rbf, coords: [0]}, {kind: gaussian_rbf, coords: [1]}]",
+             "{solver: greedy, budget: 1.0, iterations: 20}", "representer_greedy", (40, 2)),
+        ],
+        ids=["ridge", "series_greedy", "gram_greedy"],
+    )
+    def test_model_record_layout(self, tmp_path, r0, fit, representation, shape):
+        # ridge: a flat n-vector plus anchors; series: T blocks of V
+        # coefficients; Gram path: n rows of T representer weights
+        data = tmp_path / "d.csv"
+        _write_dataset(data)
+        cfg = tmp_path / "cfg.yaml"
+        cfg.write_text(f"seed: 1\ndata: {{path: {data}}}\nkernels: {{r0: {r0}}}\nfit: {fit}\n")
+        out = tmp_path / "out"
+        assert main(["fit", "--config", str(cfg), "--out", str(out)]) == 0
+        record = json.loads((out / "model.json").read_text())
+        common = {"budget", "budget_binding", "coeffs", "norm_hk", "norm_lk",
+                  "representation", "ridge_rho"}
+        extra = {"anchors"} if representation == "representer" else {"norm_kind", "trace"}
+        assert set(record) == common | extra
+        assert record["representation"] == representation
+        assert np.array(record["coeffs"]).shape == shape
+        if representation == "representer":
+            assert np.array(record["anchors"]).shape == (40, 2)
+
+    @pytest.mark.parametrize("tol", ["0.0", "-1.0"])
+    def test_nonpositive_line_search_tolerance_is_an_error(self, tmp_path, capsys, tol):
+        data = tmp_path / "d.csv"
+        _write_dataset(data)
+        cfg = tmp_path / "cfg.yaml"
+        cfg.write_text(
+            f"seed: 1\ndata: {{path: {data}}}\n"
+            "kernels: {r0: {kind: linear, coords: [0, 1]}}\n"
+            f"fit: {{solver: greedy, line_search_tol: {tol}, iterations: 5}}\n"
+        )
+        rc = main(["fit", "--config", str(cfg), "--out", str(tmp_path / "out")])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err == f"error: line_search_tol must be finite and positive, got {tol}\n"
+
     def test_test_command_outputs(self, tmp_path, capsys):
         data = tmp_path / "d.csv"
         _write_dataset(data)

@@ -154,6 +154,27 @@ class TestBudget:
         assert not slack.budget_binding and slack.norm_lk < 0.05 * 50.0
 
 
+class TestFitValidation:
+    @pytest.mark.parametrize("tol", [0.0, -1.0, np.nan, np.inf])
+    def test_line_search_tolerance_must_be_finite_and_positive(self, tol):
+        with pytest.raises(ValueError, match=f"line_search_tol .* got {tol!r}"):
+            FitConfig(budget=1.0, line_search_tol=tol)
+        with pytest.raises(ValueError, match=f"tolerance .* got {tol!r}"):
+            line_search(lambda t: (t - 0.3) ** 2, tol=tol)
+
+    @pytest.mark.parametrize("rho", [-0.5, np.nan, np.inf])
+    def test_ridge_rho_must_be_finite_and_nonnegative(self, rho):
+        rng = np.random.default_rng(7)
+        x = rng.uniform(-2, 2, (50, 1))
+        y = np.sin(x[:, 0]) + 0.1 * rng.standard_normal(50)
+        with pytest.raises(ValueError, match=f"ridge_rho .* got {rho!r}"):
+            FitConfig(budget=1.0, ridge_rho=rho)
+        with pytest.raises(ValueError, match=f"rho must be finite and nonnegative, got {rho!r}"):
+            fit_constrained_ridge(GaussianRBF(1.0), x, y, rho=rho)
+        assert FitConfig(budget=1.0, ridge_rho=0.0).ridge_rho == 0.0
+        assert fit_constrained_ridge(GaussianRBF(1.0), x, y, rho=0.0).ridge_rho == 0.0
+
+
 class TestLineSearch:
     def test_quadratic_vertex_oracle(self):
         rng = np.random.default_rng(41)
@@ -382,7 +403,7 @@ class TestGreedyFit:
         oracle = fit_constrained_ridge(
             additive_kernel(polynomial_series(10, 2.2), 3), x, y, budget=1.2
         )
-        optimum = float(np.mean((y - oracle.gram @ oracle.coeffs) ** 2))
+        optimum = float(np.mean((y - oracle.fitted) ** 2))
         terms = [(polynomial_series(10, 2.2), (c,)) for c in range(3)]
         cfg = FitConfig(budget=1.2, norm_kind="hk", iterations=500, step_rule=rule)
         trace = greedy_fit(x, y, square_loss(), terms, cfg).trace
@@ -424,7 +445,7 @@ class TestGramPath:
         assert trace.steps.size == 200
         n = x.shape[0]
         grams = [k.gram(x[:, list(sel)]) for k, sel in model.terms]
-        alpha = np.zeros_like(model.alpha)
+        alpha = np.zeros_like(np.column_stack(model.coeffs))
         exact = []
         for picked, tau, rho in zip(trace.coords, trace.steps, trace.multipliers):
             fitted = sum(g @ alpha[:, t] for t, g in enumerate(grams))
@@ -442,7 +463,7 @@ class TestGramPath:
     def test_final_norms_are_exact_quadratic_forms(self, norm_kind):
         x, _, _, cfg, model = _gram_path_fit(norm_kind, iterations=60)
         grams = [k.gram(x[:, list(sel)]) for k, sel in model.terms]
-        blocks = _exact_blocks(model.alpha, grams)
+        blocks = _exact_blocks(np.column_stack(model.coeffs), grams)
         assert model.norm_hk == float(np.sqrt((blocks**2).sum()))
         assert model.norm_lk == float(blocks.sum())
         norm = model.norm_lk if norm_kind == "lk" else model.norm_hk
@@ -503,7 +524,7 @@ class TestFeaturePath:
         want = ref.predict(points)
         assert np.max(np.abs(fast.predict(points) - want)) <= 1e-10 * np.max(np.abs(want))
         # the coefficients themselves solve (C + rho I) a = y, null directions included
-        assert np.max(np.abs(fast.coeffs - ref.coeffs)) <= 1e-10 * np.max(np.abs(ref.coeffs))
+        assert np.max(np.abs(fast.coeffs[0] - ref.coeffs[0])) <= 1e-10 * np.max(np.abs(ref.coeffs[0]))
         assert fast.ridge_rho == pytest.approx(ref.ridge_rho, rel=1e-10, abs=0)
         assert fast.norm_hk == pytest.approx(ref.norm_hk, rel=1e-10)
         assert fast.norm_lk == pytest.approx(ref.norm_lk, rel=1e-10)
@@ -520,6 +541,30 @@ class TestFeaturePath:
         assert np.max(np.abs(full.values[:-3])) <= 1e-12 * full.values[-1]
 
 
+class TestAdditiveModel:
+    @pytest.mark.parametrize("fit", ["representer", "series", "representer_greedy"])
+    def test_fitted_values_are_predictions_at_anchors(self, fit):
+        rng = np.random.default_rng(151)
+        x = rng.uniform(-2, 2, (50, 2))
+        y = np.sin(x[:, 0]) + 0.3 * x[:, 1] + 0.2 * rng.standard_normal(50)
+        if fit == "representer":
+            kern = additive_kernel(polynomial_series(8, 2.2), 2)
+            model = fit_constrained_ridge(kern, x, y, budget=1.0)
+        else:
+            term = polynomial_series(8, 2.2) if fit == "series" else GaussianRBF(1.0)
+            terms = [(term, (c,)) for c in range(2)]
+            cfg = FitConfig(budget=1.0, iterations=40)
+            model = greedy_fit(x, y, rescaled_square_loss(), terms, cfg)
+        assert model.representation == fit
+        assert np.array_equal(model.anchors, x)
+        want = model.predict(model.anchors)
+        if fit == "representer":
+            # a series kernel's Gram is symmetrised, its cross-Gram is not
+            assert np.max(np.abs(model.fitted - want)) <= 1e-10 * np.max(np.abs(want))
+        else:
+            assert np.array_equal(model.fitted, want)
+
+
 class TestPredict:
     def test_zero_coefficients(self):
         x = RNG.uniform(-2, 2, (8, 1))
@@ -533,7 +578,7 @@ class TestPredict:
         y = rng.normal(size=20)
         kern = CompositeKernel(((LinearKernel(1.0), (0,)), (LinearKernel(1.0), (1,))))
         model = fit_constrained_ridge(kern, x, y, budget=3.0)
-        assert np.allclose(model.predict(x), model.gram @ model.coeffs, rtol=1e-10)
+        assert np.allclose(model.predict(x), model.gram @ model.coeffs[0], rtol=1e-10)
 
     def test_prediction_dimension_check(self):
         rng = np.random.default_rng(141)

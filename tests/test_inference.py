@@ -1,5 +1,7 @@
 """Instrument projection, the moment statistic and its simulated null."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from scipy import stats
@@ -483,7 +485,7 @@ class TestGramPathReuse:
 
         def fit_and_predict(x, y, plan, loss, fit_config):
             model = greedy_fit(x, y, loss, plan.fit_terms, fit_config)
-            return model, model.predict(x)
+            return replace(model, fitted=model.predict(x))
 
         def project_on_rebuilt_gram(model, r0, x, s_diag, raw, rho, mode="gram_columns"):
             c0 = gram_matrix(r0, x)
