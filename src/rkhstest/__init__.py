@@ -15,13 +15,11 @@ from .kernels import (
     IntegratedBrownianKernel,
     Kernel,
     LinearKernel,
-    PolynomialKernel,
     SeriesKernel,
     additive_kernel,
     gram_matrix,
     integrated_brownian_eval,
     kernel_from_config,
-    linear_series,
     polynomial_series,
     polynomial_weights,
 )
@@ -56,7 +54,6 @@ from .inference import (
     build_instruments,
     covariance_estimate,
     default_projection_rho,
-    generalized_residuals,
     p_value,
     project_instruments,
     project_on_features,

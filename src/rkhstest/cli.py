@@ -357,7 +357,7 @@ def _model_record(model: AdditiveModel) -> dict:
         record["coeffs"] = [float(a) for a in model.coeffs[0]]
         record["anchors"] = [[float(v) for v in row] for row in model.anchors]
         return record
-    # series: one row of V feature coefficients per term; representer_greedy:
+    # series: one row of V_t feature coefficients per term; representer_greedy:
     # one row of T term weights per anchor
     rows = model.coeffs if model.representation == "series" else np.column_stack(model.coeffs)
     record["coeffs"] = [[float(v) for v in row] for row in rows]

@@ -25,7 +25,7 @@ import numpy as np
 import scipy.linalg
 from scipy.optimize import brentq
 
-from .kernels import CompositeKernel, Kernel, SeriesKernel, _as_sample, gram_matrix
+from .kernels import CompositeKernel, Kernel, _as_sample, gram_matrix
 from .losses import LossSpec
 
 __all__ = [
@@ -201,9 +201,9 @@ class AdditiveModel:
 
     * ``"representer"`` (closed-form ridge): one term, the whole kernel C,
       with n representer weights a, so mu(x) = sum_i a_i C(X_i, x);
-    * ``"series"`` (greedy, every term a series kernel): block t holds the
-      coefficients on term t's scaled features lambda_v phi_v, so per-term
-      RKHS norms are the Euclidean norms of the blocks;
+    * ``"series"`` (greedy, every term with a feature matrix F_t): block t
+      holds the coefficients on the columns of F_t, so per-term RKHS norms
+      are the Euclidean norms of the blocks;
     * ``"representer_greedy"`` (greedy through Gram matrices): block t holds
       n representer weights on term t's kernel.
 
@@ -429,27 +429,24 @@ def greedy_direction_series(
     return _unit_direction(a, q)
 
 
-class _SeriesBlocks:
-    """Series terms as stacked scaled features, with one coefficient vector.
+class _FeatureBlocks:
+    """Terms through their stacked feature matrices F_t, with one coefficient vector.
 
     A step costs the single stacked product F'grad over every term's
-    features; the coefficient blocks are slices of the vector.
+    features; the coefficient blocks are slices of the vector.  Every
+    coefficient is a combination of rows of F', so each block's Euclidean
+    norm is its term's RKHS norm.
     """
 
     representation = "series"
 
-    def __init__(self, x, terms):
-        self.n = x.shape[0]
-        self.feats, self.slices = [], []
+    def __init__(self, n, feats):
+        self.n, self.feats, self.slices = n, feats, []
         start = 0
-        for kernel, sel in terms:
-            cols = _slice_cols(x, sel)
-            if cols.shape[1] != 1:
-                raise ValueError("series greedy terms must select a single coordinate")
-            self.feats.append(kernel.feature_matrix(cols))
-            self.slices.append(slice(start, start + self.feats[-1].shape[1]))
-            start += self.feats[-1].shape[1]
-        self.stacked = np.hstack(self.feats) if self.feats else np.empty((self.n, 0))
+        for f in feats:
+            self.slices.append(slice(start, start + f.shape[1]))
+            start += f.shape[1]
+        self.stacked = np.hstack(feats) if feats else np.empty((n, 0))
         self.coeff = np.zeros(start)
 
     def direction(self, grad, joint: bool):
@@ -492,11 +489,10 @@ class _GramBlocks:
 
     representation = "representer_greedy"
 
-    def __init__(self, x, terms):
-        self.n = x.shape[0]
-        self.grams = [gram_matrix(kernel, _slice_cols(x, sel)) for kernel, sel in terms]
-        self.alpha = np.zeros((self.n, len(terms)))
-        self.u = np.zeros((self.n, len(terms)))
+    def __init__(self, n, grams):
+        self.n, self.grams = n, grams
+        self.alpha = np.zeros((n, len(grams)))
+        self.u = np.zeros((n, len(grams)))
 
     def direction(self, grad, joint: bool):
         """(picked term or -1, multiplier, fitted values of the unit direction)."""
@@ -563,17 +559,21 @@ def greedy_fit(x, y, loss: LossSpec, kernels, config: FitConfig) -> AdditiveMode
     """Frank-Wolfe greedy estimation in the lk- or hk-norm ball.
 
     ``kernels`` is a composite kernel or a sequence of (kernel, selector)
-    terms defining the additive components.  When every term is a series
-    kernel the O(nV) feature path is used, otherwise the O(n^2) Gram path.
+    terms defining the additive components.  When every term has a feature
+    matrix (n, V_t) the O(nV) feature path is used, otherwise the O(n^2)
+    Gram path.
     """
     if not loss.smooth:
         raise ValueError(f"greedy fitting needs a smooth loss, got {loss.kind!r}")
     x = _as_sample(x, None)
     y = np.asarray(y, dtype=float)
     terms = _term_list(kernels)
-    series = all(isinstance(k, SeriesKernel) for k, _ in terms)
-    blocks = (_SeriesBlocks if series else _GramBlocks)(x, terms)
     n, budget = x.shape[0], config.budget
+    feats = [kernel.feature_matrix(_slice_cols(x, sel)) for kernel, sel in terms]
+    if all(f is not None for f in feats):
+        blocks = _FeatureBlocks(n, feats)
+    else:
+        blocks = _GramBlocks(n, [gram_matrix(k, _slice_cols(x, sel)) for k, sel in terms])
     fitted = np.zeros(n)
 
     coords, steps, multipliers, objectives, norms, gaps = [], [], [], [], [], []

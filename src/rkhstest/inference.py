@@ -35,7 +35,6 @@ __all__ = [
     "project_on_features",
     "orthogonality_defect",
     "residual_null_score",
-    "generalized_residuals",
     "test_statistic",
     "covariance_estimate",
     "simulate_null",
@@ -52,8 +51,6 @@ SCALING_NOTE = (
     "statistic = (1/R) sum_r (n^{-1/2} e0'h_r)^2; the covariance estimate "
     "matches this root-n moment normalization"
 )
-
-COVARIANCE_VARIANTS = ("product_form", "pointwise")
 
 
 def default_projection_rho(n: int) -> float:
@@ -93,25 +90,19 @@ def build_instruments(
     kernel: Kernel | None = None,
     anchors=None,
     anchor_indices=None,
-    features: Sequence[tuple[int, int]] | None = None,
-    series_kernel: SeriesKernel | None = None,
 ) -> np.ndarray:
-    """Raw instrument matrix (n, R) for one of the three supported modes.
+    """Raw instrument matrix (n, R) of kernel sections, in one of two modes.
 
     gram_columns
         columns C_R1(X_i, X_j) at ``anchor_indices`` (default: all points).
     kernel_sections_normalized
         columns C_R1(X_i, z_r) / sqrt(C_R1(z_r, z_r)) at ``anchors`` points
         or ``anchor_indices`` into the sample.
-    series_features
-        scaled series features of ``series_kernel`` at (coord, order) pairs.
+
+    Series-feature instruments come from :func:`series_feature_columns`.
     """
     x = _as_sample(x, None)
     n = x.shape[0]
-    if mode == "series_features":
-        if series_kernel is None or not features:
-            raise ValueError("series_features mode needs series_kernel and features")
-        return series_feature_columns(x, series_kernel, features)
     if kernel is None:
         raise ValueError(f"{mode} mode needs the alternative kernel")
     if mode == "gram_columns":
@@ -139,7 +130,6 @@ class InstrumentSet:
     raw: np.ndarray
     projected: np.ndarray
     proj_rho: float
-    mode: str
 
     @property
     def count(self) -> int:
@@ -154,7 +144,7 @@ def _weighted_least_squares(design, s_diag, targets):
 
 
 def project_instruments(
-    c0: np.ndarray, s_diag, raw: np.ndarray, proj_rho: float, *, mode: str = "gram_columns"
+    c0: np.ndarray, s_diag, raw: np.ndarray, proj_rho: float
 ) -> InstrumentSet:
     """Residualize instruments on the null-space Gram columns.
 
@@ -176,11 +166,11 @@ def project_instruments(
         system = c0 + proj_rho * np.diag(1.0 / s_diag)
         coeff = scipy.linalg.solve(system, raw, assume_a="pos")
     projected = raw - c0 @ coeff
-    return InstrumentSet(raw=raw, projected=projected, proj_rho=float(proj_rho), mode=mode)
+    return InstrumentSet(raw=raw, projected=projected, proj_rho=float(proj_rho))
 
 
 def project_on_features(
-    basis: np.ndarray, s_diag, raw: np.ndarray, proj_rho: float, *, mode: str = "series_features"
+    basis: np.ndarray, s_diag, raw: np.ndarray, proj_rho: float
 ) -> InstrumentSet:
     """Residualize instruments on a span of unit-norm feature columns.
 
@@ -202,7 +192,7 @@ def project_on_features(
         system = basis.T @ weighted + proj_rho * np.eye(basis.shape[1])
         coeff = scipy.linalg.solve(system, weighted.T @ raw, assume_a="pos")
     projected = raw - basis @ coeff
-    return InstrumentSet(raw=raw, projected=projected, proj_rho=float(proj_rho), mode=mode)
+    return InstrumentSet(raw=raw, projected=projected, proj_rho=float(proj_rho))
 
 
 def orthogonality_defect(span: np.ndarray, s_diag, projected: np.ndarray) -> float:
@@ -237,12 +227,6 @@ def residual_null_score(span: np.ndarray, s_diag, e0: np.ndarray) -> float:
     cross = np.abs(span.T @ (np.asarray(s_diag, dtype=float) * e0))
     cosines = cross[live] / col_norms[live]
     return math.sqrt(e0.shape[0]) * float(np.max(cosines)) / e_norm
-
-
-def generalized_residuals(model, x, y, loss: LossSpec) -> np.ndarray:
-    """First-derivative scores at the fitted values, entrywise."""
-    fitted = model.predict(x)
-    return np.asarray(loss.deriv(1, y, fitted), dtype=float)
 
 
 def test_statistic(e0: np.ndarray, instruments) -> float:
@@ -325,24 +309,20 @@ class SeriesInstrumentPlan:
     kernel: SeriesKernel
     test_pairs: tuple[tuple[int, int], ...]
     projection_pairs: tuple[tuple[int, int], ...]
-    mode: str = "series_features"
 
 
 @dataclass(frozen=True)
 class SectionInstrumentPlan:
     """Instruments given by (normalized) kernel sections at sample points.
 
-    ``section_source`` picks the kernel whose sections are used: "combined"
-    takes C_R0 + C_R1 (the homogeneous-test-function construction, which is
-    what makes the uncorrected comparison columns meaningful, since raw
-    sections then carry the large null-space components the projection
-    strips), "alternative" takes C_R1 alone.
+    The sections are those of C_R0 + C_R1 (the homogeneous-test-function
+    construction, which is what makes the uncorrected comparison columns
+    meaningful, since raw sections then carry the large null-space
+    components the projection strips), residualized on the columns of C_R0.
     """
 
     count: int | None = None  # None: one section per sample point
     normalized: bool = True
-    projection: str = "gram"  # residualize on the null-kernel Gram columns
-    section_source: str = "combined"
 
     @property
     def mode(self) -> str:
@@ -436,7 +416,7 @@ def _fit_restricted(x, y, plan: HypothesisPlan, loss, fit_config: FitConfig) -> 
     )
 
 
-def _project_gram(model, r0, x, s_diag, raw, rho, mode="gram_columns"):
+def _project_gram(model, r0, x, s_diag, raw, rho):
     """Gram-mode projection, reusing the fit's Gram or eigendecomposition if we can."""
     # a ridge fit keeps r0 as its one term, a greedy fit keeps r0's terms
     through_r0 = model.gram is not None and model.terms in (((r0, None),), _term_list(r0))
@@ -452,11 +432,9 @@ def _project_gram(model, r0, x, s_diag, raw, rho, mode="gram_columns"):
         else:
             inv = np.where(eig.values > eig.cutoff, 1.0 / np.maximum(kappa, 1e-300), 0.0)
         projected = raw - eig.vectors @ ((kappa * inv)[:, None] * (eig.vectors.T @ raw))
-        return InstrumentSet(
-            raw=raw, projected=projected, proj_rho=float(rho), mode=mode
-        ), model.gram
+        return InstrumentSet(raw=raw, projected=projected, proj_rho=float(rho)), model.gram
     c0 = _require_finite(model.gram) if through_r0 else gram_matrix(r0, x)
-    return project_instruments(c0, s_diag, raw, rho, mode=mode), c0
+    return project_instruments(c0, s_diag, raw, rho), c0
 
 
 def run_test(
@@ -471,7 +449,6 @@ def run_test(
     n_draws: int = 10_000,
     rng=0,
     instrument_count: int | None = None,
-    known_weights=None,
     diagnostics: bool = False,
 ) -> TestResult:
     """Full testing pipeline for one dataset.
@@ -491,9 +468,7 @@ def run_test(
 
     model = _fit_restricted(x, y, plan, loss, fit_config)
     e0 = np.asarray(loss.deriv(1, y, model.fitted), dtype=float)
-    if known_weights is not None:
-        s_diag = np.broadcast_to(np.asarray(known_weights, dtype=float), (n,)).copy()
-    elif loss.smooth:
+    if loss.smooth:
         s_diag = np.broadcast_to(
             np.asarray(loss.deriv(2, y, model.fitted), dtype=float), (n,)
         ).copy()
@@ -525,16 +500,9 @@ def run_test(
     else:
         count = instrument_count if instrument_count is not None else spec.count
         idx = _evenly_spaced_indices(n, count) if count is not None else None
-        if spec.section_source == "combined" and plan.r1 is not None:
-            section_kernel = plan.r0 + plan.r1
-        else:
-            section_kernel = plan.r1
-        raw = build_instruments(
-            x, spec.mode, kernel=section_kernel, anchor_indices=idx
-        )
-        instruments, null_span = _project_gram(
-            model, plan.r0, x, s_diag, raw, rho, mode=spec.mode
-        )
+        section_kernel = plan.r0 + plan.r1 if plan.r1 is not None else None
+        raw = build_instruments(x, spec.mode, kernel=section_kernel, anchor_indices=idx)
+        instruments, null_span = _project_gram(model, plan.r0, x, s_diag, raw, rho)
 
     ortho = None
     if isinstance(spec, SeriesInstrumentPlan) or diagnostics:

@@ -25,14 +25,12 @@ __all__ = [
     "ConstantKernel",
     "LinearKernel",
     "GaussianRBF",
-    "PolynomialKernel",
     "SeriesKernel",
     "IntegratedBrownianKernel",
     "CompositeKernel",
     "additive_kernel",
     "polynomial_weights",
     "polynomial_series",
-    "linear_series",
     "gram_matrix",
     "integrated_brownian_eval",
     "kernel_from_config",
@@ -194,51 +192,15 @@ class GaussianRBF(Kernel):
 
 
 @dataclass(frozen=True)
-class PolynomialKernel(Kernel):
-    """Closed-form polynomial kernel C(s, t) = sum_v w_v (s t)^v on scalars.
-
-    ``weights`` is the sequence (w_1, ..., w_V); evaluation uses Horner's
-    scheme on the product p = s t.
-    """
-
-    weights: tuple[float, ...]
-    dim: int = 1
-
-    def __post_init__(self):
-        object.__setattr__(self, "weights", tuple(float(w) for w in self.weights))
-        if any(w <= 0 for w in self.weights):
-            raise ValueError("polynomial weights must be positive")
-
-    def _horner(self, p):
-        acc = np.zeros_like(p)
-        for w in reversed(self.weights):
-            acc = (acc + w) * p
-        return acc
-
-    def eval(self, s, t) -> float:
-        s = _as_point(s, 1)
-        t = _as_point(t, 1)
-        return float(self._horner(np.asarray(s[0] * t[0])))
-
-    def gram(self, x, z=None) -> np.ndarray:
-        x = _as_sample(x, 1)
-        z = x if z is None else _as_sample(z, 1)
-        return self._horner(x[:, 0][:, None] * z[:, 0][None, :])
-
-
-@dataclass(frozen=True)
 class SeriesKernel(Kernel):
     """Truncated series kernel C(s, t) = sum_v w_v phi_v(s) phi_v(t).
 
     ``weights`` holds the w_v = lambda_v^2 (positive, typically descending);
     ``features`` the callables phi_v acting elementwise on coordinate values.
-    ``decay_exponent`` is the declared decay eta of lambda_v (metadata only;
-    it cannot be verified at runtime for finite truncations).
     """
 
     weights: tuple[float, ...]
     features: tuple[Callable[[np.ndarray], np.ndarray], ...]
-    decay_exponent: float | None = None
     dim: int = 1
 
     def __post_init__(self):
@@ -253,27 +215,20 @@ class SeriesKernel(Kernel):
     def n_terms(self) -> int:
         return len(self.weights)
 
-    def _phi(self, values: np.ndarray, n_terms: int) -> np.ndarray:
-        cols = [np.asarray(f(values), dtype=float) for f in self.features[:n_terms]]
+    def _phi(self, values: np.ndarray) -> np.ndarray:
+        cols = [np.asarray(f(values), dtype=float) for f in self.features]
         return np.column_stack(cols) if cols else np.empty((values.shape[0], 0))
 
-    def feature_matrix(self, x, n_terms: int | None = None) -> np.ndarray:
+    def feature_matrix(self, x) -> np.ndarray:
         """Scaled feature matrix with entries lambda_v phi_v(x_i), (n, V)."""
-        x = _as_sample(x, 1)
-        v = self.n_terms if n_terms is None else int(n_terms)
-        if v > self.n_terms:
-            raise ValueError(
-                f"requested {v} series terms but only {self.n_terms} available"
-            )
-        phi = self._phi(x[:, 0], v)
-        return phi * np.sqrt(np.asarray(self.weights[:v]))
+        return self._phi(_as_sample(x, 1)[:, 0]) * np.sqrt(np.asarray(self.weights))
 
     def eval(self, s, t) -> float:
         s = _as_point(s, 1)
         t = _as_point(t, 1)
         w = np.asarray(self.weights)
-        phis = self._phi(s, self.n_terms)[0]
-        phit = self._phi(t, self.n_terms)[0]
+        phis = self._phi(s)[0]
+        phit = self._phi(t)[0]
         # phi(s)*phi(t) first keeps the evaluation symmetric bit-for-bit
         return float(np.dot(w, phis * phit))
 
@@ -300,14 +255,6 @@ def polynomial_series(n_terms: int, decay: float = 2.2) -> SeriesKernel:
     return SeriesKernel(
         weights=polynomial_weights(n_terms, decay),
         features=tuple(_monomial(v) for v in range(1, n_terms + 1)),
-        decay_exponent=decay / 2.0,
-    )
-
-
-def linear_series(scale: float = 1.0) -> SeriesKernel:
-    """The linear kernel C(s, t) = scale * s t as a one-term series."""
-    return SeriesKernel(
-        weights=(scale,), features=(_monomial(1),), decay_exponent=None
     )
 
 
@@ -501,21 +448,20 @@ def kernel_from_config(spec) -> Kernel:
         )
     elif kind == "polynomial":
         if "weights" in spec:
+            clash = sorted({"degree", "decay"} & set(spec))
+            if clash:
+                raise ValueError(
+                    f"polynomial kernel takes 'weights' or {clash[0]!r}, not both"
+                )
             weights = tuple(float(w) for w in spec.pop("weights"))
-            spec.pop("degree", None)
-            spec.pop("decay", None)
         else:
-            degree = int(spec.pop("degree", 10))
-            decay = float(spec.pop("decay", 2.2))
-            weights = polynomial_weights(degree, decay)
-        series = bool(spec.pop("series", True))
-        if series:
-            kernel = SeriesKernel(
-                weights=weights,
-                features=tuple(_monomial(v) for v in range(1, len(weights) + 1)),
+            weights = polynomial_weights(
+                int(spec.pop("degree", 10)), float(spec.pop("decay", 2.2))
             )
-        else:
-            kernel = PolynomialKernel(weights=weights)
+        kernel = SeriesKernel(
+            weights=weights,
+            features=tuple(_monomial(v) for v in range(1, len(weights) + 1)),
+        )
     elif kind == "integrated_brownian":
         kernel = IntegratedBrownianKernel(order=int(spec.pop("order", 1)))
     else:

@@ -27,7 +27,6 @@ from .kernels import (
     ConstantKernel,
     GaussianRBF,
     LinearKernel,
-    linear_series,
     polynomial_series,
 )
 from .losses import rescaled_square_loss
@@ -150,7 +149,7 @@ def gen_response(
 
 def _lin_j_plan(name: str, j: int, k: int, n_terms: int, decay: float) -> HypothesisPlan:
     base = polynomial_series(n_terms, decay)
-    lin = linear_series()
+    lin = LinearKernel()
     r0 = CompositeKernel(tuple((lin, (c,)) for c in range(j)))
     r1_terms = tuple((polynomial_series(n_terms, decay), (c,)) for c in range(k))
     # the alternative space is the full additive polynomial space minus the
@@ -175,7 +174,7 @@ def _lin_j_plan(name: str, j: int, k: int, n_terms: int, decay: float) -> Hypoth
 
 def _lin_poly_plan(k: int, n_terms: int, decay: float) -> HypothesisPlan:
     base = polynomial_series(n_terms, decay)
-    lin = linear_series()
+    lin = LinearKernel()
     fit_terms = ((lin, (0,)),) + tuple(
         (polynomial_series(n_terms, decay), (c,)) for c in range(1, k)
     )

@@ -219,14 +219,17 @@ class TestCommands:
             ("[{kind: polynomial, degree: 6, coords: [0]}, "
              "{kind: polynomial, degree: 6, coords: [1]}]",
              "{solver: greedy, budget: 1.0, iterations: 20}", "series", (2, 6)),
+            ("{kind: linear, coords: [0, 1]}", "{solver: greedy, budget: 1.0, iterations: 20}",
+             "series", (1, 2)),
             ("[{kind: gaussian_rbf, coords: [0]}, {kind: gaussian_rbf, coords: [1]}]",
              "{solver: greedy, budget: 1.0, iterations: 20}", "representer_greedy", (40, 2)),
         ],
-        ids=["ridge", "series_greedy", "gram_greedy"],
+        ids=["ridge", "series_greedy", "linear_greedy", "gram_greedy"],
     )
     def test_model_record_layout(self, tmp_path, r0, fit, representation, shape):
-        # ridge: a flat n-vector plus anchors; series: T blocks of V
-        # coefficients; Gram path: n rows of T representer weights
+        # ridge: a flat n-vector plus anchors; series (every term has a
+        # feature matrix): T blocks of V_t coefficients; Gram path: n rows of
+        # T representer weights
         data = tmp_path / "d.csv"
         _write_dataset(data)
         cfg = tmp_path / "cfg.yaml"

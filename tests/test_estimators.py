@@ -1,10 +1,11 @@
 """Ridge solves, the norm-budget equation and the greedy loop."""
 
-from dataclasses import dataclass
-
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from gram_only import GramOnly, HornerPolynomial
 from rkhstest.estimators import (
     BINDING_RTOL,
     FitConfig,
@@ -22,12 +23,9 @@ from rkhstest.kernels import (
     CompositeKernel,
     ConstantKernel,
     GaussianRBF,
-    Kernel,
     LinearKernel,
-    PolynomialKernel,
     additive_kernel,
     gram_matrix,
-    linear_series,
     polynomial_series,
     polynomial_weights,
 )
@@ -144,10 +142,11 @@ class TestBudget:
         rng = np.random.default_rng(31)
         x = rng.uniform(-2, 2, (40, 2))
         y = x @ np.array([0.5, -0.3]) + 0.1 * rng.normal(size=40)
-        term = linear_series() if path == "series" else LinearKernel(1.0)
+        term = LinearKernel(1.0) if path == "series" else GramOnly(LinearKernel(1.0))
         terms = ((term, (0,)), (term, (1,)))
         cfg = lambda b: FitConfig(budget=b, iterations=200)
         tight = greedy_fit(x, y, square_loss(), terms, cfg(0.1))
+        assert tight.representation == {"series": "series", "gram": "representer_greedy"}[path]
         assert tight.budget_binding
         assert abs(tight.norm_lk - 0.1) <= 1e-6 * 0.1
         slack = greedy_fit(x, y, square_loss(), terms, cfg(50.0))
@@ -218,7 +217,7 @@ class TestDirections:
         rng = np.random.default_rng(51)
         x = rng.uniform(-1, 1, 3)
         grad = rng.normal(size=3)
-        kern = PolynomialKernel(polynomial_weights(4))
+        kern = HornerPolynomial(polynomial_weights(4))
         gram = kern.gram(x)
         beta, rho = greedy_direction(grad, gram)
         n = 3
@@ -263,7 +262,7 @@ class TestGreedyFit:
         x = RNG.uniform(-2, 2, (10, 1))
         y = RNG.normal(size=10)
         cfg = FitConfig(budget=1.0, iterations=0)
-        model = greedy_fit(x, y, rescaled_square_loss(), [(linear_series(), (0,))], cfg)
+        model = greedy_fit(x, y, rescaled_square_loss(), [(LinearKernel(), (0,))], cfg)
         assert np.array_equal(model.predict(x), np.zeros(10))
 
     def test_nonsmooth_loss_rejected(self):
@@ -271,18 +270,18 @@ class TestGreedyFit:
 
         cfg = FitConfig(budget=1.0)
         with pytest.raises(ValueError, match="smooth"):
-            greedy_fit(np.ones((4, 1)), np.ones(4), absolute_loss(), [(linear_series(), (0,))], cfg)
+            greedy_fit(np.ones((4, 1)), np.ones(4), absolute_loss(), [(LinearKernel(), (0,))], cfg)
 
     def test_single_step_is_scaled_direction(self):
         x = RNG.uniform(-2, 2, (15, 2))
         y = RNG.normal(size=15)
-        terms = [(linear_series(), (0,)), (linear_series(), (1,))]
+        terms = [(LinearKernel(), (0,)), (LinearKernel(), (1,))]
         cfg = FitConfig(budget=2.5, iterations=1, step_rule="one_over_m")
         model = greedy_fit(x, y, rescaled_square_loss(), terms, cfg)
         grad = rescaled_square_loss().deriv(1, y, np.zeros(15))
         rhos, dirs = [], []
         for _, sel in terms:
-            feats = linear_series().feature_matrix(x[:, sel[0]])
+            feats = LinearKernel().feature_matrix(x[:, sel[0]])
             coeffs, rho = greedy_direction_series(grad, feats)
             rhos.append(rho)
             dirs.append(feats @ coeffs)
@@ -296,7 +295,7 @@ class TestGreedyFit:
         kern = CompositeKernel(((LinearKernel(1.0), (0,)),))
         oracle = fit_constrained_ridge(kern, x, y, budget=2.0)
         cfg = FitConfig(budget=2.0, iterations=500, step_rule="line_search")
-        model = greedy_fit(x, y, rescaled_square_loss(), [(linear_series(), (0,))], cfg)
+        model = greedy_fit(x, y, rescaled_square_loss(), [(LinearKernel(), (0,))], cfg)
         rms = np.sqrt(np.mean((model.predict(x) - oracle.predict(x)) ** 2))
         assert rms <= 1e-3
 
@@ -352,14 +351,52 @@ class TestGreedyFit:
         y = rng.normal(size=25) + 0.5 * x[:, 0]
         cfg = FitConfig(budget=1.2, iterations=60, step_rule="two_over_m_plus_two")
         series_terms = [(polynomial_series(8, 2.2), (k,)) for k in range(2)]
-        gram_terms = [(PolynomialKernel(polynomial_weights(8, 2.2)), (k,)) for k in range(2)]
+        gram_terms = [(HornerPolynomial(polynomial_weights(8, 2.2)), (k,)) for k in range(2)]
         loss = rescaled_square_loss()
         m_series = greedy_fit(x, y, loss, series_terms, cfg)
         m_gram = greedy_fit(x, y, loss, gram_terms, cfg)
+        assert (m_series.representation, m_gram.representation) == ("series", "representer_greedy")
         assert np.array_equal(m_series.trace.coords, m_gram.trace.coords)
         grid = rng.uniform(-2, 2, (12, 2))
         assert np.allclose(m_series.predict(grid), m_gram.predict(grid), atol=1e-10)
         assert m_series.norm_lk == pytest.approx(m_gram.norm_lk, abs=1e-10)
+
+    @settings(max_examples=60, deadline=None, derandomize=True, database=None)
+    @given(data=st.data())
+    def test_feature_and_gram_paths_agree_on_random_terms(self, data):
+        # greedy_fit picks the feature path whenever every term has a feature
+        # matrix; wrapping the terms in GramOnly forces the Gram path on the
+        # same problem, which must give the same fit up to rounding
+        draw = data.draw
+        n = draw(st.integers(5, 40), label="n")
+        terms = []
+        for kind in draw(st.lists(st.sampled_from(["constant", "linear", "series"]),
+                                  min_size=1, max_size=4), label="kinds"):
+            scale = draw(st.floats(0.2, 3.0))
+            if kind == "constant":
+                terms.append((ConstantKernel(scale), None))
+            elif kind == "linear":
+                terms.append((LinearKernel(scale), draw(st.sampled_from([(0,), (1,), (0, 1)]))))
+            else:
+                series = polynomial_series(draw(st.integers(1, 6)), draw(st.floats(1.5, 3.0)))
+                terms.append((series, (draw(st.integers(0, 1)),)))
+        cfg = FitConfig(
+            budget=draw(st.floats(0.1, 5.0), label="budget"),
+            norm_kind="hk",
+            iterations=draw(st.integers(1, 40), label="iterations"),
+            step_rule="two_over_m_plus_two",
+        )
+        rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1), label="seed"))
+        x = rng.uniform(-2, 2, (n, 2))
+        y = x[:, 0] - 0.5 * x[:, 1] ** 2 + rng.normal(size=n)
+        loss = rescaled_square_loss()
+        feat = greedy_fit(x, y, loss, terms, cfg)
+        gram = greedy_fit(x, y, loss, [(GramOnly(k), sel) for k, sel in terms], cfg)
+        assert (feat.representation, gram.representation) == ("series", "representer_greedy")
+        assert np.array_equal(feat.trace.coords, gram.trace.coords)
+        assert np.max(np.abs(feat.fitted - gram.fitted)) <= 1e-8 * np.max(np.abs(gram.fitted))
+        assert feat.norm_hk == pytest.approx(gram.norm_hk, rel=1e-8)
+        assert feat.norm_lk == pytest.approx(gram.norm_lk, rel=1e-8)
 
     def test_hk_mode_tracks_joint_ball(self):
         rng = np.random.default_rng(121)
@@ -484,19 +521,6 @@ class TestGramPath:
                 greedy_fit(x, y, rescaled_square_loss(), _rbf_terms(2), FitConfig(budget=1.0))
 
 
-@dataclass(frozen=True)
-class GramOnly(Kernel):
-    """A kernel's Gram without its feature map, forcing the n x n eigh path."""
-
-    inner: Kernel
-
-    def eval(self, s, t):
-        return self.inner.eval(s, t)
-
-    def gram(self, x, z=None):
-        return self.inner.gram(x, z)
-
-
 class TestFeaturePath:
     BIV = CompositeKernel(((ConstantKernel(0.5), None), (LinearKernel(0.5), (0, 1))))
     WIDE = additive_kernel(polynomial_series(10, 2.2), 2)  # p = 20 features
@@ -569,7 +593,7 @@ class TestPredict:
     def test_zero_coefficients(self):
         x = RNG.uniform(-2, 2, (8, 1))
         cfg = FitConfig(budget=1.0, iterations=0)
-        model = greedy_fit(x, np.zeros(8), rescaled_square_loss(), [(linear_series(), (0,))], cfg)
+        model = greedy_fit(x, np.zeros(8), rescaled_square_loss(), [(LinearKernel(), (0,))], cfg)
         assert np.array_equal(model.predict(x), np.zeros(8))
 
     def test_representer_at_anchors_is_gram_times_coeffs(self):

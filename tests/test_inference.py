@@ -15,7 +15,6 @@ from rkhstest.inference import (
     build_instruments,
     covariance_estimate,
     default_projection_rho,
-    generalized_residuals,
     orthogonality_defect,
     p_value,
     project_instruments,
@@ -34,38 +33,9 @@ from rkhstest.kernels import (
     gram_matrix,
     polynomial_series,
 )
-from rkhstest.losses import poisson_loss, rescaled_square_loss, square_loss
+from rkhstest.losses import rescaled_square_loss
 
 RNG = np.random.default_rng(99)
-
-
-class TestResiduals:
-    def test_perfect_fit_square(self):
-        class Interp:
-            def predict(self, x):
-                return np.asarray(x)[:, 0]
-
-        x = np.linspace(-1, 1, 5)[:, None]
-        e0 = generalized_residuals(Interp(), x, x[:, 0], square_loss())
-        assert np.array_equal(e0, np.zeros(5))
-
-    def test_rescaled_square_sign(self):
-        class Zero:
-            def predict(self, x):
-                return np.zeros(len(x))
-
-        e0 = generalized_residuals(
-            Zero(), np.zeros((2, 1)), np.array([1.0, 0.0]), rescaled_square_loss()
-        )
-        assert np.array_equal(e0, np.array([-1.0, 0.0]))
-
-    def test_poisson_zero_score(self):
-        class Zero:
-            def predict(self, x):
-                return np.zeros(len(x))
-
-        e0 = generalized_residuals(Zero(), np.zeros((1, 1)), np.array([1.0]), poisson_loss())
-        assert e0[0] == 0.0
 
 
 class TestProjection:
@@ -314,9 +284,7 @@ def test_synthetic_null_calibration_two_sample_ks():
 
 def _toy_plan():
     base = polynomial_series(6, 2.2)
-    from rkhstest.kernels import linear_series
-
-    lin = linear_series()
+    lin = LinearKernel()
     return HypothesisPlan(
         name="toy",
         r0=CompositeKernel(((LinearKernel(1.0), (0,)),)),
@@ -487,9 +455,9 @@ class TestGramPathReuse:
             model = greedy_fit(x, y, loss, plan.fit_terms, fit_config)
             return replace(model, fitted=model.predict(x))
 
-        def project_on_rebuilt_gram(model, r0, x, s_diag, raw, rho, mode="gram_columns"):
+        def project_on_rebuilt_gram(model, r0, x, s_diag, raw, rho):
             c0 = gram_matrix(r0, x)
-            return project_instruments(c0, s_diag, raw, rho, mode=mode), c0
+            return project_instruments(c0, s_diag, raw, rho), c0
 
         monkeypatch.setattr(inference, "_fit_restricted", fit_and_predict)
         monkeypatch.setattr(inference, "_project_gram", project_on_rebuilt_gram)

@@ -6,14 +6,14 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
-from rkhstest.inference import build_instruments
+from gram_only import HornerPolynomial
+from rkhstest.inference import build_instruments, series_feature_columns
 from rkhstest.kernels import (
     CompositeKernel,
     ConstantKernel,
     GaussianRBF,
     IntegratedBrownianKernel,
     LinearKernel,
-    PolynomialKernel,
     SeriesKernel,
     additive_kernel,
     gram_matrix,
@@ -28,7 +28,7 @@ RNG = np.random.default_rng(1234)
 ALL_SCALAR_KERNELS = [
     LinearKernel(1.0),
     GaussianRBF(lengthscale=0.75, scale=0.5),
-    PolynomialKernel(polynomial_weights(10, 2.2)),
+    HornerPolynomial(polynomial_weights(10, 2.2)),
     polynomial_series(10, 2.2),
     IntegratedBrownianKernel(order=1),
     IntegratedBrownianKernel(order=2),
@@ -51,7 +51,7 @@ class TestEval:
         assert polynomial_series(10, 2.2).eval(1.0, 1.0) == pytest.approx(
             oracle, rel=1e-12
         )
-        assert PolynomialKernel(polynomial_weights(10, 2.2)).eval(
+        assert HornerPolynomial(polynomial_weights(10, 2.2)).eval(
             1.0, 1.0
         ) == pytest.approx(oracle, rel=1e-12)
 
@@ -169,21 +169,21 @@ class TestComposite:
 class TestSeries:
     def test_feature_matrix_single_term(self):
         k = polynomial_series(10, 2.2)
-        f = k.feature_matrix(np.array([0.5]), n_terms=1)
-        assert f.shape == (1, 1)
+        f = k.feature_matrix(np.array([0.5]))
+        assert f.shape == (1, 10)
         assert f[0, 0] == pytest.approx(np.sqrt(1.0) * 0.5)
 
     def test_gram_reconstruction_matches_closed_form(self):
         # dual route: scaled-feature outer product vs Horner evaluation
         x = RNG.uniform(-2, 2, (4, 1))
         series = polynomial_series(10, 2.2)
-        closed = PolynomialKernel(polynomial_weights(10, 2.2))
+        closed = HornerPolynomial(polynomial_weights(10, 2.2))
         f = series.feature_matrix(x)
         assert np.allclose(f @ f.T, closed.gram(x), rtol=1e-10, atol=0)
 
     def test_series_equals_closed_form_eval(self):
         series = polynomial_series(10, 2.2)
-        closed = PolynomialKernel(polynomial_weights(10, 2.2))
+        closed = HornerPolynomial(polynomial_weights(10, 2.2))
         for _ in range(20):
             s, t = RNG.uniform(-2, 2, 2)
             assert series.eval(s, t) == pytest.approx(
@@ -195,8 +195,8 @@ class TestSeries:
         assert np.array_equal(f, np.zeros((1, 8)))
 
     def test_too_many_terms_rejected(self):
-        with pytest.raises(ValueError, match="series terms"):
-            polynomial_series(5).feature_matrix(np.array([0.5]), n_terms=6)
+        with pytest.raises(ValueError, match="series order 6 outside 1..5"):
+            series_feature_columns(np.array([[0.5]]), polynomial_series(5), [(0, 6)])
 
     def test_weights_must_be_positive(self):
         with pytest.raises(ValueError, match="positive"):
@@ -239,14 +239,14 @@ class TestFeatureMatrix:
         "kernel",
         [
             GaussianRBF(0.75, 0.5),
-            PolynomialKernel(polynomial_weights(10, 2.2)),
+            HornerPolynomial(polynomial_weights(10, 2.2)),
             IntegratedBrownianKernel(order=2),
             CompositeKernel(((LinearKernel(0.5), (0,)), (GaussianRBF(0.75, 0.5), (1,)))),
         ],
         ids=["rbf", "closed_polynomial", "integrated_brownian", "composite_with_rbf"],
     )
     def test_gram_only_kernels_return_none(self, kernel):
-        width = 1 if isinstance(kernel, (PolynomialKernel, IntegratedBrownianKernel)) else 2
+        width = 1 if isinstance(kernel, (HornerPolynomial, IntegratedBrownianKernel)) else 2
         assert kernel.feature_matrix(RNG.uniform(0, 1, (5, width))) is None
 
 
@@ -394,3 +394,13 @@ class TestConfig:
             kernel_from_config({"kind": "matern"})
         with pytest.raises(ValueError, match="lengthscal"):
             kernel_from_config({"kind": "gaussian_rbf", "lengthscal": 1.0})
+        with pytest.raises(ValueError, match="unknown kernel config key 'series'"):
+            kernel_from_config({"kind": "polynomial", "degree": 4, "series": False})
+
+    @pytest.mark.parametrize("key, value", [("degree", 4), ("decay", 2.2)])
+    def test_polynomial_weights_exclude_degree_and_decay(self, key, value):
+        spec = {"kind": "polynomial", "weights": [1.0, 0.5], key: value}
+        with pytest.raises(ValueError, match=f"'weights' or '{key}', not both"):
+            kernel_from_config(spec)
+        spec.pop(key)
+        assert kernel_from_config(spec).weights == (1.0, 0.5)

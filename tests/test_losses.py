@@ -43,6 +43,12 @@ class TestDerivatives:
     def test_square_first(self):
         assert square_loss().deriv(1, 2.0, 0.5) == pytest.approx(-3.0)
 
+    def test_first_derivative_vanishes_at_a_perfect_fit(self):
+        y = np.linspace(-1, 1, 5)
+        assert np.array_equal(square_loss().deriv(1, y, y), np.zeros(5))
+        # the Poisson score exp(t) - y is exactly 0 at y = 1, t = 0
+        assert poisson_loss().deriv(1, np.array([1.0]), np.array([0.0]))[0] == 0.0
+
     def test_absolute_sign_convention(self):
         loss = absolute_loss()
         assert loss.deriv(1, 1.0, 0.0) == 1.0
