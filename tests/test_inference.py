@@ -19,6 +19,7 @@ from rkhstest.inference import (
     p_value,
     project_instruments,
     project_on_features,
+    residual_null_score,
     run_test,
     series_feature_columns,
     simulate_null,
@@ -33,9 +34,27 @@ from rkhstest.kernels import (
     gram_matrix,
     polynomial_series,
 )
-from rkhstest.losses import rescaled_square_loss
+from rkhstest.losses import poisson_loss, rescaled_square_loss, square_loss
 
 RNG = np.random.default_rng(99)
+
+
+class TestResiduals:
+    """The residual e0 = loss'(y, fitted) that run_test feeds the moment."""
+
+    def test_perfect_fit_square(self):
+        x = np.linspace(-1, 1, 5)[:, None]
+        y = x[:, 0]
+        e0 = np.asarray(square_loss().deriv(1, y, y), dtype=float)
+        assert np.array_equal(e0, np.zeros(5))
+        h = np.column_stack([np.ones(5), x[:, 0]])
+        assert moment_statistic(e0, h) == 0.0
+        assert residual_null_score(h, np.ones(5), e0) == 0.0
+
+    def test_poisson_zero_score(self):
+        e0 = np.asarray(poisson_loss().deriv(1, np.array([1.0]), np.zeros(1)), dtype=float)
+        assert e0[0] == 0.0
+        assert moment_statistic(e0, np.ones((1, 1))) == 0.0
 
 
 class TestProjection:
