@@ -50,8 +50,6 @@ fit: {{iterations: 300}}
 test:
   instrument_mode: series_features
   features: [[0, 2, 8], [1, 2, 8], [2, 2, 8]]
-  projection: features
-  projection_features: [[0, 1, 1], [1, 1, 1], [2, 1, 1]]
   null_draws: 5000
 """
 )

@@ -19,13 +19,7 @@ from pathlib import Path
 import numpy as np
 import yaml
 
-from .estimators import (
-    AdditiveModel,
-    FitConfig,
-    _term_list,
-    fit_constrained_ridge,
-    greedy_fit,
-)
+from .estimators import AdditiveModel, FitConfig, _fit_by_solver
 from .inference import (
     HypothesisPlan,
     SectionInstrumentPlan,
@@ -75,8 +69,6 @@ class TestSettings:
     instrument_mode: str = "series_features"
     r: int | None = None
     features: tuple = ()
-    projection: str = "features"
-    projection_features: tuple = ()
     series_terms: int = 10
     series_decay: float = 2.2
     proj_rho: object = "default"
@@ -461,24 +453,15 @@ def _plan_from_config(config: RunConfig) -> HypothesisPlan:
         base = polynomial_series(settings.series_terms, settings.series_decay)
         if not settings.features:
             raise ConfigError("series_features mode needs test.features ranges")
-        if settings.projection == "features" and not settings.projection_features:
-            raise ConfigError(
-                "feature projection needs test.projection_features ranges"
-            )
         instruments = SeriesInstrumentPlan(
-            kernel=base,
-            test_pairs=_expand_feature_ranges(settings.features),
-            projection_pairs=_expand_feature_ranges(settings.projection_features),
+            kernel=base, test_pairs=_expand_feature_ranges(settings.features)
         )
     else:
         instruments = SectionInstrumentPlan(
             count=settings.r,
             normalized=settings.instrument_mode == "kernel_sections_normalized",
         )
-    fit_terms = _term_list(r0) if config.fit.solver == "greedy" else None
-    return HypothesisPlan(
-        name="config", r0=r0, r1=r1, fit_terms=fit_terms, instruments=instruments
-    )
+    return HypothesisPlan(name="config", r0=r0, r1=r1, instruments=instruments)
 
 
 def _run_fit(config: RunConfig) -> list[Path]:
@@ -491,12 +474,7 @@ def _run_fit(config: RunConfig) -> list[Path]:
     loss = loss_by_name(config.loss)
     fit_config = _build_fit_config(config, data.y)
     kernel = kernel_from_config(config.kernels["r0"])
-    if fit_config.solver == "ridge_closed_form":
-        model = fit_constrained_ridge(
-            kernel, data.x, data.y, budget=fit_config.budget, rho=fit_config.ridge_rho
-        )
-    else:
-        model = greedy_fit(data.x, data.y, loss, kernel, fit_config)
+    model = _fit_by_solver(kernel, data.x, data.y, loss, fit_config)
     return emit_results(model, config.out, config)
 
 

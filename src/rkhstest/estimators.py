@@ -624,3 +624,15 @@ def greedy_fit(x, y, loss: LossSpec, kernels, config: FitConfig) -> AdditiveMode
         ),
         gram=gram,
     )
+
+
+_RIDGE_LOSSES = ("square", "rescaled_square", "absolute")  # absolute: greedy cannot fit it
+
+
+def _fit_by_solver(kernel, x, y, loss: LossSpec, config: FitConfig) -> AdditiveModel:
+    """The model ``config.solver`` fits on ``kernel``: greedy or closed-form ridge."""
+    if config.solver == "greedy":
+        return greedy_fit(x, y, loss, kernel, config)
+    if loss.kind not in _RIDGE_LOSSES:
+        raise ValueError(f"the ridge_closed_form solver cannot fit the {loss.kind!r} loss")
+    return fit_constrained_ridge(kernel, x, y, budget=config.budget, rho=config.ridge_rho)

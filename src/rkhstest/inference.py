@@ -16,14 +16,8 @@ from typing import Sequence
 import numpy as np
 import scipy.linalg
 
-from .estimators import (
-    AdditiveModel,
-    FitConfig,
-    _term_list,
-    fit_constrained_ridge,
-    greedy_fit,
-)
-from .kernels import Kernel, SeriesKernel, _as_sample, _require_finite, gram_matrix
+from .estimators import FitConfig, _fit_by_solver
+from .kernels import Kernel, SeriesKernel, _as_sample, gram_matrix
 from .losses import LossSpec
 
 __all__ = [
@@ -172,11 +166,11 @@ def project_instruments(
 def project_on_features(
     basis: np.ndarray, s_diag, raw: np.ndarray, proj_rho: float
 ) -> InstrumentSet:
-    """Residualize instruments on a span of unit-norm feature columns.
+    """Residualize instruments on the columns of a feature matrix F.
 
-    The penalty acts on the squared coefficients (the RKHS norm of the
-    fitted combination when the basis functions are unit-norm and mutually
-    orthogonal, as series features of distinct coordinates/orders are).
+    The penalty acts on the squared coefficients.  With F F' = C0 this is
+    :func:`project_instruments` on C0 (b = F'S(C0 S + rho I)^{-1} c by the
+    push-through identity), at O(n p^2) in place of an n x n solve.
     """
     basis = np.asarray(basis, dtype=float)
     raw = np.atleast_2d(np.asarray(raw, dtype=float))
@@ -304,11 +298,10 @@ def p_value(statistic: float, null_draws) -> float:
 
 @dataclass(frozen=True)
 class SeriesInstrumentPlan:
-    """Instruments and projection span given by series-feature columns."""
+    """Instruments given by series-feature columns, residualized on span(r0)."""
 
     kernel: SeriesKernel
     test_pairs: tuple[tuple[int, int], ...]
-    projection_pairs: tuple[tuple[int, int], ...]
 
 
 @dataclass(frozen=True)
@@ -318,7 +311,7 @@ class SectionInstrumentPlan:
     The sections are those of C_R0 + C_R1 (the homogeneous-test-function
     construction, which is what makes the uncorrected comparison columns
     meaningful, since raw sections then carry the large null-space
-    components the projection strips), residualized on the columns of C_R0.
+    components the projection strips), residualized on span(r0).
     """
 
     count: int | None = None  # None: one section per sample point
@@ -331,12 +324,15 @@ class SectionInstrumentPlan:
 
 @dataclass(frozen=True)
 class HypothesisPlan:
-    """Everything a test run needs: kernels, restricted fit, instruments."""
+    """Everything a test run needs.
+
+    The null kernel r0 alone defines the restricted fit and the nuisance
+    span the instruments are projected off.
+    """
 
     name: str
     r0: Kernel
     r1: Kernel | None
-    fit_terms: tuple | None  # greedy terms; None fits ridge on r0
     instruments: SeriesInstrumentPlan | SectionInstrumentPlan
 
 
@@ -352,8 +348,8 @@ class TestResult:
 
     ``budget_binding`` reports whether the restricted fit sits on its norm
     budget.  ``residual_null_score`` is :func:`residual_null_score` of the
-    generalized residuals against the null span (the projection basis for
-    series plans, the columns of C0 for section plans).  A non-binding fit
+    generalized residuals against the null span: r0's feature columns, or
+    the columns of its Gram when r0 has no feature map.  A non-binding fit
     with a score near 0 has reached the least-squares identity, under
     which the uncorrected test is conservative rather than liberal.
     """
@@ -408,19 +404,16 @@ class TestResult:
         return "\n".join(lines) + "\n"
 
 
-def _fit_restricted(x, y, plan: HypothesisPlan, loss, fit_config: FitConfig) -> AdditiveModel:
-    if plan.fit_terms is not None and fit_config.solver == "greedy":
-        return greedy_fit(x, y, loss, plan.fit_terms, fit_config)
-    return fit_constrained_ridge(
-        plan.r0, x, y, budget=fit_config.budget, rho=fit_config.ridge_rho
-    )
+def _project_on_null(model, r0, x, s_diag, raw, rho):
+    """Project the instruments off span(r0); return them and that span.
 
-
-def _project_gram(model, r0, x, s_diag, raw, rho):
-    """Gram-mode projection, reusing the fit's Gram or eigendecomposition if we can."""
-    # a ridge fit keeps r0 as its one term, a greedy fit keeps r0's terms
-    through_r0 = model.gram is not None and model.terms in (((r0, None),), _term_list(r0))
-    if through_r0 and model.eigen is not None and np.all(s_diag == s_diag[0]):
+    The span is r0's feature columns, or its Gram when r0 has no feature
+    map.  The fit's terms are r0's, so its eigenbasis and Gram are r0's.
+    """
+    features = span = r0.feature_matrix(x)
+    if span is None:
+        span = model.gram if model.gram is not None else gram_matrix(r0, x)
+    if model.eigen is not None and np.all(s_diag == s_diag[0]):
         # C0 (C0 + rho/s I)^{-1} = U diag(kappa * inv) U' in the cached
         # eigenbasis, thin or full, since C0 vanishes off a thin basis;
         # rho = 0 becomes the projection onto the column space
@@ -432,9 +425,12 @@ def _project_gram(model, r0, x, s_diag, raw, rho):
         else:
             inv = np.where(eig.values > eig.cutoff, 1.0 / np.maximum(kappa, 1e-300), 0.0)
         projected = raw - eig.vectors @ ((kappa * inv)[:, None] * (eig.vectors.T @ raw))
-        return InstrumentSet(raw=raw, projected=projected, proj_rho=float(rho)), model.gram
-    c0 = _require_finite(model.gram) if through_r0 else gram_matrix(r0, x)
-    return project_instruments(c0, s_diag, raw, rho), c0
+        instruments = InstrumentSet(raw=raw, projected=projected, proj_rho=float(rho))
+    elif features is not None:
+        instruments = project_on_features(features, s_diag, raw, rho)
+    else:
+        instruments = project_instruments(span, s_diag, raw, rho)
+    return instruments, span
 
 
 def run_test(
@@ -466,7 +462,7 @@ def run_test(
     if not isinstance(rng, np.random.Generator):
         rng = np.random.default_rng(rng)
 
-    model = _fit_restricted(x, y, plan, loss, fit_config)
+    model = _fit_by_solver(plan.r0, x, y, loss, fit_config)
     e0 = np.asarray(loss.deriv(1, y, model.fitted), dtype=float)
     if loss.smooth:
         s_diag = np.broadcast_to(
@@ -494,15 +490,12 @@ def run_test(
     spec = plan.instruments
     if isinstance(spec, SeriesInstrumentPlan):
         raw = series_feature_columns(x, spec.kernel, spec.test_pairs)
-        basis = series_feature_columns(x, spec.kernel, spec.projection_pairs)
-        instruments = project_on_features(basis, s_diag, raw, rho)
-        null_span = basis
     else:
         count = instrument_count if instrument_count is not None else spec.count
         idx = _evenly_spaced_indices(n, count) if count is not None else None
         section_kernel = plan.r0 + plan.r1 if plan.r1 is not None else None
         raw = build_instruments(x, spec.mode, kernel=section_kernel, anchor_indices=idx)
-        instruments, null_span = _project_gram(model, plan.r0, x, s_diag, raw, rho)
+    instruments, null_span = _project_on_null(model, plan.r0, x, s_diag, raw, rho)
 
     ortho = None
     if isinstance(spec, SeriesInstrumentPlan) or diagnostics:

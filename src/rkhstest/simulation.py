@@ -149,8 +149,7 @@ def gen_response(
 
 def _lin_j_plan(name: str, j: int, k: int, n_terms: int, decay: float) -> HypothesisPlan:
     base = polynomial_series(n_terms, decay)
-    lin = LinearKernel()
-    r0 = CompositeKernel(tuple((lin, (c,)) for c in range(j)))
+    r0 = CompositeKernel(tuple((LinearKernel(), (c,)) for c in range(j)))
     r1_terms = tuple((polynomial_series(n_terms, decay), (c,)) for c in range(k))
     # the alternative space is the full additive polynomial space minus the
     # linear span of the first j coordinates: higher orders there, all
@@ -160,37 +159,26 @@ def _lin_j_plan(name: str, j: int, k: int, n_terms: int, decay: float) -> Hypoth
         for c in range(k)
         for v in range(2 if c < j else 1, n_terms + 1)
     )
-    proj_pairs = tuple((c, 1) for c in range(j))
     return HypothesisPlan(
         name=name,
         r0=r0,
         r1=CompositeKernel(r1_terms),
-        fit_terms=tuple((lin, (c,)) for c in range(j)),
-        instruments=SeriesInstrumentPlan(
-            kernel=base, test_pairs=test_pairs, projection_pairs=proj_pairs
-        ),
+        instruments=SeriesInstrumentPlan(kernel=base, test_pairs=test_pairs),
     )
 
 
 def _lin_poly_plan(k: int, n_terms: int, decay: float) -> HypothesisPlan:
     base = polynomial_series(n_terms, decay)
-    lin = LinearKernel()
-    fit_terms = ((lin, (0,)),) + tuple(
-        (polynomial_series(n_terms, decay), (c,)) for c in range(1, k)
+    r0 = CompositeKernel(
+        ((LinearKernel(), (0,)),)
+        + tuple((polynomial_series(n_terms, decay), (c,)) for c in range(1, k))
     )
-    r0 = CompositeKernel(fit_terms)
     test_pairs = tuple((0, v) for v in range(2, n_terms + 1))
-    proj_pairs = ((0, 1),) + tuple(
-        (c, v) for c in range(1, k) for v in range(1, n_terms + 1)
-    )
     return HypothesisPlan(
         name="LinPoly",
         r0=r0,
         r1=CompositeKernel(((base, (0,)),)),
-        fit_terms=fit_terms,
-        instruments=SeriesInstrumentPlan(
-            kernel=base, test_pairs=test_pairs, projection_pairs=proj_pairs
-        ),
+        instruments=SeriesInstrumentPlan(kernel=base, test_pairs=test_pairs),
     )
 
 
@@ -213,7 +201,6 @@ def _bivariate_plans(name: str) -> HypothesisPlan:
         name=name,
         r0=CompositeKernel(terms),
         r1=r1,
-        fit_terms=terms,
         instruments=SectionInstrumentPlan(count=None, normalized=True),
     )
 
@@ -221,13 +208,13 @@ def _bivariate_plans(name: str) -> HypothesisPlan:
 def null_kernel_for(
     hypothesis: str, k: int = 10, n_terms: int = 10, decay: float = 2.2
 ) -> HypothesisPlan:
-    """Hypothesis registry: restricted kernel, instruments, projection span.
+    """Hypothesis registry: null and alternative kernels and instruments.
 
     Lin1/Lin2/Lin3/LinAll restrict the model to a linear function of the
     first 1/2/3/K covariates against the additive polynomial alternative;
     LinPoly keeps the first coordinate linear with the others unrestricted;
     Lin1NonLin and BivLinAll are the bivariate designs tested through
-    normalized kernel sections with a Gram-column projection.
+    normalized kernel sections.  Every plan projects off span(r0).
     """
     if hypothesis in ("Lin1", "Lin2", "Lin3", "LinAll"):
         j = {"Lin1": 1, "Lin2": 2, "Lin3": 3, "LinAll": k}[hypothesis]
@@ -389,7 +376,7 @@ def _replicate_outcome(config: McConfig, rep: int) -> tuple[float, float, bool, 
     fit_config = FitConfig(
         budget=budget,
         norm_kind="lk",
-        solver="greedy" if (use_greedy and plan.fit_terms is not None) else "ridge_closed_form",
+        solver="greedy" if use_greedy else "ridge_closed_form",
         iterations=config.iterations,
         step_rule=config.step_rule,
     )

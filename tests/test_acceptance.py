@@ -409,7 +409,6 @@ class TestCriterion7OracleEquivalence:
                 ((ConstantKernel(0.5), None), (LinearKernel(0.5), (0, 1)))
             ),
             r1=CompositeKernel(((GaussianRBF(0.75, 0.5), (0, 1)),)),
-            fit_terms=None,
             instruments=SectionInstrumentPlan(count=r_count),
         )
         result = run_test(

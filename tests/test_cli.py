@@ -1,10 +1,12 @@
 """Config parsing, CSV ingestion, result emission and the subcommands."""
 
 import json
+import re
 from pathlib import Path
 
 import numpy as np
 import pytest
+import yaml
 
 from rkhstest.cli import (
     ConfigError,
@@ -57,6 +59,32 @@ class TestParseConfig:
             )
         with pytest.raises(ConfigError, match="simualte"):
             parse_config("seed: 1\nsimualte: {}\n", command="simulate")
+
+    @pytest.mark.parametrize("key", ["projection", "projection_features"])
+    def test_projection_keys_are_unknown(self, tmp_path, key):
+        # the projection span is always r0's; there is nothing to configure
+        data = tmp_path / "d.csv"
+        data.write_text("y,x\n1.0,2.0\n")
+        with pytest.raises(ConfigError, match=re.escape(f"test.'{key}'")):
+            parse_config(
+                f"kernels: {{r0: {{kind: linear}}}}\ndata: {{path: {data}}}\n"
+                f"test: {{features: [[0, 2, 4]], {key}: features}}\n",
+                command="test",
+            )
+
+    def test_readme_configs_parse(self, tmp_path):
+        # every YAML example in the README must pass strict validation
+        readme = Path(__file__).resolve().parent.parent / "README.md"
+        blocks = re.findall(r"```yaml\n(.*?)```", readme.read_text(), flags=re.S)
+        assert len(blocks) >= 2
+        data = tmp_path / "data.csv"
+        data.write_text("y,x1,x2,x3,x4\n1.0,2.0,3.0,4.0,5.0\n")
+        for block in blocks:
+            doc = yaml.safe_load(block)
+            if "data" in doc:
+                doc["data"]["path"] = str(data)
+            command = doc.get("command") or ("simulate" if "simulate" in doc else "test")
+            parse_config(yaml.safe_dump(doc), command=command)
 
     def test_seed_mandatory_for_simulate(self):
         with pytest.raises(ConfigError, match="seed"):
@@ -173,8 +201,6 @@ fit: {budget: 5.0, iterations: 80}
 test:
   instrument_mode: series_features
   features: [[0, 2, 6], [1, 1, 6]]
-  projection: features
-  projection_features: [[0, 1, 1]]
   null_draws: 400
 """
 
@@ -317,6 +343,21 @@ class TestCommands:
         assert rc == 1
         assert captured.err.startswith("error:")
         assert "desgin" in captured.err
+
+    def test_ridge_solver_with_logistic_loss_is_an_error(self, tmp_path, capsys):
+        data = tmp_path / "d.csv"
+        _write_dataset(data)
+        cfg = tmp_path / "cfg.yaml"
+        cfg.write_text(
+            TEST_CONFIG.replace("loss: rescaled_square", "loss: logistic")
+            .replace("fit: {", "fit: {solver: ridge_closed_form, ")
+            + f"data: {{path: {data}}}\n"
+        )
+        rc = main(["test", "--config", str(cfg), "--out", str(tmp_path / "out")])
+        captured = capsys.readouterr()
+        assert rc == 1
+        assert captured.err.startswith("error:")
+        assert "'logistic'" in captured.err
 
     def test_replicates_flag_override(self, tmp_path):
         cfg = tmp_path / "sim.yaml"

@@ -24,7 +24,7 @@ from rkhstest.inference import (
     series_feature_columns,
     simulate_null,
 )
-from rkhstest.inference import _project_gram
+from rkhstest.inference import _project_on_null
 from rkhstest.inference import test_statistic as moment_statistic
 from rkhstest.kernels import (
     CompositeKernel,
@@ -34,7 +34,7 @@ from rkhstest.kernels import (
     gram_matrix,
     polynomial_series,
 )
-from rkhstest.losses import poisson_loss, rescaled_square_loss, square_loss
+from rkhstest.losses import loss_by_name, poisson_loss, rescaled_square_loss, square_loss
 
 RNG = np.random.default_rng(99)
 
@@ -303,16 +303,13 @@ def test_synthetic_null_calibration_two_sample_ks():
 
 def _toy_plan():
     base = polynomial_series(6, 2.2)
-    lin = LinearKernel()
     return HypothesisPlan(
         name="toy",
         r0=CompositeKernel(((LinearKernel(1.0), (0,)),)),
         r1=None,
-        fit_terms=((lin, (0,)),),
         instruments=SeriesInstrumentPlan(
             kernel=base,
             test_pairs=tuple((0, v) for v in range(2, 7)) + tuple((1, v) for v in range(1, 7)),
-            projection_pairs=((0, 1),),
         ),
     )
 
@@ -413,10 +410,10 @@ class TestRunTest:
             x, "kernel_sections_normalized", kernel=sections, anchor_indices=np.arange(0, n, 4)
         )
         ones = np.ones(n)
-        once, _ = _project_gram(model, r0, x, ones, raw, 0.0)
+        once, _ = _project_on_null(model, r0, x, ones, raw, 0.0)
         span = np.column_stack([ones, x])
         assert orthogonality_defect(span, ones, once.projected) <= 1e-10
-        twice, _ = _project_gram(model, r0, x, ones, once.projected, 0.0)
+        twice, _ = _project_on_null(model, r0, x, ones, once.projected, 0.0)
         assert np.max(np.abs(twice.projected - once.projected)) <= 1e-12
 
     def test_section_plan_full_pipeline(self):
@@ -428,7 +425,6 @@ class TestRunTest:
             name="sections",
             r0=r0,
             r1=CompositeKernel(((GaussianRBF(0.75, 0.5), (0, 1)),)),
-            fit_terms=None,
             instruments=SectionInstrumentPlan(count=15),
         )
         res = run_test(
@@ -440,6 +436,25 @@ class TestRunTest:
         assert res.proj_rho_rule == "fit-coupled"
         assert 0 < res.p_value <= 1
         assert res.naive_statistic >= 0
+
+    @pytest.mark.parametrize("name", ["logistic", "poisson_count", "duration_hazard"])
+    def test_ridge_solver_rejects_non_least_squares_losses(self, name):
+        # closed-form ridge minimizes square loss; scores of another loss at
+        # that fit would test the wrong restricted model
+        rng = np.random.default_rng(20)
+        x = rng.uniform(-2, 2, (30, 2))
+        y = rng.integers(0, 2, 30).astype(float)
+        cfg = FitConfig(budget=5.0, solver="ridge_closed_form")
+        with pytest.raises(ValueError, match=repr(name)):
+            run_test(x, y, _toy_plan(), loss_by_name(name), cfg, n_draws=100)
+
+    def test_ridge_solver_fits_the_absolute_loss(self):
+        rng = np.random.default_rng(21)
+        x = rng.uniform(-2, 2, (30, 2))
+        y = 0.4 * x[:, 0] + 0.3 * rng.standard_normal(30)
+        cfg = FitConfig(budget=5.0, solver="ridge_closed_form")
+        res = run_test(x, y, _toy_plan(), loss_by_name("absolute"), cfg, n_draws=100)
+        assert 0 < res.p_value <= 1
 
 
 def _rbf_gram_case():
@@ -456,10 +471,15 @@ def _rbf_gram_case():
         name="rbf",
         r0=r0,
         r1=CompositeKernel(((GaussianRBF(1.0), (3,)),)),
-        fit_terms=r0.terms,
         instruments=SectionInstrumentPlan(count=30),
     )
     return x, y, plan, FitConfig(budget=5.0, iterations=80)
+
+
+def _project_on_rebuilt_gram(model, r0, x, s_diag, raw, rho):
+    """Reference projection on a freshly built null Gram C0, whatever the fit."""
+    c0 = gram_matrix(r0, x)
+    return project_instruments(c0, s_diag, raw, rho), c0
 
 
 class TestGramPathReuse:
@@ -470,16 +490,12 @@ class TestGramPathReuse:
         loss = rescaled_square_loss()
         fast = run_test(x, y, plan, loss, cfg, n_draws=400, rng=8, diagnostics=True)
 
-        def fit_and_predict(x, y, plan, loss, fit_config):
-            model = greedy_fit(x, y, loss, plan.fit_terms, fit_config)
+        def fit_and_predict(kernel, x, y, loss, fit_config):
+            model = greedy_fit(x, y, loss, kernel, fit_config)
             return replace(model, fitted=model.predict(x))
 
-        def project_on_rebuilt_gram(model, r0, x, s_diag, raw, rho):
-            c0 = gram_matrix(r0, x)
-            return project_instruments(c0, s_diag, raw, rho), c0
-
-        monkeypatch.setattr(inference, "_fit_restricted", fit_and_predict)
-        monkeypatch.setattr(inference, "_project_gram", project_on_rebuilt_gram)
+        monkeypatch.setattr(inference, "_fit_by_solver", fit_and_predict)
+        monkeypatch.setattr(inference, "_project_on_null", _project_on_rebuilt_gram)
         ref = run_test(x, y, plan, loss, cfg, n_draws=400, rng=8, diagnostics=True)
         assert fast.statistic == ref.statistic
         assert np.array_equal(fast.spectrum, ref.spectrum)
@@ -508,3 +524,48 @@ class TestGramPathReuse:
 def test_default_projection_rho_rule():
     assert default_projection_rho(100) == pytest.approx(100 ** -0.4)
     assert 1000 ** -0.5 < default_projection_rho(1000) < 1000 ** (-1.0 / 3.0)
+
+
+class TestFeatureSpanProjection:
+    """A finite-rank null kernel is projected off through its feature columns."""
+
+    @staticmethod
+    def _case():
+        rng = np.random.default_rng(37)
+        n = 60
+        x = rng.uniform(-2, 2, (n, 2))
+        y = 0.3 * x[:, 0] - 0.2 * x[:, 1] + 0.4 * rng.standard_normal(n)
+        plan = HypothesisPlan(
+            name="greedy-sections",
+            r0=CompositeKernel(((ConstantKernel(0.5), None), (LinearKernel(0.5), (0, 1)))),
+            r1=CompositeKernel(((GaussianRBF(0.75, 0.5), (0, 1)),)),
+            instruments=SectionInstrumentPlan(count=15),
+        )
+        return x, y, plan, FitConfig(budget=5.0, iterations=60)
+
+    def test_greedy_section_fit_builds_no_square_gram(self, monkeypatch):
+        x, y, plan, cfg = self._case()
+        n = x.shape[0]
+        square = []
+        for cls in (ConstantKernel, LinearKernel):
+            def counting_gram(self, a, b=None, _gram=cls.gram):
+                out = _gram(self, a, b)
+                if out.shape == (n, n):
+                    square.append(self)
+                return out
+
+            monkeypatch.setattr(cls, "gram", counting_gram)
+        res = run_test(x, y, plan, rescaled_square_loss(), cfg, n_draws=100, rng=1)
+        assert square == []
+        assert 0 < res.p_value <= 1
+
+    def test_matches_projection_on_the_null_gram(self, monkeypatch):
+        x, y, plan, cfg = self._case()
+        loss = rescaled_square_loss()
+        fast = run_test(x, y, plan, loss, cfg, n_draws=200, rng=2, diagnostics=True)
+        monkeypatch.setattr(inference, "_project_on_null", _project_on_rebuilt_gram)
+        ref = run_test(x, y, plan, loss, cfg, n_draws=200, rng=2, diagnostics=True)
+        assert fast.statistic == pytest.approx(ref.statistic, rel=1e-10)
+        np.testing.assert_allclose(
+            fast.spectrum, ref.spectrum, rtol=1e-10, atol=1e-10 * ref.spectrum[0]
+        )

@@ -3,7 +3,11 @@
 import numpy as np
 import pytest
 
-from rkhstest.inference import SectionInstrumentPlan, SeriesInstrumentPlan
+from rkhstest.inference import (
+    SectionInstrumentPlan,
+    SeriesInstrumentPlan,
+    series_feature_columns,
+)
 from rkhstest.kernels import CompositeKernel, GaussianRBF
 from rkhstest.simulation import (
     DgpSpec,
@@ -101,21 +105,38 @@ class TestRegistry:
         assert isinstance(inst, SeriesInstrumentPlan)
         # higher orders on the three restricted coordinates, everything on the rest
         assert len(inst.test_pairs) == 3 * 9 + 7 * 10
-        assert inst.projection_pairs == ((0, 1), (1, 1), (2, 1))
-        assert len(plan.fit_terms) == 3
+        assert len(plan.r0.terms) == 3
 
     def test_linall_plan_shapes(self):
         plan = null_kernel_for("LinAll", k=10)
         assert len(plan.instruments.test_pairs) == 90
-        assert len(plan.instruments.projection_pairs) == 10
+        assert len(plan.r0.terms) == 10
 
     def test_linpoly_plan_shapes(self):
         plan = null_kernel_for("LinPoly", k=10)
         inst = plan.instruments
         assert len(inst.test_pairs) == 9
         assert all(coord == 0 and v >= 2 for coord, v in inst.test_pairs)
-        assert len(inst.projection_pairs) == 1 + 9 * 10
-        assert len(plan.fit_terms) == 10
+        assert len(plan.r0.terms) == 10
+
+    @pytest.mark.parametrize(
+        "name, pairs",
+        [
+            ("Lin1", ((0, 1),)),
+            ("Lin2", ((0, 1), (1, 1))),
+            ("Lin3", ((0, 1), (1, 1), (2, 1))),
+            ("LinAll", tuple((c, 1) for c in range(10))),
+            ("LinPoly", ((0, 1),) + tuple((c, v) for c in range(1, 10) for v in range(1, 11))),
+        ],
+    )
+    def test_null_features_are_the_series_projection_columns(self, name, pairs):
+        # the series plans once listed their projection columns as (coord,
+        # order) pairs; r0's feature map gives the same columns bit for bit
+        plan = null_kernel_for(name, k=10)
+        x = np.random.default_rng(10).uniform(-2, 2, (25, 10))
+        assert np.array_equal(
+            plan.r0.feature_matrix(x), series_feature_columns(x, plan.instruments.kernel, pairs)
+        )
 
     def test_bivariate_plans(self):
         lin1 = null_kernel_for("Lin1NonLin")
