@@ -2,7 +2,8 @@
 
 Writes a synthetic CSV and configs to a scratch directory, then drives the
 ``fit``, ``test`` and ``simulate`` subcommands through the same entry point
-the console script uses, and shows the emitted files.
+the console script uses, and shows the emitted files.  The scratch directory
+is removed when the demo ends.
 """
 
 import tempfile
@@ -12,7 +13,8 @@ import numpy as np
 
 from rkhstest.cli import main
 
-root = Path(tempfile.mkdtemp(prefix="rkhstest_demo_"))
+workdir = tempfile.TemporaryDirectory(prefix="rkhstest_demo_")
+root = Path(workdir.name)
 print(f"working in {root}\n")
 
 rng = np.random.default_rng(5)
@@ -84,3 +86,4 @@ print("study table:")
 print((root / "study" / "rejections.txt").read_text())
 print("every run also echoes its resolved config:")
 print((root / "study" / "config.yaml").read_text().splitlines()[0], "...")
+workdir.cleanup()

@@ -47,7 +47,6 @@ from .estimators import (
 )
 from .inference import (
     HypothesisPlan,
-    InstrumentSet,
     SectionInstrumentPlan,
     SeriesInstrumentPlan,
     TestResult,

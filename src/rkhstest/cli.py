@@ -220,6 +220,8 @@ def _validate(config: RunConfig) -> None:
     mode = config.test.instrument_mode
     if mode not in ("series_features", "gram_columns", "kernel_sections_normalized"):
         raise ConfigError(f"unknown instrument mode {mode!r}")
+    if mode == "series_features" and config.test.r is not None:
+        raise ConfigError("test.r counts kernel sections; series_features mode takes test.features")
     if config.command == "test" and mode != "series_features" and "r1" not in config.kernels:
         raise ConfigError(f"instrument mode {mode!r} needs kernels.r1")
 
@@ -499,7 +501,6 @@ def _run_test(config: RunConfig) -> list[Path]:
         covariance=config.test.covariance,
         n_draws=config.test.null_draws,
         rng=config.seed if config.seed is not None else 0,
-        instrument_count=config.test.r,
     )
     return emit_results(result, config.out, config)
 

@@ -73,6 +73,13 @@ class GramEigen:
     def thin(self) -> bool:
         return self.vectors.shape[1] < self.vectors.shape[0]
 
+    def inverse(self, rho: float) -> np.ndarray:
+        """1 / (kappa + rho) per eigenvalue; at rho = 0 the pseudo-inverse,
+        which is zero at eigenvalues at or below the rank cutoff."""
+        if rho == 0.0:
+            return np.where(self.values > self.cutoff, 1.0 / np.maximum(self.values, 1e-300), 0.0)
+        return 1.0 / (np.maximum(self.values, 0.0) + rho)
+
 
 def gram_eigen(gram: np.ndarray, features: np.ndarray | None = None) -> GramEigen:
     """Eigenpairs of ``gram``, or the thin ones of F F' from its features F.
@@ -102,11 +109,7 @@ def fit_ridge(gram: np.ndarray, y: np.ndarray, rho: float) -> np.ndarray:
 
 def _ridge_from_eigen(eig: GramEigen, y: np.ndarray, rho: float) -> np.ndarray:
     c = eig.vectors.T @ y
-    if rho == 0.0:
-        inv = np.where(eig.values > eig.cutoff, 1.0 / np.maximum(eig.values, 1e-300), 0.0)
-    else:
-        inv = 1.0 / (np.maximum(eig.values, 0.0) + rho)
-    a = eig.vectors @ (inv * c)
+    a = eig.vectors @ (eig.inverse(rho) * c)
     if rho > 0.0 and eig.thin:
         # off a thin basis the Gram is zero, so (C + rho I)^{-1} acts as 1/rho
         a += (y - eig.vectors @ c) / rho

@@ -16,7 +16,7 @@ from typing import Sequence
 import numpy as np
 import scipy.linalg
 
-from .estimators import FitConfig, _fit_by_solver
+from .estimators import FitConfig, GramEigen, _fit_by_solver, gram_eigen
 from .kernels import Kernel, SeriesKernel, _as_sample, gram_matrix
 from .losses import LossSpec
 
@@ -24,7 +24,6 @@ __all__ = [
     "default_projection_rho",
     "build_instruments",
     "series_feature_columns",
-    "InstrumentSet",
     "project_instruments",
     "project_on_features",
     "orthogonality_defect",
@@ -82,16 +81,17 @@ def build_instruments(
     mode: str,
     *,
     kernel: Kernel | None = None,
-    anchors=None,
     anchor_indices=None,
 ) -> np.ndarray:
     """Raw instrument matrix (n, R) of kernel sections, in one of two modes.
 
+    Both modes take their sections at the sample points ``anchor_indices``
+    (default: all points).
+
     gram_columns
-        columns C_R1(X_i, X_j) at ``anchor_indices`` (default: all points).
+        columns C_R1(X_i, X_j).
     kernel_sections_normalized
-        columns C_R1(X_i, z_r) / sqrt(C_R1(z_r, z_r)) at ``anchors`` points
-        or ``anchor_indices`` into the sample.
+        columns C_R1(X_i, X_j) / sqrt(C_R1(X_j, X_j)).
 
     Series-feature instruments come from :func:`series_feature_columns`.
     """
@@ -99,17 +99,11 @@ def build_instruments(
     n = x.shape[0]
     if kernel is None:
         raise ValueError(f"{mode} mode needs the alternative kernel")
+    idx = np.arange(n) if anchor_indices is None else np.asarray(anchor_indices)
+    z = x[idx]
     if mode == "gram_columns":
-        idx = np.arange(n) if anchor_indices is None else np.asarray(anchor_indices)
-        return kernel.gram(x, x[idx])
+        return kernel.gram(x, z)
     if mode == "kernel_sections_normalized":
-        if anchors is not None:
-            z = np.asarray(anchors, dtype=float)
-            if z.ndim == 1:
-                z = z[:, None]
-        else:
-            idx = np.arange(n) if anchor_indices is None else np.asarray(anchor_indices)
-            z = x[idx]
         diag = np.array([kernel.eval(z[r], z[r]) for r in range(z.shape[0])])
         if np.any(diag <= 0):
             raise ValueError("cannot normalize a section with C(z, z) <= 0")
@@ -117,76 +111,72 @@ def build_instruments(
     raise ValueError(f"unknown instrument mode {mode!r}")
 
 
-@dataclass
-class InstrumentSet:
-    """Raw and nuisance-projected instrument columns."""
-
-    raw: np.ndarray
-    projected: np.ndarray
-    proj_rho: float
-
-    @property
-    def count(self) -> int:
-        return self.raw.shape[1]
-
-
-def _weighted_least_squares(design, s_diag, targets):
-    """Min-norm solution of the S-weighted least squares problem."""
-    root = np.sqrt(s_diag)
-    coeff, *_ = scipy.linalg.lstsq(design * root[:, None], targets * root[:, None])
-    return coeff
-
-
-def project_instruments(
-    c0: np.ndarray, s_diag, raw: np.ndarray, proj_rho: float
-) -> InstrumentSet:
-    """Residualize instruments on the null-space Gram columns.
-
-    For each column c the coefficient b minimizes
-    (c - C0 b)' S (c - C0 b) + rho b' C0 b, i.e. b = (C0 + rho S^{-1})^{-1} c
-    for rho > 0; rho = 0 uses the weighted pseudo-inverse solve, making the
-    projected column exactly S-orthogonal to the column space of C0.
-    """
-    c0 = np.asarray(c0, dtype=float)
-    raw = np.atleast_2d(np.asarray(raw, dtype=float))
+def _check_projection(s_diag, proj_rho: float) -> np.ndarray:
+    """The weights as an array, after the checks every projection route shares."""
     s_diag = np.asarray(s_diag, dtype=float)
     if np.any(s_diag <= 0):
         raise ValueError("projection weights must be positive")
     if proj_rho < 0:
         raise ValueError("projection penalty must be nonnegative")
+    return s_diag
+
+
+def _smooth(eig: GramEigen, targets: np.ndarray, rho: float) -> np.ndarray:
+    """C (C + rho I)^{-1} targets for the C whose eigenpairs are ``eig``.
+
+    That is U diag(kappa / (kappa + rho)) U' targets, thin or full, since C
+    vanishes off a thin basis; at rho = 0 it is the projection onto the
+    column space of C, with eigenvalues at or below the rank cutoff counted
+    as zero.
+    """
+    shrink = np.maximum(eig.values, 0.0) * eig.inverse(rho)
+    return eig.vectors @ (shrink[:, None] * (eig.vectors.T @ targets))
+
+
+def project_instruments(
+    c0: np.ndarray, s_diag, raw: np.ndarray, proj_rho: float
+) -> np.ndarray:
+    """Residualize instruments on the null-space Gram columns.
+
+    For each column c the coefficient b minimizes
+    (c - C0 b)' S (c - C0 b) + rho b' C0 b, i.e. b = (C0 + rho S^{-1})^{-1} c
+    for rho > 0; rho = 0 removes the S-weighted projection onto the column
+    space of C0, so the projected column is S-orthogonal to that space.
+    Returns the projected (n, R) matrix.
+    """
+    c0 = np.asarray(c0, dtype=float)
+    raw = np.atleast_2d(np.asarray(raw, dtype=float))
+    s_diag = _check_projection(s_diag, proj_rho)
     if proj_rho == 0.0:
-        coeff = _weighted_least_squares(c0, s_diag, raw)
-    else:
-        system = c0 + proj_rho * np.diag(1.0 / s_diag)
-        coeff = scipy.linalg.solve(system, raw, assume_a="pos")
-    projected = raw - c0 @ coeff
-    return InstrumentSet(raw=raw, projected=projected, proj_rho=float(proj_rho))
+        # S^{1/2} C0 S^{1/2} spans S^{1/2} col(C0) on the scale of C0
+        root = np.sqrt(s_diag)[:, None]
+        return raw - _smooth(gram_eigen(root * c0 * root.T), root * raw, 0.0) / root
+    system = c0 + proj_rho * np.diag(1.0 / s_diag)
+    coeff = scipy.linalg.solve(system, raw, assume_a="pos")
+    return raw - c0 @ coeff
 
 
 def project_on_features(
     basis: np.ndarray, s_diag, raw: np.ndarray, proj_rho: float
-) -> InstrumentSet:
+) -> np.ndarray:
     """Residualize instruments on the columns of a feature matrix F.
 
     The penalty acts on the squared coefficients.  With F F' = C0 this is
     :func:`project_instruments` on C0 (b = F'S(C0 S + rho I)^{-1} c by the
     push-through identity), at O(n p^2) in place of an n x n solve.
+    Returns the projected (n, R) matrix.
     """
     basis = np.asarray(basis, dtype=float)
     raw = np.atleast_2d(np.asarray(raw, dtype=float))
-    s_diag = np.asarray(s_diag, dtype=float)
-    if np.any(s_diag <= 0):
-        raise ValueError("projection weights must be positive")
-    if proj_rho < 0:
-        raise ValueError("projection penalty must be nonnegative")
+    s_diag = _check_projection(s_diag, proj_rho)
     if proj_rho == 0.0:
-        coeff = _weighted_least_squares(basis, s_diag, raw)
-    else:
-        weighted = basis * s_diag[:, None]
-        system = basis.T @ weighted + proj_rho * np.eye(basis.shape[1])
-        coeff = scipy.linalg.solve(system, weighted.T @ raw, assume_a="pos")
-    projected = raw - basis @ coeff
-    return InstrumentSet(raw=raw, projected=projected, proj_rho=float(proj_rho))
+        # the thin SVD of S^{1/2} F gives the eigenpairs of S^{1/2} C0 S^{1/2}
+        root = np.sqrt(s_diag)[:, None]
+        return raw - _smooth(gram_eigen(None, root * basis), root * raw, 0.0) / root
+    weighted = basis * s_diag[:, None]
+    system = basis.T @ weighted + proj_rho * np.eye(basis.shape[1])
+    coeff = scipy.linalg.solve(system, weighted.T @ raw, assume_a="pos")
+    return raw - basis @ coeff
 
 
 def orthogonality_defect(span: np.ndarray, s_diag, projected: np.ndarray) -> float:
@@ -223,10 +213,9 @@ def residual_null_score(span: np.ndarray, s_diag, e0: np.ndarray) -> float:
     return math.sqrt(e0.shape[0]) * float(np.max(cosines)) / e_norm
 
 
-def test_statistic(e0: np.ndarray, instruments) -> float:
+def test_statistic(e0: np.ndarray, instruments: np.ndarray) -> float:
     """Quadratic moment statistic (1/R) sum_r (n^{-1/2} e0'h_r)^2."""
-    h = instruments.projected if isinstance(instruments, InstrumentSet) else instruments
-    h = np.atleast_2d(np.asarray(h, dtype=float))
+    h = np.atleast_2d(np.asarray(instruments, dtype=float))
     e0 = np.asarray(e0, dtype=float)
     n, r = h.shape
     s = h.T @ e0 / math.sqrt(n)
@@ -235,7 +224,7 @@ def test_statistic(e0: np.ndarray, instruments) -> float:
 
 def covariance_estimate(
     e0: np.ndarray,
-    instruments,
+    instruments: np.ndarray,
     s_diag=None,
     variant: str = "product_form",
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -246,8 +235,7 @@ def covariance_estimate(
     Returns (Sigma, spectrum) where the spectrum holds the eigenvalues of
     Sigma / R in descending order, clipped at zero.
     """
-    h = instruments.projected if isinstance(instruments, InstrumentSet) else instruments
-    h = np.atleast_2d(np.asarray(h, dtype=float))
+    h = np.atleast_2d(np.asarray(instruments, dtype=float))
     e0 = np.asarray(e0, dtype=float)
     n, r = h.shape
     if variant == "product_form":
@@ -405,32 +393,23 @@ class TestResult:
 
 
 def _project_on_null(model, r0, x, s_diag, raw, rho):
-    """Project the instruments off span(r0); return them and that span.
+    """Project the instruments off span(r0); return the projection and that span.
 
     The span is r0's feature columns, or its Gram when r0 has no feature
     map.  The fit's terms are r0's, so its eigenbasis and Gram are r0's.
     """
+    s_diag = _check_projection(s_diag, rho)
     features = span = r0.feature_matrix(x)
     if span is None:
         span = model.gram if model.gram is not None else gram_matrix(r0, x)
     if model.eigen is not None and np.all(s_diag == s_diag[0]):
-        # C0 (C0 + rho/s I)^{-1} = U diag(kappa * inv) U' in the cached
-        # eigenbasis, thin or full, since C0 vanishes off a thin basis;
-        # rho = 0 becomes the projection onto the column space
-        s0 = float(s_diag[0])
-        eig = model.eigen
-        kappa = np.maximum(eig.values, 0.0)
-        if rho > 0:
-            inv = 1.0 / (kappa + rho / s0)
-        else:
-            inv = np.where(eig.values > eig.cutoff, 1.0 / np.maximum(kappa, 1e-300), 0.0)
-        projected = raw - eig.vectors @ ((kappa * inv)[:, None] * (eig.vectors.T @ raw))
-        instruments = InstrumentSet(raw=raw, projected=projected, proj_rho=float(rho))
+        # with S = s I the penalized residual is raw - C0 (C0 + rho/s I)^{-1} raw
+        projected = raw - _smooth(model.eigen, raw, rho / float(s_diag[0]))
     elif features is not None:
-        instruments = project_on_features(features, s_diag, raw, rho)
+        projected = project_on_features(features, s_diag, raw, rho)
     else:
-        instruments = project_instruments(span, s_diag, raw, rho)
-    return instruments, span
+        projected = project_instruments(span, s_diag, raw, rho)
+    return projected, span
 
 
 def run_test(
@@ -495,14 +474,14 @@ def run_test(
         idx = _evenly_spaced_indices(n, count) if count is not None else None
         section_kernel = plan.r0 + plan.r1 if plan.r1 is not None else None
         raw = build_instruments(x, spec.mode, kernel=section_kernel, anchor_indices=idx)
-    instruments, null_span = _project_on_null(model, plan.r0, x, s_diag, raw, rho)
+    projected, null_span = _project_on_null(model, plan.r0, x, s_diag, raw, rho)
 
     ortho = None
     if isinstance(spec, SeriesInstrumentPlan) or diagnostics:
-        ortho = orthogonality_defect(null_span, s_diag, instruments.projected)
+        ortho = orthogonality_defect(null_span, s_diag, projected)
 
-    statistic = test_statistic(e0, instruments)
-    _, spectrum = covariance_estimate(e0, instruments, s_diag, covariance)
+    statistic = test_statistic(e0, projected)
+    _, spectrum = covariance_estimate(e0, projected, s_diag, covariance)
     naive_statistic = test_statistic(e0, raw)
     _, naive_spectrum = covariance_estimate(e0, raw, s_diag, covariance)
 
@@ -515,7 +494,7 @@ def run_test(
         spectrum=spectrum,
         null_draws=draws,
         p_value=p_value(statistic, draws),
-        r_count=instruments.count,
+        r_count=raw.shape[1],
         scaling_note=SCALING_NOTE,
         naive_statistic=naive_statistic,
         naive_spectrum=naive_spectrum,
@@ -536,6 +515,6 @@ def run_test(
             "covariance": covariance,
             "n_draws": n_draws,
             "n": n,
-            "r_count": instruments.count,
+            "r_count": raw.shape[1],
         },
     )

@@ -146,8 +146,7 @@ class LinearKernel(Kernel):
 class GaussianRBF(Kernel):
     """C(s, t) = scale * exp{-sum_j (s_j - t_j)^2 / (2 a^2)} with lengthscale a.
 
-    The rate form exp{-r * |s - t|^2} corresponds to a = 1 / sqrt(2 r); use
-    :meth:`from_rate` to convert.
+    The rate form exp{-r * |s - t|^2} corresponds to a = 1 / sqrt(2 r).
     """
 
     lengthscale: float = 1.0
@@ -158,10 +157,6 @@ class GaussianRBF(Kernel):
         if self.lengthscale <= 0:
             raise ValueError("lengthscale must be positive")
         super().__post_init__()
-
-    @classmethod
-    def from_rate(cls, rate: float, scale: float = 1.0) -> "GaussianRBF":
-        return cls(lengthscale=1.0 / math.sqrt(2.0 * rate), scale=scale)
 
     def eval(self, s, t) -> float:
         s = _as_point(s, self.dim)

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import astuple, dataclass, field
 
 import numpy as np
 
@@ -295,20 +295,6 @@ class RejectionRow:
     mc_se: float
     replicates: int
 
-    def csv_fields(self) -> tuple:
-        return (
-            self.design,
-            self.null,
-            self.n,
-            self.rho,
-            self.snr,
-            self.size,
-            self.freq_no_pi,
-            self.freq_pi,
-            self.mc_se,
-            self.replicates,
-        )
-
 
 @dataclass
 class RejectionTable:
@@ -331,7 +317,7 @@ class RejectionTable:
     def to_csv(self) -> str:
         lines = [REJECTION_CSV_HEADER]
         for row in self.rows:
-            lines.append(",".join(repr(v) if isinstance(v, float) else str(v) for v in row.csv_fields()))
+            lines.append(",".join(repr(v) if isinstance(v, float) else str(v) for v in astuple(row)))
         return "\n".join(lines) + "\n"
 
     def to_text(self) -> str:

@@ -274,7 +274,7 @@ class TestCriterion6PropertySuite:
         raw = rng.normal(size=(30, 5))
         inst = project_instruments(c0, np.ones(30), raw, 0.0)
         checks["orthogonality <= 1e-8 at rho=0"] = (
-            orthogonality_defect(c0, np.ones(30), inst.projected) <= 1e-8
+            orthogonality_defect(c0, np.ones(30), inst) <= 1e-8
         )
 
         kern = polynomial_series(10, 2.2)

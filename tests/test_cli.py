@@ -72,6 +72,18 @@ class TestParseConfig:
                 command="test",
             )
 
+    def test_section_count_in_series_mode_is_an_error(self, tmp_path):
+        # test.r counts kernel sections; series instruments are test.features
+        data = tmp_path / "d.csv"
+        data.write_text("y,x1,x2,x3\n1.0,2.0,3.0,4.0\n")
+        with pytest.raises(ConfigError, match=re.escape("test.r")):
+            parse_config(
+                f"kernels: {{r0: {{kind: linear}}}}\ndata: {{path: {data}}}\n"
+                "test: {instrument_mode: series_features, r: 5,"
+                " features: [[0, 2, 6], [1, 2, 6], [2, 2, 6]]}\n",
+                command="test",
+            )
+
     def test_readme_configs_parse(self, tmp_path):
         # every YAML example in the README must pass strict validation
         readme = Path(__file__).resolve().parent.parent / "README.md"
@@ -358,6 +370,23 @@ class TestCommands:
         assert rc == 1
         assert captured.err.startswith("error:")
         assert "'logistic'" in captured.err
+
+    def test_negative_projection_penalty_with_ridge_solver_is_an_error(self, tmp_path, capsys):
+        # the ridge fit projects through its cached eigenbasis, which must
+        # reject a negative penalty as the other routes do
+        data = tmp_path / "d.csv"
+        _write_dataset(data)
+        cfg = tmp_path / "cfg.yaml"
+        cfg.write_text(
+            TEST_CONFIG.replace("fit: {", "fit: {solver: ridge_closed_form, ")
+            .replace("  null_draws: 400", "  null_draws: 400\n  proj_rho: -1")
+            + f"data: {{path: {data}}}\n"
+        )
+        rc = main(["test", "--config", str(cfg), "--out", str(tmp_path / "out")])
+        captured = capsys.readouterr()
+        assert rc == 1
+        assert captured.err.startswith("error:")
+        assert "nonnegative" in captured.err
 
     def test_replicates_flag_override(self, tmp_path):
         cfg = tmp_path / "sim.yaml"

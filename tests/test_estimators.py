@@ -9,6 +9,7 @@ from gram_only import GramOnly, HornerPolynomial
 from rkhstest.estimators import (
     BINDING_RTOL,
     FitConfig,
+    GramEigen,
     budget_norm_sq,
     fit_constrained_ridge,
     fit_ridge,
@@ -563,6 +564,13 @@ class TestFeaturePath:
         assert np.all(np.diff(thin.values) >= 0)
         assert np.allclose(thin.values, full.values[-3:], rtol=1e-12)
         assert np.max(np.abs(full.values[:-3])) <= 1e-12 * full.values[-1]
+
+    def test_inverse_drops_eigenvalues_at_the_cutoff(self):
+        eig = GramEigen(values=np.array([-1e-15, 0.0, 2e-12, 0.5, 2.0]), vectors=np.eye(5))
+        assert eig.cutoff == 2e-12
+        # at rho = 0 an eigenvalue equal to the cutoff counts as zero
+        assert np.array_equal(eig.inverse(0.0), [0.0, 0.0, 0.0, 2.0, 0.5])
+        assert np.array_equal(eig.inverse(0.25), 1.0 / (np.array([0.0, 0.0, 2e-12, 0.5, 2.0]) + 0.25))
 
 
 class TestAdditiveModel:

@@ -4,6 +4,8 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import stats
 
 from rkhstest import inference
@@ -35,6 +37,7 @@ from rkhstest.kernels import (
     polynomial_series,
 )
 from rkhstest.losses import loss_by_name, poisson_loss, rescaled_square_loss, square_loss
+from rkhstest.simulation import gen_covariates, gen_response, null_kernel_for
 
 RNG = np.random.default_rng(99)
 
@@ -64,14 +67,14 @@ class TestProjection:
         c0 = c0 @ c0.T
         col = c0 @ rng.normal(size=(6, 1))
         inst = project_instruments(c0, np.ones(6), col, 0.0)
-        assert np.linalg.norm(inst.projected) <= 1e-8 * np.linalg.norm(col)
+        assert np.linalg.norm(inst) <= 1e-8 * np.linalg.norm(col)
 
     def test_orthogonal_column_untouched(self):
         v = np.array([1.0, 1.0, 0.0, 0.0])
         c0 = np.outer(v, v)
         col = np.array([[0.0], [0.0], [1.0], [-1.0]])
         inst = project_instruments(c0, np.ones(4), col, 0.0)
-        assert np.allclose(inst.projected, col, atol=1e-12)
+        assert np.allclose(inst, col, atol=1e-12)
 
     def test_penalized_first_order_conditions_oracle(self):
         rng = np.random.default_rng(2)
@@ -86,7 +89,7 @@ class TestProjection:
         lhs = c0 @ np.diag(s) @ c0 + rho * c0
         rhs = c0 @ (s * col[:, 0])
         b = np.linalg.solve(lhs, rhs)
-        assert np.allclose(inst.projected[:, 0], col[:, 0] - c0 @ b, atol=1e-8)
+        assert np.allclose(inst[:, 0], col[:, 0] - c0 @ b, atol=1e-8)
 
     def test_projection_never_increases_weighted_objective(self):
         rng = np.random.default_rng(3)
@@ -97,7 +100,7 @@ class TestProjection:
         for rho in (0.0, 0.2, 5.0):
             inst = project_instruments(c0, s, raw, rho)
             for r in range(3):
-                resid = inst.projected[:, r]
+                resid = inst[:, r]
                 assert resid @ (s * resid) <= raw[:, r] @ (s * raw[:, r]) + 1e-10
 
     def test_orthogonality_defect_at_zero_rho(self):
@@ -105,7 +108,7 @@ class TestProjection:
         basis = rng.normal(size=(30, 3))
         raw = rng.normal(size=(30, 5)) + basis @ rng.normal(size=(3, 5))
         inst = project_on_features(basis, np.ones(30), raw, 0.0)
-        assert orthogonality_defect(basis, np.ones(30), inst.projected) <= 1e-8
+        assert orthogonality_defect(basis, np.ones(30), inst) <= 1e-8
 
     def test_gram_mode_orthogonality_at_zero_rho(self):
         rng = np.random.default_rng(5)
@@ -113,7 +116,7 @@ class TestProjection:
         c0 = c0 @ c0.T  # rank 4
         raw = rng.normal(size=(12, 3))
         inst = project_instruments(c0, np.ones(12), raw, 0.0)
-        assert orthogonality_defect(c0, np.ones(12), inst.projected) <= 1e-8
+        assert orthogonality_defect(c0, np.ones(12), inst) <= 1e-8
 
     def test_negative_rho_rejected(self):
         with pytest.raises(ValueError, match="nonnegative"):
@@ -122,6 +125,59 @@ class TestProjection:
     def test_weights_positive(self):
         with pytest.raises(ValueError, match="positive"):
             project_instruments(np.eye(2), np.array([1.0, 0.0]), np.ones((2, 1)), 0.1)
+
+    @pytest.mark.parametrize("solver", ["ridge_closed_form", "greedy"])
+    def test_negative_rho_rejected_by_every_solver(self, solver):
+        # the ridge fit projects through its cached eigenbasis, the greedy fit
+        # through r0's features; both routes share one input check
+        rng = np.random.default_rng(7)
+        x = gen_covariates(200, 2, 0.0, "geometric", rng)
+        y, _, _ = gen_response(x, "Bivariate", 1.0, rng)
+        cfg = FitConfig(budget=10.0 * float(np.std(y)), solver=solver, iterations=50)
+        with pytest.raises(ValueError, match="nonnegative"):
+            run_test(
+                x, y, null_kernel_for("BivLinAll", k=2), rescaled_square_loss(), cfg,
+                proj_rho=-5.0, n_draws=200, instrument_count=50,
+            )
+
+    @settings(max_examples=40, deadline=None, derandomize=True, database=None)
+    @given(data=st.data())
+    def test_routes_agree_on_random_null_kernels(self, data):
+        # the ridge fit's eigenbasis, r0's feature columns and the Gram F F'
+        # are three routes to one penalized projection off span(r0)
+        draw = data.draw
+        n = draw(st.integers(20, 60), label="n")
+        terms = []
+        for kind in draw(st.lists(st.sampled_from(["constant", "linear", "series"]),
+                                  min_size=1, max_size=4), label="kinds"):
+            scale = draw(st.floats(0.2, 3.0))
+            if kind == "constant":
+                terms.append((ConstantKernel(scale), None))
+            elif kind == "linear":
+                terms.append((LinearKernel(scale), draw(st.sampled_from([(0,), (1,), (0, 1)]))))
+            else:
+                series = polynomial_series(draw(st.integers(2, 4)), draw(st.floats(1.5, 3.0)))
+                terms.append((series, (draw(st.integers(0, 1)),)))
+        r0 = CompositeKernel(tuple(terms))
+        rho = draw(st.sampled_from([0.0]) | st.floats(1e-3, 10.0), label="rho")
+        s_diag = np.full(n, draw(st.floats(0.2, 3.0), label="s"))
+        rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1), label="seed"))
+        x = rng.uniform(-2, 2, (n, 2))
+        y = x[:, 0] + rng.normal(size=n)
+        raw = rng.normal(size=(n, draw(st.integers(1, 5), label="R")))
+        model = fit_constrained_ridge(r0, x, y, rho=1.0)
+        features = r0.feature_matrix(x)
+        routes = {
+            "eigenbasis": lambda h: _project_on_null(model, r0, x, s_diag, h, rho)[0],
+            "features": lambda h: project_on_features(features, s_diag, h, rho),
+            "gram": lambda h: project_instruments(features @ features.T, s_diag, h, rho),
+        }
+        reference = routes["gram"](raw)
+        for project in routes.values():
+            once = project(raw)
+            assert np.max(np.abs(once - reference)) <= 1e-10 * np.max(np.abs(raw))
+            if rho == 0.0:
+                assert np.max(np.abs(project(once) - once)) <= 1e-12
 
 
 class TestBuildInstruments:
@@ -136,9 +192,8 @@ class TestBuildInstruments:
     def test_normalized_section_with_unit_diagonal(self):
         k = LinearKernel(1.0)
         x = RNG.uniform(-2, 2, (6, 1))
-        cols = build_instruments(
-            x, "kernel_sections_normalized", kernel=k, anchors=np.array([[1.0]])
-        )
+        x[2, 0] = 1.0
+        cols = build_instruments(x, "kernel_sections_normalized", kernel=k, anchor_indices=[2])
         assert np.allclose(cols[:, 0], x[:, 0], rtol=1e-12)
 
     def test_gram_columns_full_set(self):
@@ -151,10 +206,10 @@ class TestBuildInstruments:
         k = LinearKernel(1.0)
         with pytest.raises(ValueError, match="normalize"):
             build_instruments(
-                np.ones((3, 1)),
+                np.array([[1.0], [0.0], [1.0]]),
                 "kernel_sections_normalized",
                 kernel=k,
-                anchors=np.array([[0.0]]),
+                anchor_indices=[1],
             )
 
 
@@ -412,9 +467,9 @@ class TestRunTest:
         ones = np.ones(n)
         once, _ = _project_on_null(model, r0, x, ones, raw, 0.0)
         span = np.column_stack([ones, x])
-        assert orthogonality_defect(span, ones, once.projected) <= 1e-10
-        twice, _ = _project_on_null(model, r0, x, ones, once.projected, 0.0)
-        assert np.max(np.abs(twice.projected - once.projected)) <= 1e-12
+        assert orthogonality_defect(span, ones, once) <= 1e-10
+        twice, _ = _project_on_null(model, r0, x, ones, once, 0.0)
+        assert np.max(np.abs(twice - once)) <= 1e-12
 
     def test_section_plan_full_pipeline(self):
         rng = np.random.default_rng(19)
