@@ -16,7 +16,7 @@ from typing import Sequence
 import numpy as np
 import scipy.linalg
 
-from .estimators import FitConfig, GramEigen, _fit_by_solver, gram_eigen
+from .estimators import _EIG_CUTOFF, FitConfig, GramEigen, _fit_by_solver, gram_eigen
 from .kernels import Kernel, SeriesKernel, _as_sample, gram_matrix
 from .losses import LossSpec
 
@@ -111,13 +111,17 @@ def build_instruments(
     raise ValueError(f"unknown instrument mode {mode!r}")
 
 
+def _check_penalty(proj_rho: float) -> None:
+    if proj_rho < 0:
+        raise ValueError("projection penalty must be nonnegative")
+
+
 def _check_projection(s_diag, proj_rho: float) -> np.ndarray:
     """The weights as an array, after the checks every projection route shares."""
     s_diag = np.asarray(s_diag, dtype=float)
     if np.any(s_diag <= 0):
         raise ValueError("projection weights must be positive")
-    if proj_rho < 0:
-        raise ValueError("projection penalty must be nonnegative")
+    _check_penalty(proj_rho)
     return s_diag
 
 
@@ -255,7 +259,10 @@ def covariance_estimate(
 def simulate_null(spectrum, n_draws: int, rng) -> np.ndarray:
     """Draws of sum_k omega_k N_k^2 with independent standard normals.
 
-    Deterministic given the generator state (or integer seed).
+    Deterministic given the generator state (or integer seed).  Weights at
+    or below the rank cutoff (1e-12 of the top weight) are pure rounding and
+    get no normal, so they cannot shift which normals the other weights
+    receive.
     """
     omega = np.asarray(spectrum, dtype=float)
     if np.any(omega < 0):
@@ -264,7 +271,7 @@ def simulate_null(spectrum, n_draws: int, rng) -> np.ndarray:
         raise ValueError("need at least one draw")
     if not isinstance(rng, np.random.Generator):
         rng = np.random.default_rng(rng)
-    active = omega[omega > 0]
+    active = omega[omega > _EIG_CUTOFF * omega.max(initial=0.0)]
     if active.size == 0:
         return np.zeros(n_draws)
     out = np.empty(n_draws)
@@ -324,6 +331,11 @@ class HypothesisPlan:
     instruments: SeriesInstrumentPlan | SectionInstrumentPlan
 
 
+def _monte_carlo_se(p: float, draws: int) -> float:
+    """Standard error sqrt(p(1-p)/B) of a p-value from B null draws."""
+    return math.sqrt(p * (1.0 - p) / draws)
+
+
 def _evenly_spaced_indices(n: int, count: int) -> np.ndarray:
     if count >= n:
         return np.arange(n)
@@ -340,6 +352,7 @@ class TestResult:
     the columns of its Gram when r0 has no feature map.  A non-binding fit
     with a score near 0 has reached the least-squares identity, under
     which the uncorrected test is conservative rather than liberal.
+    ``to_record`` adds the Monte Carlo standard error of each p-value.
     """
 
     statistic: float
@@ -363,10 +376,14 @@ class TestResult:
         return {
             "statistic": self.statistic,
             "p_value": self.p_value,
+            "p_value_se": _monte_carlo_se(self.p_value, self.null_draws.size),
             "r_count": self.r_count,
             "spectrum": [float(w) for w in self.spectrum],
             "naive_statistic": self.naive_statistic,
             "naive_p_value": self.naive_p_value,
+            "naive_p_value_se": _monte_carlo_se(
+                self.naive_p_value, self.naive_null_draws.size
+            ),
             "naive_spectrum": [float(w) for w in self.naive_spectrum],
             "proj_rho": self.proj_rho,
             "proj_rho_rule": self.proj_rho_rule,
@@ -435,6 +452,8 @@ def run_test(
     n^(-0.4)).  The uncorrected statistic (raw instruments in both the
     moment and the covariance) is always computed alongside.
     """
+    if proj_rho is not None:
+        _check_penalty(proj_rho)
     x = _as_sample(x, None)
     y = np.asarray(y, dtype=float)
     n = x.shape[0]

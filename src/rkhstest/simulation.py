@@ -9,11 +9,15 @@ frequencies for the corrected and uncorrected statistics.
 
 from __future__ import annotations
 
+import ctypes
 import math
+from collections.abc import Callable
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import astuple, dataclass, field
+from pathlib import Path
 
 import numpy as np
+import scipy
 
 from .estimators import FitConfig
 from .inference import (
@@ -394,17 +398,58 @@ def _replicate_safe(args):
         return rep, None, f"replicate {rep}: {type(exc).__name__}: {exc}"
 
 
+def _openblas_thread_controls() -> list[tuple[str, Callable[[], int], Callable[[int], None]]]:
+    """(library name, get, set) thread-count functions of each bundled OpenBLAS.
+
+    The numpy and scipy wheels each bundle their own OpenBLAS: numpy's runs
+    ``np.linalg`` and matmul, scipy's runs ``scipy.linalg``.  Opening an
+    already loaded library by its path returns that library, so the
+    functions act on the copies the process computes with.  Empty when the
+    packages bundle none (a system or vendor BLAS).
+    """
+    controls = []
+    for package in (np, scipy):
+        libs = Path(package.__file__).parent.parent / f"{package.__name__}.libs"
+        for lib in sorted(libs.glob("libscipy_openblas*.so")):
+            try:
+                handle = ctypes.CDLL(str(lib))
+            except OSError:
+                continue
+            for suffix in ("64_", ""):
+                get = getattr(handle, f"scipy_openblas_get_num_threads{suffix}", None)
+                put = getattr(handle, f"scipy_openblas_set_num_threads{suffix}", None)
+                if get is not None and put is not None:
+                    get.argtypes, get.restype = [], ctypes.c_int
+                    put.argtypes, put.restype = [ctypes.c_int], None
+                    controls.append((lib.name, get, put))
+                    break
+    return controls
+
+
+def _blas_thread_counts() -> dict[str, int]:
+    """Thread count of each bundled OpenBLAS, by library name."""
+    return {name: int(get()) for name, get, _ in _openblas_thread_controls()}
+
+
+def _one_blas_thread() -> None:
+    """Pool initializer: one BLAS thread per worker, so n_jobs workers run
+    n_jobs threads rather than n_jobs times the default."""
+    for _, _, put in _openblas_thread_controls():
+        put(1)
+
+
 def run_monte_carlo(config: McConfig, n_jobs: int = 1) -> RejectionTable:
     """Run the study and tabulate rejection frequencies per nominal size.
 
     Replicate r draws all randomness from a stream keyed by
     (master_seed, r), so the table is identical however the replicates are
     scheduled.  Failed replicates are counted and reported, never silently
-    dropped.
+    dropped.  Pool workers run one BLAS thread each; the serial path keeps
+    the process's BLAS threads.
     """
     jobs = [(config, rep) for rep in range(config.replicates)]
     if n_jobs > 1:
-        with ProcessPoolExecutor(max_workers=n_jobs) as pool:
+        with ProcessPoolExecutor(max_workers=n_jobs, initializer=_one_blas_thread) as pool:
             outcomes = list(pool.map(_replicate_safe, jobs, chunksize=1))
     else:
         outcomes = [_replicate_safe(job) for job in jobs]

@@ -140,6 +140,18 @@ class TestProjection:
                 proj_rho=-5.0, n_draws=200, instrument_count=50,
             )
 
+    def test_negative_rho_rejected_before_the_fit(self, monkeypatch):
+        def no_fit(*args, **kwargs):
+            raise AssertionError("the restricted fit ran before the penalty check")
+
+        monkeypatch.setattr(inference, "_fit_by_solver", no_fit)
+        x = np.random.default_rng(3).uniform(-2, 2, (30, 2))
+        with pytest.raises(ValueError, match="projection penalty must be nonnegative"):
+            run_test(
+                x, x[:, 0], _toy_plan(), rescaled_square_loss(), FitConfig(budget=5.0),
+                proj_rho=-1.0,
+            )
+
     @settings(max_examples=40, deadline=None, derandomize=True, database=None)
     @given(data=st.data())
     def test_routes_agree_on_random_null_kernels(self, data):
@@ -320,6 +332,16 @@ class TestSimulatedNull:
         with pytest.raises(ValueError, match="nonnegative"):
             simulate_null([-0.1], 10, 0)
 
+    def test_rounding_weights_leave_draws_bit_identical(self):
+        # weights at 1e-17 of the top one are rounding noise in a spectrum;
+        # they must not change which normals the real weights receive
+        omega = np.array([0.9, 0.4, 0.1, 0.02])
+        noisy = np.insert(omega, [1, 3, 4], 1e-17 * omega[0])
+        assert np.array_equal(simulate_null(omega, 500, 5), simulate_null(noisy, 500, 5))
+
+    def test_empty_spectrum(self):
+        assert np.array_equal(simulate_null([], 20, 1), np.zeros(20))
+
 
 class TestPValue:
     def test_statistic_below_all_draws(self):
@@ -406,9 +428,11 @@ class TestRunTest:
         for key in (
             "statistic",
             "p_value",
+            "p_value_se",
             "spectrum",
             "naive_statistic",
             "naive_p_value",
+            "naive_p_value_se",
             "proj_rho",
             "budget_binding",
             "residual_null_score",
@@ -416,6 +440,8 @@ class TestRunTest:
             "config",
         ):
             assert key in record
+        for p, se in ((res.p_value, "p_value_se"), (res.naive_p_value, "naive_p_value_se")):
+            assert record[se] == pytest.approx(np.sqrt(p * (1 - p) / 300), rel=1e-12)
         assert res.r_count == 11
         assert res.statistic >= 0
         text = res.to_text()

@@ -1,5 +1,7 @@
 """Data generation, the hypothesis registry and the Monte Carlo harness."""
 
+from concurrent.futures import ProcessPoolExecutor
+
 import numpy as np
 import pytest
 
@@ -13,7 +15,9 @@ from rkhstest.simulation import (
     DgpSpec,
     McConfig,
     REJECTION_CSV_HEADER,
+    _blas_thread_counts,
     _correlation_matrix,
+    _one_blas_thread,
     gen_covariates,
     gen_response,
     null_kernel_for,
@@ -273,6 +277,25 @@ class TestMonteCarlo:
         assert serial.p_values.shape == (4,)
         for name in ("p_values", "naive_p_values", "budget_binding", "residual_null_scores"):
             assert np.array_equal(getattr(serial, name), getattr(parallel, name))
+
+    def test_workers_run_one_blas_thread(self):
+        parent = _blas_thread_counts()
+        if not parent:
+            pytest.skip("numpy and scipy bundle no OpenBLAS with a thread-count symbol")
+        with ProcessPoolExecutor(max_workers=1, initializer=_one_blas_thread) as pool:
+            worker = pool.submit(_blas_thread_counts).result(timeout=60)
+        assert worker == {name: 1 for name in parent}
+        mc = McConfig(
+            dgp=DgpSpec("Lin3", 40, 10, 0.0, "geometric", 1.0),
+            null_hypothesis="Lin3",
+            replicates=2,
+            sizes=(0.05,),
+            master_seed=3,
+            null_draws=200,
+            iterations=30,
+        )
+        run_monte_carlo(mc, n_jobs=2)
+        assert _blas_thread_counts() == parent
 
     def test_text_table_layout(self):
         mc = McConfig(
