@@ -218,7 +218,7 @@ def _validate(config: RunConfig) -> None:
     if config.command == "fit" and "r0" not in config.kernels:
         raise ConfigError("fit mode needs kernels.r0 (the model kernel)")
     mode = config.test.instrument_mode
-    if mode not in ("series_features", "gram_columns", "kernel_sections_normalized"):
+    if mode not in ("series_features", "kernel_sections_normalized"):
         raise ConfigError(f"unknown instrument mode {mode!r}")
     if mode == "series_features" and config.test.r is not None:
         raise ConfigError("test.r counts kernel sections; series_features mode takes test.features")
@@ -459,10 +459,7 @@ def _plan_from_config(config: RunConfig) -> HypothesisPlan:
             kernel=base, test_pairs=_expand_feature_ranges(settings.features)
         )
     else:
-        instruments = SectionInstrumentPlan(
-            count=settings.r,
-            normalized=settings.instrument_mode == "kernel_sections_normalized",
-        )
+        instruments = SectionInstrumentPlan(count=settings.r)
     return HypothesisPlan(name="config", r0=r0, r1=r1, instruments=instruments)
 
 

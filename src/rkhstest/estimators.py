@@ -11,8 +11,8 @@ Two solvers are provided:
 Both return an :class:`AdditiveModel`, which carries its in-sample fitted
 values and, where one was computed, the Gram and its eigendecomposition, so
 downstream testing code can reuse them.  For a kernel with a feature matrix
-F the decomposition is thin, taken from the SVD of F, and the Gram vanishes
-on the complement of its basis.
+F the decomposition is thin, taken from the SVD of F, and no n x n Gram is
+built: the Gram vanishes on the complement of the thin basis.
 """
 
 from __future__ import annotations
@@ -80,6 +80,20 @@ class GramEigen:
             return np.where(self.values > self.cutoff, 1.0 / np.maximum(self.values, 1e-300), 0.0)
         return 1.0 / (np.maximum(self.values, 0.0) + rho)
 
+    def smooth(self, targets: np.ndarray, rho: float) -> np.ndarray:
+        """C (C + rho I)^{-1} targets, for a vector or the columns of a matrix.
+
+        That is U diag(kappa / (kappa + rho)) U' targets, thin or full, since C
+        vanishes off a thin basis; at rho = 0 it is the projection onto the
+        column space of C, with eigenvalues at or below the rank cutoff counted
+        as zero.  For a ridge fit a it equals C a, the fitted values.
+        """
+        shrink = np.maximum(self.values, 0.0) * self.inverse(rho)
+        coef = self.vectors.T @ targets
+        if coef.ndim == 2:
+            shrink = shrink[:, None]
+        return self.vectors @ (shrink * coef)
+
 
 def gram_eigen(gram: np.ndarray, features: np.ndarray | None = None) -> GramEigen:
     """Eigenpairs of ``gram``, or the thin ones of F F' from its features F.
@@ -132,7 +146,7 @@ def budget_norm_sq(eig: GramEigen, y: np.ndarray, rho: float) -> float:
 
 
 def solve_rho_for_budget(
-    gram: np.ndarray,
+    gram: np.ndarray | None,
     y: np.ndarray,
     budget: float,
     *,
@@ -142,7 +156,8 @@ def solve_rho_for_budget(
 
     Returns 0 when the unconstrained (minimum-norm) fit already satisfies
     a' C a <= budget^2; otherwise the unique positive root of the monotone
-    budget equation, located by bracketing plus Brent's method.
+    budget equation, located by bracketing plus Brent's method.  ``gram`` is
+    read only when ``eig`` is None.
     """
     if budget <= 0:
         raise ValueError("budget must be positive")
@@ -211,10 +226,11 @@ class AdditiveModel:
       n representer weights on term t's kernel.
 
     ``fitted`` holds the in-sample values, equal to ``predict(anchors)``
-    (to rounding for ridge, whose Gram a series kernel symmetrises).
-    ``gram`` is the summed Gram at the anchors when the fit built one,
-    ``eigen`` its eigendecomposition (ridge only) and ``trace`` the greedy
-    diagnostics (None for ridge).
+    (to rounding for ridge, whose fitted values are ``eigen.smooth(y, rho)``).
+    ``gram`` is the summed Gram at the anchors, built only when some term has
+    no feature map (None for every finite-rank fit); ``eigen`` is the ridge
+    eigendecomposition, thin from the features when there are any, and
+    ``trace`` the greedy diagnostics (None for ridge).
 
     A greedy fit's ``ridge_rho`` is its last iteration's multiplier, and it
     binds when its final lk or hk norm (per ``norm_kind``) is at least
@@ -290,8 +306,9 @@ def fit_constrained_ridge(
         raise ValueError(f"ridge penalty rho must be finite and nonnegative, got {rho!r}")
     x = _as_sample(x, None)
     y = np.asarray(y, dtype=float)
-    gram = gram_matrix(kernel, x)
-    eig = gram_eigen(gram, kernel.feature_matrix(x))
+    features = kernel.feature_matrix(x)
+    gram = gram_matrix(kernel, x) if features is None else None
+    eig = gram_eigen(gram, features)
     binding = False
     if rho is None:
         if budget is None:
@@ -299,7 +316,7 @@ def fit_constrained_ridge(
         rho = solve_rho_for_budget(gram, y, budget, eig=eig)
         binding = rho > 0.0
     a = _ridge_from_eigen(eig, y, float(rho))
-    fitted = gram @ a
+    fitted = eig.smooth(y, float(rho))
     norm_hk, norm_lk = _representer_norms(kernel, x, a, fitted)
     return AdditiveModel(
         representation="representer",
@@ -634,6 +651,9 @@ _RIDGE_LOSSES = ("square", "rescaled_square", "absolute")  # absolute: greedy ca
 
 def _fit_by_solver(kernel, x, y, loss: LossSpec, config: FitConfig) -> AdditiveModel:
     """The model ``config.solver`` fits on ``kernel``: greedy or closed-form ridge."""
+    for name, values in (("covariates x", x), ("response y", y)):
+        if not np.all(np.isfinite(np.asarray(values, dtype=float))):
+            raise ValueError(f"{name} must be finite; found NaN or inf")
     if config.solver == "greedy":
         return greedy_fit(x, y, loss, kernel, config)
     if loss.kind not in _RIDGE_LOSSES:

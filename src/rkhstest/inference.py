@@ -10,13 +10,13 @@ of the estimated instrument covariance.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Sequence
 
 import numpy as np
 import scipy.linalg
 
-from .estimators import _EIG_CUTOFF, FitConfig, GramEigen, _fit_by_solver, gram_eigen
+from .estimators import _EIG_CUTOFF, FitConfig, _fit_by_solver, gram_eigen
 from .kernels import Kernel, SeriesKernel, _as_sample, gram_matrix
 from .losses import LossSpec
 
@@ -78,37 +78,26 @@ def series_feature_columns(
 
 def build_instruments(
     x,
-    mode: str,
     *,
     kernel: Kernel | None = None,
     anchor_indices=None,
 ) -> np.ndarray:
-    """Raw instrument matrix (n, R) of kernel sections, in one of two modes.
+    """Raw instrument matrix (n, R) of normalized kernel sections.
 
-    Both modes take their sections at the sample points ``anchor_indices``
-    (default: all points).
-
-    gram_columns
-        columns C_R1(X_i, X_j).
-    kernel_sections_normalized
-        columns C_R1(X_i, X_j) / sqrt(C_R1(X_j, X_j)).
-
-    Series-feature instruments come from :func:`series_feature_columns`.
+    Column j is C_R1(X_i, Z_j) / sqrt(C_R1(Z_j, Z_j)) for the sample points
+    Z = X[anchor_indices] (default: all points).  Series-feature instruments
+    come from :func:`series_feature_columns`.
     """
     x = _as_sample(x, None)
     n = x.shape[0]
     if kernel is None:
-        raise ValueError(f"{mode} mode needs the alternative kernel")
+        raise ValueError("kernel sections need the alternative kernel")
     idx = np.arange(n) if anchor_indices is None else np.asarray(anchor_indices)
     z = x[idx]
-    if mode == "gram_columns":
-        return kernel.gram(x, z)
-    if mode == "kernel_sections_normalized":
-        diag = np.array([kernel.eval(z[r], z[r]) for r in range(z.shape[0])])
-        if np.any(diag <= 0):
-            raise ValueError("cannot normalize a section with C(z, z) <= 0")
-        return kernel.gram(x, z) / np.sqrt(diag)[None, :]
-    raise ValueError(f"unknown instrument mode {mode!r}")
+    diag = np.array([kernel.eval(z[r], z[r]) for r in range(z.shape[0])])
+    if np.any(diag <= 0):
+        raise ValueError("cannot normalize a section with C(z, z) <= 0")
+    return kernel.gram(x, z) / np.sqrt(diag)[None, :]
 
 
 def _check_penalty(proj_rho: float) -> None:
@@ -123,18 +112,6 @@ def _check_projection(s_diag, proj_rho: float) -> np.ndarray:
         raise ValueError("projection weights must be positive")
     _check_penalty(proj_rho)
     return s_diag
-
-
-def _smooth(eig: GramEigen, targets: np.ndarray, rho: float) -> np.ndarray:
-    """C (C + rho I)^{-1} targets for the C whose eigenpairs are ``eig``.
-
-    That is U diag(kappa / (kappa + rho)) U' targets, thin or full, since C
-    vanishes off a thin basis; at rho = 0 it is the projection onto the
-    column space of C, with eigenvalues at or below the rank cutoff counted
-    as zero.
-    """
-    shrink = np.maximum(eig.values, 0.0) * eig.inverse(rho)
-    return eig.vectors @ (shrink[:, None] * (eig.vectors.T @ targets))
 
 
 def project_instruments(
@@ -154,7 +131,7 @@ def project_instruments(
     if proj_rho == 0.0:
         # S^{1/2} C0 S^{1/2} spans S^{1/2} col(C0) on the scale of C0
         root = np.sqrt(s_diag)[:, None]
-        return raw - _smooth(gram_eigen(root * c0 * root.T), root * raw, 0.0) / root
+        return raw - gram_eigen(root * c0 * root.T).smooth(root * raw, 0.0) / root
     system = c0 + proj_rho * np.diag(1.0 / s_diag)
     coeff = scipy.linalg.solve(system, raw, assume_a="pos")
     return raw - c0 @ coeff
@@ -176,7 +153,7 @@ def project_on_features(
     if proj_rho == 0.0:
         # the thin SVD of S^{1/2} F gives the eigenpairs of S^{1/2} C0 S^{1/2}
         root = np.sqrt(s_diag)[:, None]
-        return raw - _smooth(gram_eigen(None, root * basis), root * raw, 0.0) / root
+        return raw - gram_eigen(None, root * basis).smooth(root * raw, 0.0) / root
     weighted = basis * s_diag[:, None]
     system = basis.T @ weighted + proj_rho * np.eye(basis.shape[1])
     coeff = scipy.linalg.solve(system, weighted.T @ raw, assume_a="pos")
@@ -288,6 +265,8 @@ def p_value(statistic: float, null_draws) -> float:
     draws = np.asarray(null_draws, dtype=float)
     if draws.size == 0:
         raise ValueError("null draws must be non-empty")
+    if math.isnan(statistic):
+        raise ValueError("the statistic is NaN, so it has no p-value")
     return float(1 + np.count_nonzero(draws >= statistic)) / (draws.size + 1)
 
 
@@ -301,7 +280,7 @@ class SeriesInstrumentPlan:
 
 @dataclass(frozen=True)
 class SectionInstrumentPlan:
-    """Instruments given by (normalized) kernel sections at sample points.
+    """Instruments given by normalized kernel sections at sample points.
 
     The sections are those of C_R0 + C_R1 (the homogeneous-test-function
     construction, which is what makes the uncorrected comparison columns
@@ -310,11 +289,6 @@ class SectionInstrumentPlan:
     """
 
     count: int | None = None  # None: one section per sample point
-    normalized: bool = True
-
-    @property
-    def mode(self) -> str:
-        return "kernel_sections_normalized" if self.normalized else "gram_columns"
 
 
 @dataclass(frozen=True)
@@ -373,26 +347,19 @@ class TestResult:
     config: dict
 
     def to_record(self) -> dict:
-        return {
-            "statistic": self.statistic,
-            "p_value": self.p_value,
-            "p_value_se": _monte_carlo_se(self.p_value, self.null_draws.size),
-            "r_count": self.r_count,
-            "spectrum": [float(w) for w in self.spectrum],
-            "naive_statistic": self.naive_statistic,
-            "naive_p_value": self.naive_p_value,
-            "naive_p_value_se": _monte_carlo_se(
-                self.naive_p_value, self.naive_null_draws.size
-            ),
-            "naive_spectrum": [float(w) for w in self.naive_spectrum],
-            "proj_rho": self.proj_rho,
-            "proj_rho_rule": self.proj_rho_rule,
-            "orthogonality": self.orthogonality,
-            "budget_binding": self.budget_binding,
-            "residual_null_score": self.residual_null_score,
-            "scaling_note": self.scaling_note,
-            "config": self.config,
-        }
+        """Every field but the null draws, arrays as lists, plus the SEs."""
+        record = {}
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if isinstance(value, np.ndarray):
+                if f.name.endswith("null_draws"):
+                    continue
+                value = value.tolist()
+            record[f.name] = value
+        for prefix in ("", "naive_"):
+            draws = getattr(self, f"{prefix}null_draws").size
+            record[f"{prefix}p_value_se"] = _monte_carlo_se(record[f"{prefix}p_value"], draws)
+        return record
 
     def to_text(self) -> str:
         top = ", ".join(f"{w:.6g}" for w in self.spectrum[:5])
@@ -421,7 +388,7 @@ def _project_on_null(model, r0, x, s_diag, raw, rho):
         span = model.gram if model.gram is not None else gram_matrix(r0, x)
     if model.eigen is not None and np.all(s_diag == s_diag[0]):
         # with S = s I the penalized residual is raw - C0 (C0 + rho/s I)^{-1} raw
-        projected = raw - _smooth(model.eigen, raw, rho / float(s_diag[0]))
+        projected = raw - model.eigen.smooth(raw, rho / float(s_diag[0]))
     elif features is not None:
         projected = project_on_features(features, s_diag, raw, rho)
     else:
@@ -492,7 +459,7 @@ def run_test(
         count = instrument_count if instrument_count is not None else spec.count
         idx = _evenly_spaced_indices(n, count) if count is not None else None
         section_kernel = plan.r0 + plan.r1 if plan.r1 is not None else None
-        raw = build_instruments(x, spec.mode, kernel=section_kernel, anchor_indices=idx)
+        raw = build_instruments(x, kernel=section_kernel, anchor_indices=idx)
     projected, null_span = _project_on_null(model, plan.r0, x, s_diag, raw, rho)
 
     ortho = None

@@ -205,7 +205,7 @@ def _bivariate_plans(name: str) -> HypothesisPlan:
         name=name,
         r0=CompositeKernel(terms),
         r1=r1,
-        instruments=SectionInstrumentPlan(count=None, normalized=True),
+        instruments=SectionInstrumentPlan(count=None),
     )
 
 

@@ -388,6 +388,20 @@ class TestCommands:
         assert captured.err.startswith("error:")
         assert "nonnegative" in captured.err
 
+    def test_gram_columns_mode_is_unknown(self, tmp_path, capsys):
+        data = tmp_path / "d.csv"
+        _write_dataset(data)
+        cfg = tmp_path / "cfg.yaml"
+        cfg.write_text(
+            TEST_CONFIG.replace("instrument_mode: series_features", "instrument_mode: gram_columns")
+            .replace("  features: [[0, 2, 6], [1, 1, 6]]\n", "")
+            .replace("kernels:\n", "kernels:\n  r1: {kind: gaussian_rbf, coords: [1]}\n")
+            + f"data: {{path: {data}}}\n"
+        )
+        rc = main(["test", "--config", str(cfg), "--out", str(tmp_path / "out")])
+        assert rc == 1
+        assert capsys.readouterr().err == "error: unknown instrument mode 'gram_columns'\n"
+
     def test_replicates_flag_override(self, tmp_path):
         cfg = tmp_path / "sim.yaml"
         cfg.write_text(

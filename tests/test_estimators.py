@@ -10,6 +10,7 @@ from rkhstest.estimators import (
     BINDING_RTOL,
     FitConfig,
     GramEigen,
+    _fit_by_solver,
     budget_norm_sq,
     fit_constrained_ridge,
     fit_ridge,
@@ -173,6 +174,31 @@ class TestFitValidation:
             fit_constrained_ridge(GaussianRBF(1.0), x, y, rho=rho)
         assert FitConfig(budget=1.0, ridge_rho=0.0).ridge_rho == 0.0
         assert fit_constrained_ridge(GaussianRBF(1.0), x, y, rho=0.0).ridge_rho == 0.0
+
+    @pytest.mark.parametrize("kernel", ["features", "rbf"])
+    @pytest.mark.parametrize("where", ["x", "y"])
+    @pytest.mark.parametrize(
+        "config",
+        [
+            FitConfig(budget=1.0, iterations=20),
+            FitConfig(budget=1.0, solver="ridge_closed_form"),
+            FitConfig(budget=1.0, solver="ridge_closed_form", ridge_rho=0.5),
+        ],
+        ids=["greedy", "ridge_budget", "ridge_fixed_rho"],
+    )
+    def test_nonfinite_input_names_the_argument(self, config, where, kernel):
+        rng = np.random.default_rng(9)
+        x = rng.uniform(-2, 2, (30, 2))
+        y = 0.5 * x[:, 0] + 0.3 * rng.standard_normal(30)
+        (x if where == "x" else y)[4, ...] = np.nan
+        r0 = (
+            CompositeKernel(((ConstantKernel(0.5), None), (LinearKernel(0.5), (0, 1))))
+            if kernel == "features"
+            else CompositeKernel(_rbf_terms(2))
+        )
+        name = "covariates x" if where == "x" else "response y"
+        with pytest.raises(ValueError, match=f"{name} must be finite"):
+            _fit_by_solver(r0, x, y, rescaled_square_loss(), config)
 
 
 class TestLineSearch:
@@ -610,7 +636,9 @@ class TestPredict:
         y = rng.normal(size=20)
         kern = CompositeKernel(((LinearKernel(1.0), (0,)), (LinearKernel(1.0), (1,))))
         model = fit_constrained_ridge(kern, x, y, budget=3.0)
-        assert np.allclose(model.predict(x), model.gram @ model.coeffs[0], rtol=1e-10)
+        assert model.gram is None
+        gram = gram_matrix(kern, x)
+        assert np.allclose(model.predict(x), gram @ model.coeffs[0], rtol=1e-10)
 
     def test_prediction_dimension_check(self):
         rng = np.random.default_rng(141)

@@ -205,24 +205,13 @@ class TestBuildInstruments:
         k = LinearKernel(1.0)
         x = RNG.uniform(-2, 2, (6, 1))
         x[2, 0] = 1.0
-        cols = build_instruments(x, "kernel_sections_normalized", kernel=k, anchor_indices=[2])
+        cols = build_instruments(x, kernel=k, anchor_indices=[2])
         assert np.allclose(cols[:, 0], x[:, 0], rtol=1e-12)
-
-    def test_gram_columns_full_set(self):
-        k = GaussianRBF(1.0)
-        x = RNG.uniform(-2, 2, (5, 2))
-        cols = build_instruments(x, "gram_columns", kernel=k)
-        assert np.allclose(cols, k.gram(x), rtol=1e-14)
 
     def test_zero_diagonal_rejected(self):
         k = LinearKernel(1.0)
         with pytest.raises(ValueError, match="normalize"):
-            build_instruments(
-                np.array([[1.0], [0.0], [1.0]]),
-                "kernel_sections_normalized",
-                kernel=k,
-                anchor_indices=[1],
-            )
+            build_instruments(np.array([[1.0], [0.0], [1.0]]), kernel=k, anchor_indices=[1])
 
 
 class TestStatistic:
@@ -361,6 +350,11 @@ class TestPValue:
         with pytest.raises(ValueError, match="non-empty"):
             p_value(1.0, np.array([]))
 
+    def test_nan_statistic_rejected(self):
+        # a NaN compares false with every draw, which would read as 1/(B+1)
+        with pytest.raises(ValueError, match="NaN"):
+            p_value(float("nan"), np.ones(99))
+
 
 def test_synthetic_null_calibration_two_sample_ks():
     # scores independent of fixed instruments, projection disabled: the
@@ -487,9 +481,7 @@ class TestRunTest:
         model = fit_constrained_ridge(r0, x, y, budget=1e3)
         assert model.ridge_rho == 0.0 and model.eigen.thin
         sections = r0 + CompositeKernel(((GaussianRBF(0.75, 0.5), (0, 1)),))
-        raw = build_instruments(
-            x, "kernel_sections_normalized", kernel=sections, anchor_indices=np.arange(0, n, 4)
-        )
+        raw = build_instruments(x, kernel=sections, anchor_indices=np.arange(0, n, 4))
         ones = np.ones(n)
         once, _ = _project_on_null(model, r0, x, ones, raw, 0.0)
         span = np.column_stack([ones, x])
@@ -624,8 +616,10 @@ class TestFeatureSpanProjection:
         )
         return x, y, plan, FitConfig(budget=5.0, iterations=60)
 
-    def test_greedy_section_fit_builds_no_square_gram(self, monkeypatch):
+    @pytest.mark.parametrize("solver", ["greedy", "ridge_closed_form"])
+    def test_section_fit_builds_no_square_gram(self, monkeypatch, solver):
         x, y, plan, cfg = self._case()
+        cfg = replace(cfg, solver=solver)
         n = x.shape[0]
         square = []
         for cls in (ConstantKernel, LinearKernel):

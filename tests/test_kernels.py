@@ -346,9 +346,7 @@ def test_normalized_section_has_unit_norm():
     ):
         # h = C(., z) / sqrt(C(z, z)); reproduction gives |h|^2 = h(z) / sqrt(C(z, z))
         root = np.sqrt(kernel.eval(z, z))
-        h_at_z = build_instruments(
-            z[None, :], "kernel_sections_normalized", kernel=kernel, anchor_indices=[0]
-        )[0, 0]
+        h_at_z = build_instruments(z[None, :], kernel=kernel, anchor_indices=[0])[0, 0]
         assert h_at_z / root == pytest.approx(1.0, abs=1e-12)
         # with features, h has the coefficient vector F(z) / sqrt(C(z, z))
         feats = kernel.feature_matrix(z[None, :])
