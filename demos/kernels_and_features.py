@@ -18,7 +18,6 @@ from rkhstest import (
     LinearKernel,
     additive_kernel,
     gram_matrix,
-    integrated_brownian_eval,
     polynomial_series,
     polynomial_weights,
 )
@@ -30,8 +29,8 @@ rbf = GaussianRBF(lengthscale=0.75, scale=0.5)
 lin = LinearKernel(1.0)
 print(f"RBF(0.3, 0.9)    = {rbf.eval(0.3, 0.9):.6f}")
 print(f"linear(0.5, 0.4) = {lin.eval(0.5, 0.4):.6f}")
-print(f"Brownian-type H_1(0.3, 0.7) = {integrated_brownian_eval(1, 0.3, 0.7):.6f} (= min)")
-print(f"Brownian-type H_2(1, 1)     = {integrated_brownian_eval(2, 1.0, 1.0):.6f} (= 1/3)")
+print(f"Brownian-type H_1(0.3, 0.7) = {IntegratedBrownianKernel(1).eval(0.3, 0.7):.6f} (= min)")
+print(f"Brownian-type H_2(1, 1)     = {IntegratedBrownianKernel(2).eval(1.0, 1.0):.6f} (= 1/3)")
 
 
 

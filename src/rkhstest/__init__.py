@@ -18,7 +18,6 @@ from .kernels import (
     SeriesKernel,
     additive_kernel,
     gram_matrix,
-    integrated_brownian_eval,
     kernel_from_config,
     polynomial_series,
     polynomial_weights,

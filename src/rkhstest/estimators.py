@@ -9,10 +9,10 @@ Two solvers are provided:
   per-coordinate-sum norm ball (``lk``) or the joint-norm ball (``hk``).
 
 Both return an :class:`AdditiveModel`, which carries its in-sample fitted
-values and, where one was computed, the Gram and its eigendecomposition, so
-downstream testing code can reuse them.  For a kernel with a feature matrix
-F the decomposition is thin, taken from the SVD of F, and no n x n Gram is
-built: the Gram vanishes on the complement of the thin basis.
+values, the feature matrix or Gram that spans its terms and, for ridge, the
+eigendecomposition, so downstream testing code can reuse them.  For a kernel
+with a feature matrix F the decomposition is thin, taken from the SVD of F,
+and no n x n Gram is built: the Gram vanishes off the thin basis.
 """
 
 from __future__ import annotations
@@ -109,16 +109,11 @@ def gram_eigen(gram: np.ndarray, features: np.ndarray | None = None) -> GramEige
 
 
 def fit_ridge(gram: np.ndarray, y: np.ndarray, rho: float) -> np.ndarray:
-    """Solve (C + rho I) a = y; at rho = 0 return the minimum-norm solution."""
-    gram = np.asarray(gram, dtype=float)
+    """Solve (C + rho I) a = y, minimum-norm at rho = 0, as fit_constrained_ridge does."""
     y = np.asarray(y, dtype=float)
     if rho < 0:
         raise ValueError("ridge penalty must be nonnegative")
-    if rho == 0.0:
-        a, *_ = scipy.linalg.lstsq(gram, y)
-        return a
-    n = gram.shape[0]
-    return scipy.linalg.solve(gram + rho * np.eye(n), y, assume_a="pos")
+    return _ridge_from_eigen(gram_eigen(gram), y, float(rho))
 
 
 def _ridge_from_eigen(eig: GramEigen, y: np.ndarray, rho: float) -> np.ndarray:
@@ -182,6 +177,15 @@ def solve_rho_for_budget(
     )
 
 
+def _finite_sample(x, y) -> tuple[np.ndarray, np.ndarray]:
+    x = _as_sample(x, None)
+    y = np.asarray(y, dtype=float)
+    for name, values in (("covariates x", x), ("response y", y)):
+        if not np.all(np.isfinite(values)):
+            raise ValueError(f"{name} must be finite; found NaN or inf")
+    return x, y
+
+
 def _term_list(kernel_or_terms) -> tuple[tuple[Kernel, tuple[int, ...] | None], ...]:
     if isinstance(kernel_or_terms, CompositeKernel):
         return kernel_or_terms.terms
@@ -228,7 +232,8 @@ class AdditiveModel:
     ``fitted`` holds the in-sample values, equal to ``predict(anchors)``
     (to rounding for ridge, whose fitted values are ``eigen.smooth(y, rho)``).
     ``gram`` is the summed Gram at the anchors, built only when some term has
-    no feature map (None for every finite-rank fit); ``eigen`` is the ridge
+    no feature map, and ``features`` otherwise the terms' stacked feature
+    matrix: the span testing projects instruments off.  ``eigen`` is the ridge
     eigendecomposition, thin from the features when there are any, and
     ``trace`` the greedy diagnostics (None for ridge).
 
@@ -254,6 +259,7 @@ class AdditiveModel:
     fitted: np.ndarray = field(repr=False)
     trace: GreedyTrace | None = None
     gram: np.ndarray | None = field(default=None, repr=False)
+    features: np.ndarray | None = field(default=None, repr=False)
     eigen: GramEigen | None = field(default=None, repr=False)
 
     def predict(self, x) -> np.ndarray:
@@ -304,8 +310,7 @@ def fit_constrained_ridge(
     """
     if rho is not None and not 0.0 <= rho < math.inf:
         raise ValueError(f"ridge penalty rho must be finite and nonnegative, got {rho!r}")
-    x = _as_sample(x, None)
-    y = np.asarray(y, dtype=float)
+    x, y = _finite_sample(x, y)
     features = kernel.feature_matrix(x)
     gram = gram_matrix(kernel, x) if features is None else None
     eig = gram_eigen(gram, features)
@@ -331,6 +336,7 @@ def fit_constrained_ridge(
         anchors=x,
         fitted=fitted,
         gram=gram,
+        features=features,
         eigen=eig,
     )
 
@@ -492,12 +498,12 @@ class _FeatureBlocks:
         return np.array([np.linalg.norm(self.coeff[sl]) for sl in self.slices])
 
     def finish(self):
-        """(coefficient blocks, block norms, in-sample fitted values, Gram)."""
+        """(coefficient blocks, block norms, in-sample fitted values, stacked features)."""
         coeffs = tuple(self.coeff[sl].copy() for sl in self.slices)
         fitted = np.zeros(self.n)
         for f, c in zip(self.feats, coeffs):
             fitted += f @ c
-        return coeffs, self.norms(), fitted, None
+        return coeffs, self.norms(), fitted, self.stacked
 
 
 class _GramBlocks:
@@ -585,12 +591,12 @@ def greedy_fit(x, y, loss: LossSpec, kernels, config: FitConfig) -> AdditiveMode
     """
     if not loss.smooth:
         raise ValueError(f"greedy fitting needs a smooth loss, got {loss.kind!r}")
-    x = _as_sample(x, None)
-    y = np.asarray(y, dtype=float)
+    x, y = _finite_sample(x, y)
     terms = _term_list(kernels)
     n, budget = x.shape[0], config.budget
     feats = [kernel.feature_matrix(_slice_cols(x, sel)) for kernel, sel in terms]
-    if all(f is not None for f in feats):
+    finite_rank = all(f is not None for f in feats)
+    if finite_rank:
         blocks = _FeatureBlocks(n, feats)
     else:
         blocks = _GramBlocks(n, [gram_matrix(k, _slice_cols(x, sel)) for k, sel in terms])
@@ -620,7 +626,7 @@ def greedy_fit(x, y, loss: LossSpec, kernels, config: FitConfig) -> AdditiveMode
         objectives.append(float(np.mean(loss.value(y, fitted))))
         norms.append(_constraint_norm(config.norm_kind, blocks.norms()))
 
-    coeffs, block_norms, in_sample, gram = blocks.finish()
+    coeffs, block_norms, in_sample, span = blocks.finish()
     norm = _constraint_norm(config.norm_kind, block_norms)
     return AdditiveModel(
         representation=blocks.representation,
@@ -642,7 +648,8 @@ def greedy_fit(x, y, loss: LossSpec, kernels, config: FitConfig) -> AdditiveMode
             norms=np.array(norms),
             gaps=np.array(gaps),
         ),
-        gram=gram,
+        gram=None if finite_rank else span,
+        features=span if finite_rank else None,
     )
 
 
@@ -651,9 +658,6 @@ _RIDGE_LOSSES = ("square", "rescaled_square", "absolute")  # absolute: greedy ca
 
 def _fit_by_solver(kernel, x, y, loss: LossSpec, config: FitConfig) -> AdditiveModel:
     """The model ``config.solver`` fits on ``kernel``: greedy or closed-form ridge."""
-    for name, values in (("covariates x", x), ("response y", y)):
-        if not np.all(np.isfinite(np.asarray(values, dtype=float))):
-            raise ValueError(f"{name} must be finite; found NaN or inf")
     if config.solver == "greedy":
         return greedy_fit(x, y, loss, kernel, config)
     if loss.kind not in _RIDGE_LOSSES:

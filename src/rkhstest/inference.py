@@ -17,7 +17,7 @@ import numpy as np
 import scipy.linalg
 
 from .estimators import _EIG_CUTOFF, FitConfig, _fit_by_solver, gram_eigen
-from .kernels import Kernel, SeriesKernel, _as_sample, gram_matrix
+from .kernels import Kernel, SeriesKernel, _as_sample
 from .losses import LossSpec
 
 __all__ = [
@@ -376,24 +376,18 @@ class TestResult:
         return "\n".join(lines) + "\n"
 
 
-def _project_on_null(model, r0, x, s_diag, raw, rho):
-    """Project the instruments off span(r0); return the projection and that span.
-
-    The span is r0's feature columns, or its Gram when r0 has no feature
-    map.  The fit's terms are r0's, so its eigenbasis and Gram are r0's.
-    """
+def _project_on_null(model, s_diag, raw, rho):
+    """The instruments projected off span(r0) as the restricted fit built it, and that
+    span: the fit's feature columns, or its Gram when r0 has no feature map."""
     s_diag = _check_projection(s_diag, rho)
-    features = span = r0.feature_matrix(x)
-    if span is None:
-        span = model.gram if model.gram is not None else gram_matrix(r0, x)
     if model.eigen is not None and np.all(s_diag == s_diag[0]):
         # with S = s I the penalized residual is raw - C0 (C0 + rho/s I)^{-1} raw
         projected = raw - model.eigen.smooth(raw, rho / float(s_diag[0]))
-    elif features is not None:
-        projected = project_on_features(features, s_diag, raw, rho)
+    elif model.features is not None:
+        projected = project_on_features(model.features, s_diag, raw, rho)
     else:
-        projected = project_instruments(span, s_diag, raw, rho)
-    return projected, span
+        projected = project_instruments(model.gram, s_diag, raw, rho)
+    return projected, model.gram if model.features is None else model.features
 
 
 def run_test(
@@ -460,7 +454,7 @@ def run_test(
         idx = _evenly_spaced_indices(n, count) if count is not None else None
         section_kernel = plan.r0 + plan.r1 if plan.r1 is not None else None
         raw = build_instruments(x, kernel=section_kernel, anchor_indices=idx)
-    projected, null_span = _project_on_null(model, plan.r0, x, s_diag, raw, rho)
+    projected, null_span = _project_on_null(model, s_diag, raw, rho)
 
     ortho = None
     if isinstance(spec, SeriesInstrumentPlan) or diagnostics:

@@ -32,7 +32,6 @@ __all__ = [
     "polynomial_weights",
     "polynomial_series",
     "gram_matrix",
-    "integrated_brownian_eval",
     "kernel_from_config",
 ]
 
@@ -265,26 +264,10 @@ def _integrated_brownian(order: int, s, t):
     return total / math.factorial(k) ** 2
 
 
-def integrated_brownian_eval(order: int, s: float, t: float) -> float:
-    """Covariance of V-fold integrated Brownian motion on [0, 1].
-
-    Returns the integral over [0, 1] of G_V(s, u) G_V(t, u) with
-    G_V(r, u) = (r - u)^(V-1)/(V-1)! for u <= r and 0 otherwise, in closed
-    form for every order.
-    """
-    if order < 1:
-        raise ValueError("order must be >= 1")
-    s = float(s)
-    t = float(t)
-    for name, r in (("s", s), ("t", t)):
-        if not 0.0 <= r <= 1.0:
-            raise ValueError(f"{name}={r} outside the kernel domain [0, 1]")
-    return float(_integrated_brownian(order, s, t))
-
-
 @dataclass(frozen=True)
 class IntegratedBrownianKernel(Kernel):
-    """V-fold integrated Brownian motion covariance on [0, 1]."""
+    """V-fold integrated Brownian motion covariance on [0, 1]: the integral over
+    [0, 1] of G_V(s, u) G_V(t, u), G_V(r, u) = (r - u)^(V-1)/(V-1)! for u <= r, else 0."""
 
     order: int = 1
     dim: int = 1
@@ -294,9 +277,12 @@ class IntegratedBrownianKernel(Kernel):
             raise ValueError("order must be >= 1")
 
     def eval(self, s, t) -> float:
-        s = _as_point(s, 1)
-        t = _as_point(t, 1)
-        return integrated_brownian_eval(self.order, s[0], t[0])
+        s = float(_as_point(s, 1)[0])
+        t = float(_as_point(t, 1)[0])
+        for name, r in (("s", s), ("t", t)):
+            if not 0.0 <= r <= 1.0:
+                raise ValueError(f"{name}={r} outside the kernel domain [0, 1]")
+        return float(_integrated_brownian(self.order, s, t))
 
     def gram(self, x, z=None) -> np.ndarray:
         x = _as_sample(x, 1)

@@ -82,6 +82,16 @@ class TestFitRidge:
         other = a + np.array([2.0, -1.0, 0.0])  # also solves (in range sense)
         assert np.linalg.norm(a) <= np.linalg.norm(other)
 
+    @pytest.mark.parametrize("rho", [0.0, 0.4])
+    def test_is_the_solve_of_the_constrained_ridge_fit(self, rho):
+        rng = np.random.default_rng(8)
+        x = rng.uniform(-2, 2, (25, 2))
+        y = np.sin(x[:, 0]) + 0.2 * rng.standard_normal(25)
+        kernel = GaussianRBF(0.8)
+        model = fit_constrained_ridge(kernel, x, y, rho=rho)
+        assert model.features is None
+        assert np.array_equal(fit_ridge(gram_matrix(kernel, x), y, rho), model.coeffs[0])
+
 
 class TestBudget:
     def test_identity_closed_form(self):
@@ -199,6 +209,23 @@ class TestFitValidation:
         name = "covariates x" if where == "x" else "response y"
         with pytest.raises(ValueError, match=f"{name} must be finite"):
             _fit_by_solver(r0, x, y, rescaled_square_loss(), config)
+
+    @pytest.mark.parametrize("where", ["x", "y"])
+    @pytest.mark.parametrize("fit", ["greedy", "ridge_budget", "ridge_fixed_rho"])
+    def test_fitters_called_directly_reject_nonfinite_input(self, fit, where):
+        rng = np.random.default_rng(9)
+        x = rng.uniform(-2, 2, (40, 2))
+        y = 0.5 * x[:, 0] + 0.3 * rng.standard_normal(40)
+        (x if where == "x" else y)[4, ...] = np.nan
+        r0 = CompositeKernel(((ConstantKernel(0.5), None), (LinearKernel(0.5), (0, 1))))
+        name = "covariates x" if where == "x" else "response y"
+        with pytest.raises(ValueError, match=f"{name} must be finite; found NaN or inf"):
+            if fit == "greedy":
+                greedy_fit(x, y, rescaled_square_loss(), r0, FitConfig(budget=1.0, iterations=20))
+            elif fit == "ridge_budget":
+                fit_constrained_ridge(r0, x, y, budget=1.0)
+            else:
+                fit_constrained_ridge(r0, x, y, rho=0.5)
 
 
 class TestLineSearch:
@@ -537,15 +564,15 @@ class TestGramPath:
         x, _, _, _, model = _gram_path_fit("lk", iterations=60)
         assert np.array_equal(model.fitted, model.predict(x))
         assert np.array_equal(model.gram, gram_matrix(CompositeKernel(model.terms), x))
+        assert model.features is None
 
-    def test_nonfinite_covariate_names_the_gram(self):
+    def test_nonfinite_covariate_is_rejected_before_the_gram(self):
         rng = np.random.default_rng(5)
         x = rng.uniform(-2, 2, (30, 2))
         x[4, 1] = np.inf
         y = rng.normal(size=30)
-        with np.errstate(invalid="ignore"):
-            with pytest.raises(ValueError, match="non-finite kernel value"):
-                greedy_fit(x, y, rescaled_square_loss(), _rbf_terms(2), FitConfig(budget=1.0))
+        with pytest.raises(ValueError, match="covariates x must be finite"):
+            greedy_fit(x, y, rescaled_square_loss(), _rbf_terms(2), FitConfig(budget=1.0))
 
 
 class TestFeaturePath:
@@ -580,6 +607,18 @@ class TestFeaturePath:
         assert fast.norm_hk == pytest.approx(ref.norm_hk, rel=1e-10)
         assert fast.norm_lk == pytest.approx(ref.norm_lk, rel=1e-10)
         assert fast.budget_binding == ref.budget_binding == binding
+
+    @pytest.mark.parametrize("fit", ["ridge", "greedy"])
+    def test_model_carries_the_feature_span(self, fit):
+        rng = np.random.default_rng(42)
+        x = rng.uniform(-2, 2, (30, 2))
+        y = 0.5 * x[:, 0] + 0.3 * rng.standard_normal(30)
+        if fit == "ridge":
+            model = fit_constrained_ridge(self.BIV, x, y, budget=0.2)
+        else:
+            model = greedy_fit(x, y, square_loss(), self.BIV, FitConfig(budget=0.2, iterations=20))
+        assert model.gram is None
+        assert np.array_equal(model.features, self.BIV.feature_matrix(x))
 
     def test_thin_values_are_the_top_gram_eigenvalues(self):
         x = np.random.default_rng(43).uniform(-2, 2, (30, 2))

@@ -32,6 +32,7 @@ from rkhstest.kernels import (
     CompositeKernel,
     ConstantKernel,
     GaussianRBF,
+    Kernel,
     LinearKernel,
     gram_matrix,
     polynomial_series,
@@ -180,7 +181,7 @@ class TestProjection:
         model = fit_constrained_ridge(r0, x, y, rho=1.0)
         features = r0.feature_matrix(x)
         routes = {
-            "eigenbasis": lambda h: _project_on_null(model, r0, x, s_diag, h, rho)[0],
+            "eigenbasis": lambda h: _project_on_null(model, s_diag, h, rho)[0],
             "features": lambda h: project_on_features(features, s_diag, h, rho),
             "gram": lambda h: project_instruments(features @ features.T, s_diag, h, rho),
         }
@@ -483,10 +484,10 @@ class TestRunTest:
         sections = r0 + CompositeKernel(((GaussianRBF(0.75, 0.5), (0, 1)),))
         raw = build_instruments(x, kernel=sections, anchor_indices=np.arange(0, n, 4))
         ones = np.ones(n)
-        once, _ = _project_on_null(model, r0, x, ones, raw, 0.0)
+        once, _ = _project_on_null(model, ones, raw, 0.0)
         span = np.column_stack([ones, x])
         assert orthogonality_defect(span, ones, once) <= 1e-10
-        twice, _ = _project_on_null(model, r0, x, ones, once, 0.0)
+        twice, _ = _project_on_null(model, ones, once, 0.0)
         assert np.max(np.abs(twice - once)) <= 1e-12
 
     def test_section_plan_full_pipeline(self):
@@ -549,9 +550,9 @@ def _rbf_gram_case():
     return x, y, plan, FitConfig(budget=5.0, iterations=80)
 
 
-def _project_on_rebuilt_gram(model, r0, x, s_diag, raw, rho):
+def _project_on_rebuilt_gram(model, s_diag, raw, rho):
     """Reference projection on a freshly built null Gram C0, whatever the fit."""
-    c0 = gram_matrix(r0, x)
+    c0 = gram_matrix(CompositeKernel(model.terms), model.anchors)
     return project_instruments(c0, s_diag, raw, rho), c0
 
 
@@ -644,3 +645,35 @@ class TestFeatureSpanProjection:
         np.testing.assert_allclose(
             fast.spectrum, ref.spectrum, rtol=1e-10, atol=1e-10 * ref.spectrum[0]
         )
+
+
+class TestNullSpanFromTheFit:
+    """run_test projects off the span the restricted fit built, so it calls r0's
+    feature maps and square Grams exactly as the fit alone does."""
+
+    @pytest.mark.parametrize("case", ["features", "gram"])
+    @pytest.mark.parametrize("solver", ["greedy", "ridge_closed_form"])
+    def test_asks_r0_for_nothing_beyond_the_fit(self, monkeypatch, case, solver):
+        if case == "features":
+            x, y, plan, cfg = TestFeatureSpanProjection._case()
+        else:
+            x, y, plan, cfg = _rbf_gram_case()
+        cfg = replace(cfg, solver=solver)
+        n = x.shape[0]
+        calls = []
+        for cls in (Kernel, CompositeKernel, ConstantKernel, LinearKernel, GaussianRBF):
+            for name in ("feature_matrix", "gram"):
+                if name in vars(cls):
+                    def spy(self, *args, _method=vars(cls)[name], _name=name, **kwargs):
+                        out = _method(self, *args, **kwargs)
+                        if _name == "feature_matrix" or out.shape == (n, n):
+                            calls.append((type(self).__name__, _name))
+                        return out
+
+                    monkeypatch.setattr(cls, name, spy)
+        loss = rescaled_square_loss()
+        inference._fit_by_solver(plan.r0, x, y, loss, cfg)
+        fit_calls = list(calls)
+        calls.clear()
+        run_test(x, y, plan, loss, cfg, n_draws=100, rng=1)
+        assert calls == fit_calls

@@ -17,7 +17,6 @@ from rkhstest.kernels import (
     SeriesKernel,
     additive_kernel,
     gram_matrix,
-    integrated_brownian_eval,
     kernel_from_config,
     polynomial_series,
     polynomial_weights,
@@ -274,10 +273,10 @@ class TestIntegratedBrownian:
         )
         assert err < 1e-10
         assert oracle == pytest.approx(0.3, abs=1e-10)
-        assert integrated_brownian_eval(1, 0.3, 0.7) == pytest.approx(0.3, abs=1e-12)
+        assert IntegratedBrownianKernel(1).eval(0.3, 0.7) == pytest.approx(0.3, abs=1e-12)
 
     def test_zero_endpoint(self):
-        assert integrated_brownian_eval(1, 0.0, 0.6) == 0.0
+        assert IntegratedBrownianKernel(1).eval(0.0, 0.6) == 0.0
 
     def test_order_two_against_quadrature(self):
         def oracle(s, t):
@@ -287,25 +286,25 @@ class TestIntegratedBrownian:
             assert err < 1e-10
             return val
 
-        assert integrated_brownian_eval(2, 1.0, 1.0) == pytest.approx(
+        assert IntegratedBrownianKernel(2).eval(1.0, 1.0) == pytest.approx(
             oracle(1.0, 1.0), abs=1e-10
         )
         # frozen third-party values: 1/3 and 23/375 from symbolic integration
-        assert integrated_brownian_eval(2, 1.0, 1.0) == pytest.approx(1 / 3, abs=1e-12)
-        assert integrated_brownian_eval(2, 0.4, 0.9) == pytest.approx(
+        assert IntegratedBrownianKernel(2).eval(1.0, 1.0) == pytest.approx(1 / 3, abs=1e-12)
+        assert IntegratedBrownianKernel(2).eval(0.4, 0.9) == pytest.approx(
             23 / 375, abs=1e-12
         )
 
     def test_order_three_against_symbolic_values(self):
         # frozen values 1/20 and 31/6400 from symbolic integration
-        assert integrated_brownian_eval(3, 1.0, 1.0) == pytest.approx(0.05, abs=1e-10)
-        assert integrated_brownian_eval(3, 0.5, 0.8) == pytest.approx(
+        assert IntegratedBrownianKernel(3).eval(1.0, 1.0) == pytest.approx(0.05, abs=1e-10)
+        assert IntegratedBrownianKernel(3).eval(0.5, 0.8) == pytest.approx(
             0.00484375, abs=1e-10
         )
 
     def test_domain_enforced(self):
         with pytest.raises(ValueError, match="domain"):
-            integrated_brownian_eval(1, -0.1, 0.5)
+            IntegratedBrownianKernel(1).eval(-0.1, 0.5)
         with pytest.raises(ValueError, match="domain"):
             IntegratedBrownianKernel(order=1).gram(np.array([0.5, 1.4]))
 
@@ -322,7 +321,7 @@ class TestIntegratedBrownian:
 
         pairs = [(0.0, 0.6), (1.0, 1.0), (0.5, 0.5), *RNG.uniform(0, 1, (8, 2))]
         for s, t in pairs:
-            assert integrated_brownian_eval(order, s, t) == pytest.approx(
+            assert IntegratedBrownianKernel(order).eval(s, t) == pytest.approx(
                 oracle(s, t), abs=1e-12
             )
 
@@ -334,7 +333,7 @@ class TestIntegratedBrownian:
             for i in range(6):
                 for j in range(6):
                     assert g[i, j] == pytest.approx(
-                        integrated_brownian_eval(order, x[i, 0], x[j, 0]), abs=1e-12
+                        k.eval(x[i, 0], x[j, 0]), abs=1e-12
                     )
 
 
