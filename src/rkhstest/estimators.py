@@ -25,7 +25,7 @@ import numpy as np
 import scipy.linalg
 from scipy.optimize import brentq
 
-from .kernels import CompositeKernel, Kernel, _as_sample, gram_matrix
+from .kernels import CompositeKernel, Kernel, _as_sample, _select, gram_matrix
 from .losses import LossSpec
 
 __all__ = [
@@ -196,8 +196,9 @@ def _term_list(kernel_or_terms) -> tuple[tuple[Kernel, tuple[int, ...] | None], 
     )
 
 
-def _slice_cols(x: np.ndarray, sel) -> np.ndarray:
-    return x if sel is None else x[:, list(sel)]
+def _term_features(terms, x: np.ndarray) -> list[np.ndarray | None]:
+    """Each term's feature matrix on its coordinates of x, None where it has none."""
+    return [kernel.feature_matrix(_select(x, sel)) for kernel, sel in terms]
 
 
 @dataclass
@@ -271,27 +272,24 @@ class AdditiveModel:
             )
         out = np.zeros(x.shape[0])
         for (kernel, sel), block in zip(self.terms, self.coeffs):
-            cols = _slice_cols(x, sel)
+            cols = _select(x, sel)
             if self.representation == "series":
                 out += kernel.feature_matrix(cols) @ block
             else:
-                out += kernel.gram(cols, _slice_cols(self.anchors, sel)) @ block
+                out += kernel.gram(cols, _select(self.anchors, sel)) @ block
         return out
 
 
-def _representer_norms(kernel, x, a, fitted) -> tuple[float, float]:
+def _representer_norms(terms, feats, x, a, fitted) -> tuple[float, float]:
     norm_hk = math.sqrt(max(float(a @ fitted), 0.0))
-    if isinstance(kernel, CompositeKernel) and len(kernel.terms) > 1:
-        norm_lk = 0.0
-        for term, sel in kernel.terms:
-            cols = _slice_cols(x, sel)
-            f_t = term.feature_matrix(cols)
-            if f_t is None:
-                norm_lk += math.sqrt(max(float(a @ (term.gram(cols) @ a)), 0.0))
-            else:
-                norm_lk += float(np.linalg.norm(f_t.T @ a))
-    else:
-        norm_lk = norm_hk
+    if len(terms) == 1:
+        return norm_hk, norm_hk
+    norm_lk = 0.0
+    for (term, sel), f_t in zip(terms, feats):
+        if f_t is None:
+            norm_lk += math.sqrt(max(float(a @ (term.gram(_select(x, sel)) @ a)), 0.0))
+        else:
+            norm_lk += float(np.linalg.norm(f_t.T @ a))
     return norm_hk, norm_lk
 
 
@@ -311,7 +309,9 @@ def fit_constrained_ridge(
     if rho is not None and not 0.0 <= rho < math.inf:
         raise ValueError(f"ridge penalty rho must be finite and nonnegative, got {rho!r}")
     x, y = _finite_sample(x, y)
-    features = kernel.feature_matrix(x)
+    terms = _term_list(kernel)
+    feats = _term_features(terms, x)
+    features = np.hstack(feats) if feats and all(f is not None for f in feats) else None
     gram = gram_matrix(kernel, x) if features is None else None
     eig = gram_eigen(gram, features)
     binding = False
@@ -322,7 +322,7 @@ def fit_constrained_ridge(
         binding = rho > 0.0
     a = _ridge_from_eigen(eig, y, float(rho))
     fitted = eig.smooth(y, float(rho))
-    norm_hk, norm_lk = _representer_norms(kernel, x, a, fitted)
+    norm_hk, norm_lk = _representer_norms(terms, feats, x, a, fitted)
     return AdditiveModel(
         representation="representer",
         terms=((kernel, None),),
@@ -417,42 +417,6 @@ def _unit_direction(v: np.ndarray, q: float, n: int = 1) -> tuple[np.ndarray, fl
 def _largest(qs) -> int:
     """Index of the term with the largest multiplier sqrt(max(q_t, 0)) / 2."""
     return int(np.argmax(np.sqrt(np.maximum(qs, 0.0))))
-
-
-def greedy_direction(grad: np.ndarray, gram: np.ndarray) -> tuple[np.ndarray, float]:
-    """Unit-norm descent direction for one coordinate via its Gram matrix.
-
-    Returns representer coefficients beta (direction f = sum_i beta_i
-    C(X_i, .)) and the multiplier rho.  A vanishing gradient-kernel
-    quadratic form yields (0, 1).
-    """
-    grad = np.asarray(grad, dtype=float)
-    if not np.all(np.isfinite(grad)):
-        raise ValueError("gradient vector must be finite")
-    n = grad.shape[0]
-    q = float(grad @ (gram @ grad)) / n**2
-    if q <= 0.0:
-        return np.zeros(n), 1.0
-    return _unit_direction(grad, q, n)
-
-
-def greedy_direction_series(
-    grad: np.ndarray, scaled_features: np.ndarray
-) -> tuple[np.ndarray, float]:
-    """Series-form direction (O(nV)): coefficients on the scaled features.
-
-    ``scaled_features`` holds lambda_v phi_v(X_i) columns; the returned
-    coefficient vector has unit Euclidean norm (= unit RKHS norm) unless the
-    projected gradient vanishes, in which case (0, 1) is returned.
-    """
-    grad = np.asarray(grad, dtype=float)
-    if not np.all(np.isfinite(grad)):
-        raise ValueError("gradient vector must be finite")
-    a = scaled_features.T @ grad / grad.shape[0]
-    q = float(a @ a)
-    if q <= 0.0:
-        return np.zeros(scaled_features.shape[1]), 1.0
-    return _unit_direction(a, q)
 
 
 class _FeatureBlocks:
@@ -567,6 +531,41 @@ class _GramBlocks:
         return coeffs, np.array(norms), fitted, gram
 
 
+def _one_term_direction(blocks_type, grad, span, attr: str) -> tuple[np.ndarray, float]:
+    """(``attr`` of the blocks, multiplier) of the greedy loop's direction on the
+    single term ``span``; (0, 1) when the gradient's dual norm vanishes."""
+    grad = np.asarray(grad, dtype=float)
+    if not np.all(np.isfinite(grad)):
+        raise ValueError("gradient vector must be finite")
+    blocks = blocks_type(grad.shape[0], [span])
+    found = blocks.direction(grad, joint=True)
+    if found is None:
+        return np.zeros(span.shape[1]), 1.0
+    return getattr(blocks, attr), found[1]
+
+
+def greedy_direction(grad: np.ndarray, gram: np.ndarray) -> tuple[np.ndarray, float]:
+    """Unit-norm descent direction for one coordinate via its Gram matrix.
+
+    The Gram-path loop's direction: representer coefficients beta (direction
+    f = sum_i beta_i C(X_i, .)) and the multiplier rho.  A vanishing
+    gradient-kernel quadratic form yields (0, 1).
+    """
+    return _one_term_direction(_GramBlocks, grad, gram, "beta")
+
+
+def greedy_direction_series(
+    grad: np.ndarray, scaled_features: np.ndarray
+) -> tuple[np.ndarray, float]:
+    """Series-form direction (O(nV)): coefficients on the scaled features.
+
+    The feature-path loop's direction on ``scaled_features``, columns
+    lambda_v phi_v(X_i); the coefficient vector has unit Euclidean norm
+    (= unit RKHS norm) unless the projected gradient vanishes, giving (0, 1).
+    """
+    return _one_term_direction(_FeatureBlocks, grad, scaled_features, "unit")
+
+
 def _step_size(rule: str, m: int, objective_1d, tol: float) -> float:
     if rule == "line_search":
         return line_search(objective_1d, tol)
@@ -594,12 +593,12 @@ def greedy_fit(x, y, loss: LossSpec, kernels, config: FitConfig) -> AdditiveMode
     x, y = _finite_sample(x, y)
     terms = _term_list(kernels)
     n, budget = x.shape[0], config.budget
-    feats = [kernel.feature_matrix(_slice_cols(x, sel)) for kernel, sel in terms]
+    feats = _term_features(terms, x)
     finite_rank = all(f is not None for f in feats)
     if finite_rank:
         blocks = _FeatureBlocks(n, feats)
     else:
-        blocks = _GramBlocks(n, [gram_matrix(k, _slice_cols(x, sel)) for k, sel in terms])
+        blocks = _GramBlocks(n, [gram_matrix(k, _select(x, sel)) for k, sel in terms])
     fitted = np.zeros(n)
 
     coords, steps, multipliers, objectives, norms, gaps = [], [], [], [], [], []

@@ -143,21 +143,16 @@ def project_on_features(
     """Residualize instruments on the columns of a feature matrix F.
 
     The penalty acts on the squared coefficients.  With F F' = C0 this is
-    :func:`project_instruments` on C0 (b = F'S(C0 S + rho I)^{-1} c by the
-    push-through identity), at O(n p^2) in place of an n x n solve.
+    :func:`project_instruments` on C0: the coefficients solve
+    (F'SF + rho I) b = F'S c, so F b = S^{-1/2} K (K + rho I)^{-1} S^{1/2} c
+    with K = S^{1/2} C0 S^{1/2}.  The thin SVD of S^{1/2} F gives the
+    eigenpairs of K, so every rho costs O(n p^2) in place of an n x n solve.
     Returns the projected (n, R) matrix.
     """
     basis = np.asarray(basis, dtype=float)
     raw = np.atleast_2d(np.asarray(raw, dtype=float))
-    s_diag = _check_projection(s_diag, proj_rho)
-    if proj_rho == 0.0:
-        # the thin SVD of S^{1/2} F gives the eigenpairs of S^{1/2} C0 S^{1/2}
-        root = np.sqrt(s_diag)[:, None]
-        return raw - gram_eigen(None, root * basis).smooth(root * raw, 0.0) / root
-    weighted = basis * s_diag[:, None]
-    system = basis.T @ weighted + proj_rho * np.eye(basis.shape[1])
-    coeff = scipy.linalg.solve(system, weighted.T @ raw, assume_a="pos")
-    return raw - basis @ coeff
+    root = np.sqrt(_check_projection(s_diag, proj_rho))[:, None]
+    return raw - gram_eigen(None, root * basis).smooth(root * raw, proj_rho) / root
 
 
 def orthogonality_defect(span: np.ndarray, s_diag, projected: np.ndarray) -> float:
@@ -378,16 +373,19 @@ class TestResult:
 
 def _project_on_null(model, s_diag, raw, rho):
     """The instruments projected off span(r0) as the restricted fit built it, and that
-    span: the fit's feature columns, or its Gram when r0 has no feature map."""
+    span: the fit's feature columns, or its Gram when r0 has no feature map.
+
+    Feature columns go through :func:`project_on_features`.  A Gram goes
+    through the ridge fit's eigenbasis when S is constant, else through
+    :func:`project_instruments`.
+    """
     s_diag = _check_projection(s_diag, rho)
+    if model.features is not None:
+        return project_on_features(model.features, s_diag, raw, rho), model.features
     if model.eigen is not None and np.all(s_diag == s_diag[0]):
         # with S = s I the penalized residual is raw - C0 (C0 + rho/s I)^{-1} raw
-        projected = raw - model.eigen.smooth(raw, rho / float(s_diag[0]))
-    elif model.features is not None:
-        projected = project_on_features(model.features, s_diag, raw, rho)
-    else:
-        projected = project_instruments(model.gram, s_diag, raw, rho)
-    return projected, model.gram if model.features is None else model.features
+        return raw - model.eigen.smooth(raw, rho / float(s_diag[0])), model.gram
+    return project_instruments(model.gram, s_diag, raw, rho), model.gram
 
 
 def run_test(
@@ -415,6 +413,13 @@ def run_test(
     """
     if proj_rho is not None:
         _check_penalty(proj_rho)
+    spec = plan.instruments
+    series = isinstance(spec, SeriesInstrumentPlan)
+    count = len(spec.test_pairs) if series else instrument_count
+    if count is None:
+        count = spec.count
+    if count is not None and count < 1:
+        raise ValueError(f"the instrument count must be at least 1, got {count}")
     x = _as_sample(x, None)
     y = np.asarray(y, dtype=float)
     n = x.shape[0]
@@ -431,9 +436,7 @@ def run_test(
         s_diag = np.ones(n)
 
     if proj_rho is None:
-        if model.representation == "representer" and isinstance(
-            plan.instruments, SectionInstrumentPlan
-        ):
+        if model.representation == "representer" and not series:
             # couple the projection ridge to the fit's realized multiplier so
             # the projection removes exactly the directions the restricted
             # fit absorbs; the matrix solve shares one rho in both places
@@ -446,18 +449,16 @@ def run_test(
         rho = float(proj_rho)
         rho_rule = "explicit"
 
-    spec = plan.instruments
-    if isinstance(spec, SeriesInstrumentPlan):
+    if series:
         raw = series_feature_columns(x, spec.kernel, spec.test_pairs)
     else:
-        count = instrument_count if instrument_count is not None else spec.count
         idx = _evenly_spaced_indices(n, count) if count is not None else None
         section_kernel = plan.r0 + plan.r1 if plan.r1 is not None else None
         raw = build_instruments(x, kernel=section_kernel, anchor_indices=idx)
     projected, null_span = _project_on_null(model, s_diag, raw, rho)
 
     ortho = None
-    if isinstance(spec, SeriesInstrumentPlan) or diagnostics:
+    if series or diagnostics:
         ortho = orthogonality_defect(null_span, s_diag, projected)
 
     statistic = test_statistic(e0, projected)

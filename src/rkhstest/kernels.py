@@ -67,6 +67,18 @@ def _as_point(x, dim: int | None) -> np.ndarray:
     return arr
 
 
+def _select(x: np.ndarray, sel) -> np.ndarray:
+    """Coordinates ``sel`` of a point (d,) or of a sample (n, d); None selects all."""
+    if sel is None:
+        return x
+    if max(sel) >= x.shape[-1]:
+        raise ValueError(
+            f"dimension mismatch: selector {sel} needs {max(sel) + 1} "
+            f"coordinates, got {x.shape[-1]}"
+        )
+    return x[..., list(sel)]
+
+
 class Kernel:
     """Base class for positive semi-definite covariance functions."""
 
@@ -316,46 +328,26 @@ class CompositeKernel(Kernel):
         needed = [max(sel) + 1 for _, sel in self.terms if sel]
         return max(needed) if needed else None
 
-    def _slice_point(self, p: np.ndarray, sel) -> np.ndarray:
-        if sel is None:
-            return p
-        if max(sel) >= p.shape[0]:
-            raise ValueError(
-                f"dimension mismatch: selector {sel} needs points of length "
-                f">= {max(sel) + 1}, got {p.shape[0]}"
-            )
-        return p[list(sel)]
-
     def eval(self, s, t) -> float:
         s = _as_point(s, None)
         t = _as_point(t, None)
         total = 0.0
         for kernel, sel in self.terms:
-            total += kernel.eval(self._slice_point(s, sel), self._slice_point(t, sel))
+            total += kernel.eval(_select(s, sel), _select(t, sel))
         return total
-
-    def _slice_sample(self, x: np.ndarray, sel) -> np.ndarray:
-        if sel is None:
-            return x
-        if max(sel) >= x.shape[1]:
-            raise ValueError(
-                f"dimension mismatch: selector {sel} needs {max(sel) + 1} "
-                f"coordinates, sample has {x.shape[1]}"
-            )
-        return x[:, list(sel)]
 
     def gram(self, x, z=None) -> np.ndarray:
         x = _as_sample(x, None)
         z2 = x if z is None else _as_sample(z, None)
         total = np.zeros((x.shape[0], z2.shape[0]))
         for kernel, sel in self.terms:
-            total += kernel.gram(self._slice_sample(x, sel), self._slice_sample(z2, sel))
+            total += kernel.gram(_select(x, sel), _select(z2, sel))
         return total
 
     def feature_matrix(self, x) -> np.ndarray | None:
         """The terms' feature blocks side by side; None if a term has none."""
         x = _as_sample(x, None)
-        blocks = [k.feature_matrix(self._slice_sample(x, sel)) for k, sel in self.terms]
+        blocks = [k.feature_matrix(_select(x, sel)) for k, sel in self.terms]
         if not blocks or any(b is None for b in blocks):
             return None
         return np.hstack(blocks)

@@ -388,6 +388,34 @@ class TestCommands:
         assert captured.err.startswith("error:")
         assert "nonnegative" in captured.err
 
+    def test_zero_section_count_is_an_error(self, tmp_path, capsys):
+        data = tmp_path / "d.csv"
+        _write_dataset(data)
+        cfg = tmp_path / "cfg.yaml"
+        cfg.write_text(
+            TEST_CONFIG.replace("instrument_mode: series_features",
+                                "instrument_mode: kernel_sections_normalized\n  r: 0")
+            .replace("  features: [[0, 2, 6], [1, 1, 6]]\n", "")
+            .replace("kernels:\n", "kernels:\n  r1: {kind: gaussian_rbf, coords: [1]}\n")
+            + f"data: {{path: {data}}}\n"
+        )
+        rc = main(["test", "--config", str(cfg), "--out", str(tmp_path / "out")])
+        assert rc == 1
+        assert capsys.readouterr().err == "error: the instrument count must be at least 1, got 0\n"
+
+    def test_zero_simulated_instrument_count_is_an_error(self, tmp_path, capsys):
+        cfg = tmp_path / "sim.yaml"
+        cfg.write_text(
+            "seed: 12\n"
+            "simulate: {design: Bivariate, null: BivLinAll, n: 40, replicates: 2,"
+            " sizes: [0.1], null_draws: 200, instrument_count: 0}\n"
+        )
+        rc = main(["simulate", "--config", str(cfg), "--out", str(tmp_path / "o")])
+        err = capsys.readouterr().err
+        assert rc == 1
+        assert err.startswith("error: all replicates failed")
+        assert "ValueError: the instrument count must be at least 1, got 0" in err
+
     def test_gram_columns_mode_is_unknown(self, tmp_path, capsys):
         data = tmp_path / "d.csv"
         _write_dataset(data)

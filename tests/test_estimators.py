@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gram_only import GramOnly, HornerPolynomial
+from rkhstest import estimators
 from rkhstest.estimators import (
     BINDING_RTOL,
     FitConfig,
@@ -309,6 +310,26 @@ class TestDirections:
         f_series = series.feature_matrix(grid) @ coeffs
         f_gram = series.gram(grid, x) @ beta
         assert np.allclose(f_series, f_gram, rtol=0, atol=1e-10)
+
+    @pytest.mark.parametrize("blocks", ["_GramBlocks", "_FeatureBlocks"])
+    def test_public_directions_run_the_loops_direction(self, monkeypatch, blocks):
+        # criterion 6 checks these two functions, so they must be the greedy
+        # loop's own direction step, not a copy of its arithmetic
+        cls = getattr(estimators, blocks)
+        calls = []
+
+        def spy(self, grad, joint, _direction=cls.direction):
+            calls.append(joint)
+            return _direction(self, grad, joint)
+
+        monkeypatch.setattr(cls, "direction", spy)
+        rng = np.random.default_rng(71)
+        feats = rng.normal(size=(12, 3))
+        if blocks == "_GramBlocks":
+            beta, rho = greedy_direction(rng.normal(size=12), feats @ feats.T)
+        else:
+            beta, rho = greedy_direction_series(rng.normal(size=12), feats)
+        assert calls == [True] and rho > 0.0
 
 
 class TestGreedyFit:
@@ -662,6 +683,30 @@ class TestAdditiveModel:
             assert np.array_equal(model.fitted, want)
 
 
+class TestRidgeTermFeatures:
+    @pytest.mark.parametrize("path", ["features", "gram"])
+    def test_each_feature_term_is_built_once(self, monkeypatch, path):
+        # the fit stacks the term features for its SVD and reads the same
+        # blocks for the per-term norms
+        calls = []
+        for cls in (ConstantKernel, LinearKernel):
+            def spy(self, x, _method=cls.feature_matrix):
+                calls.append(type(self).__name__)
+                return _method(self, x)
+
+            monkeypatch.setattr(cls, "feature_matrix", spy)
+        rng = np.random.default_rng(151)
+        x = rng.uniform(-2, 2, (30, 2))
+        y = x[:, 0] - 0.5 * x[:, 1] + 0.3 * rng.standard_normal(30)
+        last = LinearKernel(0.5) if path == "features" else GaussianRBF(1.0)
+        kern = CompositeKernel(((ConstantKernel(), None), (LinearKernel(), (0,)), (last, (1,))))
+        model = fit_constrained_ridge(kern, x, y, budget=0.5)
+        assert (model.features is None) == (path == "gram")
+        want = ["ConstantKernel", "LinearKernel"] + (["LinearKernel"] if path == "features" else [])
+        assert calls == want
+        assert model.norm_lk > model.norm_hk > 0.0
+
+
 class TestPredict:
     def test_zero_coefficients(self):
         x = RNG.uniform(-2, 2, (8, 1))
@@ -678,6 +723,22 @@ class TestPredict:
         assert model.gram is None
         gram = gram_matrix(kern, x)
         assert np.allclose(model.predict(x), gram @ model.coeffs[0], rtol=1e-10)
+
+    @pytest.mark.parametrize("path", ["features", "gram"])
+    def test_too_narrow_sample_is_named(self, path):
+        # a selector beyond x's width gets the kernels' named error on both
+        # greedy paths, not numpy's IndexError
+        x = RNG.uniform(-2, 2, (10, 2))
+        last = LinearKernel() if path == "features" else GaussianRBF(1.0)
+        terms = [(LinearKernel(), (0,)), (last, (2,))]
+        with pytest.raises(ValueError, match=r"dimension mismatch: selector \(2,\) needs 3"):
+            greedy_fit(x, x[:, 0], rescaled_square_loss(), terms, FitConfig(budget=1.0))
+        wide = RNG.uniform(-2, 2, (10, 3))
+        model = greedy_fit(wide, wide[:, 0], rescaled_square_loss(), terms,
+                           FitConfig(budget=1.0, iterations=5))
+        assert model.representation == ("series" if path == "features" else "representer_greedy")
+        with pytest.raises(ValueError, match="dimension mismatch"):
+            model.predict(x)
 
     def test_prediction_dimension_check(self):
         rng = np.random.default_rng(141)

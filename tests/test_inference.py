@@ -156,23 +156,31 @@ class TestProjection:
     @settings(max_examples=40, deadline=None, derandomize=True, database=None)
     @given(data=st.data())
     def test_routes_agree_on_random_null_kernels(self, data):
-        # the ridge fit's eigenbasis, r0's feature columns and the Gram F F'
-        # are three routes to one penalized projection off span(r0)
+        # _project_on_null (the ridge fit's eigenbasis for a Gram, r0's feature
+        # columns otherwise), project_on_features and the Gram solve are routes
+        # to one penalized projection off span(r0)
         draw = data.draw
         n = draw(st.integers(20, 60), label="n")
         terms = []
-        for kind in draw(st.lists(st.sampled_from(["constant", "linear", "series"]),
+        for kind in draw(st.lists(st.sampled_from(["constant", "linear", "series", "rbf"]),
                                   min_size=1, max_size=4), label="kinds"):
             scale = draw(st.floats(0.2, 3.0))
             if kind == "constant":
                 terms.append((ConstantKernel(scale), None))
             elif kind == "linear":
                 terms.append((LinearKernel(scale), draw(st.sampled_from([(0,), (1,), (0, 1)]))))
-            else:
+            elif kind == "series":
                 series = polynomial_series(draw(st.integers(2, 4)), draw(st.floats(1.5, 3.0)))
                 terms.append((series, (draw(st.integers(0, 1)),)))
+            else:
+                terms.append((GaussianRBF(draw(st.floats(0.5, 2.0)), scale), (0, 1)))
         r0 = CompositeKernel(tuple(terms))
-        rho = draw(st.sampled_from([0.0]) | st.floats(1e-3, 10.0), label="rho")
+        # at rho = 0 the projection off an RBF Gram's column space turns on which
+        # rounding-level eigenvalues clear the rank cutoff, so a Gram gets rho > 0
+        rhos = st.floats(1e-3, 10.0)
+        if r0.feature_matrix(np.zeros((1, 2))) is not None:
+            rhos = st.sampled_from([0.0]) | rhos
+        rho = draw(rhos, label="rho")
         s_diag = np.full(n, draw(st.floats(0.2, 3.0), label="s"))
         rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1), label="seed"))
         x = rng.uniform(-2, 2, (n, 2))
@@ -180,11 +188,13 @@ class TestProjection:
         raw = rng.normal(size=(n, draw(st.integers(1, 5), label="R")))
         model = fit_constrained_ridge(r0, x, y, rho=1.0)
         features = r0.feature_matrix(x)
-        routes = {
-            "eigenbasis": lambda h: _project_on_null(model, s_diag, h, rho)[0],
-            "features": lambda h: project_on_features(features, s_diag, h, rho),
-            "gram": lambda h: project_instruments(features @ features.T, s_diag, h, rho),
-        }
+        routes = {"null": lambda h: _project_on_null(model, s_diag, h, rho)[0]}
+        if features is None:
+            assert model.gram is not None and model.eigen is not None
+            routes["gram"] = lambda h: project_instruments(model.gram, s_diag, h, rho)
+        else:
+            routes["features"] = lambda h: project_on_features(features, s_diag, h, rho)
+            routes["gram"] = lambda h: project_instruments(features @ features.T, s_diag, h, rho)
         reference = routes["gram"](raw)
         for project in routes.values():
             once = project(raw)
@@ -387,6 +397,30 @@ def _toy_plan():
 
 
 class TestRunTest:
+    @pytest.mark.parametrize(
+        "instruments, count, shown",
+        [
+            (SectionInstrumentPlan(count=0), None, 0),
+            (SectionInstrumentPlan(), 0, 0),
+            (SectionInstrumentPlan(count=5), -3, -3),
+            (SeriesInstrumentPlan(kernel=polynomial_series(4), test_pairs=()), None, 0),
+        ],
+    )
+    def test_instrument_count_below_one_rejected_before_the_fit(
+        self, monkeypatch, instruments, count, shown
+    ):
+        def no_fit(*args, **kwargs):
+            raise AssertionError("the restricted fit ran before the instrument count check")
+
+        monkeypatch.setattr(inference, "_fit_by_solver", no_fit)
+        plan = replace(_toy_plan(), r1=LinearKernel(), instruments=instruments)
+        x = np.random.default_rng(4).uniform(-2, 2, (30, 2))
+        with pytest.raises(ValueError, match=f"instrument count must be at least 1, got {shown}$"):
+            run_test(
+                x, x[:, 0], plan, rescaled_square_loss(), FitConfig(budget=5.0),
+                instrument_count=count,
+            )
+
     def test_deterministic_given_seed(self):
         rng = np.random.default_rng(15)
         x = rng.uniform(-2, 2, (40, 2))
@@ -473,7 +507,7 @@ class TestRunTest:
 
     def test_slack_section_fit_projects_off_null_span(self):
         # a slack budget couples rho = 0 into the projection, which then runs
-        # through the fit's thin eigenbasis of the rank-3 null Gram
+        # through the thin SVD of the fit's rank-3 feature matrix
         rng = np.random.default_rng(23)
         n = 80
         x = rng.uniform(-2, 2, (n, 2))
