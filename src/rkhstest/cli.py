@@ -35,6 +35,7 @@ from .simulation import (
     DgpSpec,
     McConfig,
     RejectionTable,
+    null_kernel_for,
     run_monte_carlo,
 )
 
@@ -203,6 +204,9 @@ def _validate(config: RunConfig) -> None:
             raise ConfigError(f"unknown design {sim.design!r}")
         if sim.null not in HYPOTHESES:
             raise ConfigError(f"unknown null hypothesis {sim.null!r}")
+        series = isinstance(null_kernel_for(sim.null).instruments, SeriesInstrumentPlan)
+        if series and sim.instrument_count is not None:
+            raise ConfigError(f"simulate.instrument_count counts sections; {sim.null} tests series")
     if config.command in ("fit", "test"):
         if config.data.path is None:
             raise ConfigError(f"{config.command} mode requires data.path")

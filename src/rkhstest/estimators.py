@@ -17,6 +17,7 @@ and no n x n Gram is built: the Gram vanishes off the thin basis.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 from typing import Callable
@@ -380,28 +381,32 @@ def line_search(objective: Callable[[float], float], tol: float = 1e-6) -> float
     The returned point is snapped to an endpoint whenever the endpoint does
     at least as well, so boundary minimizers come back as exactly 0 or 1.
     ``tol`` is the final bracket width and must be finite and positive.
+    A comparison certified by the objective's ``order(p, q)`` (see
+    :meth:`LossSpec.segment_mean`) evaluates nothing, any other both points,
+    each once; every comparison and the result are those of direct evaluation.
     """
     if not 0.0 < tol < math.inf:
         raise ValueError(f"line search tolerance must be finite and positive, got {tol!r}")
+    order, at = getattr(objective, "order", lambda p, q: None), functools.cache(objective)
+
+    def no_worse(p: float, q: float) -> bool:
+        sign = order(p, q)
+        return at(p) <= at(q) if sign is None else sign < 0
+
     invphi = (math.sqrt(5.0) - 1.0) / 2.0
-    a, b = 0.0, 1.0
-    c = b - invphi * (b - a)
-    d = a + invphi * (b - a)
-    fc = objective(c)
-    fd = objective(d)
+    a, b, c, d = 0.0, 1.0, 1.0 - invphi, invphi
     while (b - a) > tol:
-        if fc <= fd:
-            b, d, fd = d, c, fc
+        if no_worse(c, d):
+            b, d = d, c
             c = b - invphi * (b - a)
-            fc = objective(c)
         else:
-            a, c, fc = c, d, fd
+            a, c = c, d
             d = a + invphi * (b - a)
-            fd = objective(d)
-    mid = 0.5 * (a + b)
-    candidates = (mid, 0.0, 1.0)
-    values = [objective(t) for t in candidates]
-    return candidates[int(np.argmin(values))]
+    best = 0.5 * (a + b)
+    for t in (0.0, 1.0):  # np.argmin's rule over (mid, 0, 1): the first minimum wins
+        if not no_worse(best, t):
+            best = t
+    return best
 
 
 def _unit_direction(v: np.ndarray, q: float, n: int = 1) -> tuple[np.ndarray, float]:
@@ -610,12 +615,8 @@ def greedy_fit(x, y, loss: LossSpec, kernels, config: FitConfig) -> AdditiveMode
         picked, rho, unit = found
         delta = budget * unit - fitted
         gaps.append(float(-(grad @ delta)) / n)
-        tau = _step_size(
-            config.step_rule,
-            m,
-            loss.segment_mean(y, fitted, delta),
-            config.line_search_tol,
-        )
+        segment = loss.segment_mean(y, fitted, delta)
+        tau = _step_size(config.step_rule, m, segment, config.line_search_tol)
         blocks.step(tau, tau * budget)
         fitted = fitted + tau * delta
 

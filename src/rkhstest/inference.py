@@ -415,6 +415,8 @@ def run_test(
         _check_penalty(proj_rho)
     spec = plan.instruments
     series = isinstance(spec, SeriesInstrumentPlan)
+    if series and instrument_count is not None:
+        raise ValueError("instrument_count counts kernel sections; a series plan tests test_pairs")
     count = len(spec.test_pairs) if series else instrument_count
     if count is None:
         count = spec.count

@@ -41,6 +41,7 @@ class LossSpec:
     _value: Callable
     _derivs: tuple[Callable | None, Callable | None, Callable | None]
     _check_y: Callable | None = None
+    _square_scale: float | None = None  # κ when L = κ(y − t)²
 
     def _validate(self, y):
         if self._check_y is not None:
@@ -62,10 +63,20 @@ class LossSpec:
         ``start + delta`` (every point between two finite ends is finite).
         Each evaluation returns exactly ``float(np.mean(self.value(...)))``,
         since ``np.mean`` is the same ``add.reduce`` and the same division.
+
+        For L = κ(y − t)² it also has ``order(p, q)``, the sign of objective(p) −
+        objective(q), or None when rounding could flip it.  Exactly, the mean is
+        q(t) = k0 + t(k1 + t·k2) (r = y − start, k0 = κΣr²/n, k1 = −2κΣrδ/n,
+        k2 = κΣδ²/n) and D = (p − q)(k1 + (p + q)k2).  Let u = 2⁻⁵³, m = |r| + |δ|,
+        w = m + |start| + 2|δ| and t in [0, 1].  A computed residual is within u·w,
+        its square within 2u·w(m + u·w); numpy's pairwise sum adds each term at most
+        h = log2 n + 18 times; so an evaluation is within u((h + 2)q + E), where
+        E = 2κΣw(m + u·w)/n ≥ 2(k0 + |k1| + k2), and dot products leave the computed
+        D within (n + 6)u·E·|p − q|.  order needs |D| > B, twice the sum of these
+        bounds at p and q (q from the computed k) plus 2⁻¹⁰⁶⁰ for underflow; the 2
+        covers terms of order u².  Overflow makes B infinite: order says None.
         """
-        y = np.asarray(y, dtype=float)
-        start = np.asarray(start, dtype=float)
-        delta = np.asarray(delta, dtype=float)
+        y, start, delta = (np.asarray(a, dtype=float) for a in (y, start, delta))
         if not (np.all(np.isfinite(start)) and np.all(np.isfinite(start + delta))):
             raise ValueError("fitted value t must be finite")
         self._validate(y)
@@ -75,6 +86,26 @@ class LossSpec:
         def objective(t: float) -> float:
             return float(total(value(y, start + t * delta), axis=None) / n)
 
+        if self._square_scale is None:
+            return objective
+        kappa, u, r, s, d = self._square_scale, 2.0**-53, y - start, start, delta
+        if not r.shape == s.shape == d.shape == (n,):
+            r, s, d = (np.ravel(a) for a in np.broadcast_arrays(r, s, d))
+        m = np.abs(r) + np.abs(d)
+        w = m + np.abs(s) + 2.0 * np.abs(d)
+        k0, k1, k2 = (kappa * float(a @ b) / n for a, b in ((r, r), (r, d), (d, d)))
+        e = 2.0 * kappa * float(w @ (m + u * w)) / n
+        per_level, per_gap = 2.0 * (float(np.log2(n)) + 20.0) * u, 2.0 * (n + 6) * u * e
+        floor, k1 = 4.0 * u * e + 2.0**-1060, -2.0 * k1
+
+        def order(p: float, q: float) -> int | None:
+            gap, both = p - q, p + q
+            diff = gap * (k1 + both * k2)
+            level = 2.0 * k0 + both * k1 + (p * p + q * q) * k2
+            certain = abs(diff) > floor + per_level * level + per_gap * abs(gap)
+            return (1 if diff > 0.0 else -1) if certain else None
+
+        objective.order = order
         return objective
 
     def deriv(self, order: int, y, t):
@@ -103,6 +134,7 @@ def square_loss() -> LossSpec:
             lambda y, t: np.full(np.broadcast(y, t).shape, 2.0),
             lambda y, t: np.zeros(np.broadcast(y, t).shape),
         ),
+        _square_scale=1.0,
     )
 
 
@@ -121,6 +153,7 @@ def rescaled_square_loss() -> LossSpec:
             lambda y, t: np.ones(np.broadcast(y, t).shape),
             lambda y, t: np.zeros(np.broadcast(y, t).shape),
         ),
+        _square_scale=0.5,
     )
 
 

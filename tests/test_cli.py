@@ -84,6 +84,16 @@ class TestParseConfig:
                 command="test",
             )
 
+    @pytest.mark.parametrize("null", ["Lin3", "LinPoly"])
+    def test_simulated_instrument_count_with_a_series_null_is_an_error(self, null):
+        # series nulls test their feature columns; the count would be ignored
+        match = f"simulate.instrument_count counts sections; {null} tests series"
+        with pytest.raises(ConfigError, match=match):
+            parse_config(
+                f"seed: 1\nsimulate: {{design: Lin3, null: {null}, instrument_count: 50}}\n",
+                command="simulate",
+            )
+
     def test_readme_configs_parse(self, tmp_path):
         # every YAML example in the README must pass strict validation
         readme = Path(__file__).resolve().parent.parent / "README.md"

@@ -32,7 +32,13 @@ from rkhstest.kernels import (
     polynomial_series,
     polynomial_weights,
 )
-from rkhstest.losses import logistic_loss, poisson_loss, rescaled_square_loss, square_loss
+from rkhstest.losses import (
+    LossSpec,
+    logistic_loss,
+    poisson_loss,
+    rescaled_square_loss,
+    square_loss,
+)
 
 RNG = np.random.default_rng(2024)
 
@@ -254,6 +260,34 @@ class TestLineSearch:
         # minimizer at t* = 2 -> clipped to 1; at t* = -1 -> clipped to 0
         assert line_search(lambda t: (t - 2.0) ** 2) == 1.0
         assert line_search(lambda t: (t + 1.0) ** 2) == 0.0
+
+    def test_certified_comparisons_leave_few_evaluations(self, monkeypatch):
+        # criterion 5's instance; evaluating every point costs 34 a search, so
+        # a certificate that stops deciding comparisons shows here
+        segment_mean = LossSpec.segment_mean
+        searches, evaluations = [], []
+
+        def counted(self, y, start, delta):
+            objective = segment_mean(self, y, start, delta)
+
+            def direct(t):
+                evaluations.append(t)
+                return objective(t)
+
+            direct.order = objective.order
+            searches.append(direct)
+            return direct
+
+        monkeypatch.setattr(LossSpec, "segment_mean", counted)
+        rng = np.random.default_rng(515)
+        x = rng.uniform(-2, 2, (200, 3))
+        y = 0.6 * x[:, 0] - 0.4 * x[:, 1] ** 2 + 0.3 * np.sin(2 * x[:, 2])
+        y = y + 0.4 * rng.standard_normal(200)
+        terms = [(polynomial_series(10, 2.2), (c,)) for c in range(3)]
+        cfg = FitConfig(budget=1.2, norm_kind="hk", iterations=500)
+        greedy_fit(x, y, square_loss(), terms, cfg)
+        assert len(searches) == 500
+        assert len(evaluations) <= 4 * len(searches)
 
 
 class TestDirections:

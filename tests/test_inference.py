@@ -421,6 +421,24 @@ class TestRunTest:
                 instrument_count=count,
             )
 
+    @pytest.mark.parametrize("count", [0, 5])
+    @pytest.mark.parametrize("plan", [_toy_plan(), null_kernel_for("Lin3")], ids=["toy", "Lin3"])
+    def test_instrument_count_with_a_series_plan_rejected_before_the_fit(
+        self, monkeypatch, plan, count
+    ):
+        # a series plan tests the columns its test_pairs name; a count used to
+        # be ignored, so instrument_count=0 ran all 97 of Lin3's columns
+        def no_fit(*args, **kwargs):
+            raise AssertionError("the restricted fit ran before the instrument count check")
+
+        monkeypatch.setattr(inference, "_fit_by_solver", no_fit)
+        x = np.random.default_rng(4).uniform(-2, 2, (30, 10))
+        with pytest.raises(ValueError, match="instrument_count counts kernel sections"):
+            run_test(
+                x, x[:, 0], plan, rescaled_square_loss(), FitConfig(budget=5.0),
+                instrument_count=count,
+            )
+
     def test_deterministic_given_seed(self):
         rng = np.random.default_rng(15)
         x = rng.uniform(-2, 2, (40, 2))

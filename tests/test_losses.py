@@ -2,7 +2,10 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from rkhstest.estimators import line_search
 from rkhstest.losses import (
     absolute_loss,
     duration_loss,
@@ -99,8 +102,6 @@ class TestDerivatives:
 
 def _golden_points(count):
     """The first ``count`` points the golden-section line search evaluates."""
-    from rkhstest.estimators import line_search
-
     seen = []
     line_search(lambda t: seen.append(t) or (t - 0.3) ** 2)
     return seen[:count]
@@ -138,6 +139,85 @@ class TestSegmentMean:
         with pytest.raises(ValueError) as from_segment:
             loss.segment_mean(y, start, delta)
         assert str(from_segment.value) == str(from_value.value)
+
+
+class _Probe:
+    """Wraps an objective; records the pairs line_search asks ``order`` about."""
+
+    def __init__(self, objective):
+        self.objective, self.pairs = objective, []
+
+    def __call__(self, t):
+        return self.objective(t)
+
+    def order(self, p, q):
+        self.pairs.append((p, q))
+        return getattr(self.objective, "order", lambda p, q: None)(p, q)
+
+
+def _draw_segment(data):
+    """A square-loss segment built to put the certificate near its limits.
+
+    Sizes 1 to 2000, optionally a scalar y; residuals of 1e-3 on ends of
+    size 1e6; directions that are zero, ~1e-12 (a converged plateau), random,
+    or r / t* for a minimizer t* at 0, at 1, past either end, inside, or
+    midway between two points the search compares, where the exact values tie.
+    """
+    loss = data.draw(st.sampled_from([square_loss(), rescaled_square_loss()]))
+    n = data.draw(st.integers(1, 2000))
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+    offset = data.draw(st.sampled_from([0.0, 1e6]))
+    start = offset * np.sign(rng.normal(size=n)) + rng.normal(size=n)
+    y = start + (1e-3 if offset else 1.0) * rng.normal(size=n)
+    if data.draw(st.booleans()):
+        y = float(y[0])
+    residual = y - start
+    kind = data.draw(st.sampled_from(["minimizer", "zero", "plateau", "random"]))
+    if kind == "minimizer":
+        x = data.draw(st.floats(0.0, 1.0))
+        probe = _Probe(lambda t: (t - x) ** 2)
+        line_search(probe)
+        pair = data.draw(st.sampled_from(probe.pairs))
+        t_star = data.draw(
+            st.sampled_from([1e-9, 0.5, 1.0, -0.25, 1.5, sum(pair) / 2])
+            | st.floats(0.01, 1.0)
+        )
+        delta = residual / t_star
+    elif kind == "zero":
+        delta = np.zeros(n)
+    else:
+        delta = (1e-12 if kind == "plateau" else 3.0) * rng.normal(size=n)
+    return loss.segment_mean(y, start, delta)
+
+
+class TestCertifiedOrder:
+    """The square losses' segments decide comparisons without changing any."""
+
+    @settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @given(data=st.data())
+    def test_line_search_is_bit_identical_to_direct_evaluation(self, data):
+        objective = _draw_segment(data)
+        tol = data.draw(st.sampled_from([1e-6, 1e-3, 1e-12]))
+        assert line_search(objective, tol) == line_search(lambda t: objective(t), tol)
+
+    @settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @given(data=st.data())
+    def test_a_certified_sign_is_the_sign_of_the_direct_evaluations(self, data):
+        objective = _draw_segment(data)
+        probe = _Probe(objective)
+        line_search(probe, data.draw(st.sampled_from([1e-6, 1e-12])))
+        p = data.draw(st.floats(0.0, 1.0))
+        drawn = [(p, data.draw(st.floats(0.0, 1.0))), (p, float(np.nextafter(p, 2.0)))]
+        for p, q in probe.pairs + drawn:
+            sign = objective.order(p, q)
+            if sign is not None:
+                assert np.sign(objective(p) - objective(q)) == sign
+
+    def test_only_the_square_losses_certify(self):
+        for name, (loss, draw_y) in SMOOTH.items():
+            y = draw_y(np.random.default_rng(3))
+            objective = loss.segment_mean(y, np.zeros(20), np.ones(20))
+            assert hasattr(objective, "order") == (name in ("square", "rescaled_square"))
 
 
 class TestErrors:
