@@ -204,13 +204,15 @@ def _term_features(terms, x: np.ndarray) -> list[np.ndarray | None]:
 
 @dataclass
 class GreedyTrace:
-    """Per-iteration diagnostics of the greedy loop."""
+    """Per-iteration diagnostics of the greedy loop: the term each step moved
+    (-1 when an hk step moves them all), the step size, the direction's
+    multiplier and the objective after the step.  The constraint norms are
+    the final iterate's, on the model."""
 
     coords: np.ndarray
     steps: np.ndarray
     multipliers: np.ndarray
     objectives: np.ndarray
-    norms: np.ndarray  # constraint norm (lk or hk per config) after each step
     # Frank-Wolfe duality gap of the iterate before each step,
     # <grad mean L(f), f - s> = -grad.delta / n; it bounds that iterate's
     # objective gap from above (Jaggi 2013)
@@ -463,23 +465,19 @@ class _FeatureBlocks:
         self.coeff *= 1.0 - tau
         self.coeff[self.target] += size * self.unit
 
-    def norms(self) -> np.ndarray:
-        return np.array([np.linalg.norm(self.coeff[sl]) for sl in self.slices])
-
     def finish(self):
         """(coefficient blocks, block norms, in-sample fitted values, stacked features)."""
         coeffs = tuple(self.coeff[sl].copy() for sl in self.slices)
         fitted = np.zeros(self.n)
         for f, c in zip(self.feats, coeffs):
             fitted += f @ c
-        return coeffs, self.norms(), fitted, self.stacked
+        return coeffs, np.array([np.linalg.norm(c) for c in coeffs]), fitted, self.stacked
 
 
 class _GramBlocks:
     """Terms through their n x n Grams G_t, with representer weights per term.
 
-    A step costs one product G_t grad per term.  u[:, t] = G_t alpha[:, t]
-    is updated from those products, so the trace norms cost O(n) per term.
+    A step costs one product G_t grad per term.
     """
 
     representation = "representer_greedy"
@@ -487,41 +485,33 @@ class _GramBlocks:
     def __init__(self, n, grams):
         self.n, self.grams = n, grams
         self.alpha = np.zeros((n, len(grams)))
-        self.u = np.zeros((n, len(grams)))
 
     def direction(self, grad, joint: bool):
         """(picked term or -1, multiplier, fitted values of the unit direction)."""
         n = self.n
-        self.w = [g @ grad for g in self.grams]
+        products = [g @ grad for g in self.grams]
         if joint:
-            self.picked, w = -1, np.sum(self.w, axis=0)
+            self.picked, w = -1, np.sum(products, axis=0)
             q = float(grad @ w) / n**2
         else:
-            qs = [float(grad @ wt) / n**2 for wt in self.w]
+            qs = [float(grad @ wt) / n**2 for wt in products]
             self.picked = _largest(qs)
-            w, q = self.w[self.picked], qs[self.picked]
+            w, q = products[self.picked], qs[self.picked]
         if q <= 0.0:
             return None
         self.beta, rho = _unit_direction(grad, q, n)
-        self.scale = -1.0 / (2.0 * rho * n)
-        return self.picked, rho, w * self.scale
+        return self.picked, rho, w * (-1.0 / (2.0 * rho * n))
 
     def step(self, tau: float, size: float):
         self.alpha *= 1.0 - tau
-        self.u *= 1.0 - tau
         targets = range(len(self.grams)) if self.picked < 0 else (self.picked,)
         for t in targets:
             self.alpha[:, t] += size * self.beta
-            self.u[:, t] += size * self.scale * self.w[t]
-
-    def norms(self) -> np.ndarray:
-        return np.sqrt(np.maximum(np.einsum("it,it->t", self.alpha, self.u), 0.0))
 
     def finish(self):
         """(coefficient blocks, block norms, in-sample fitted values, Gram).
 
-        The norms are the exact quadratic forms, so model.json does not
-        carry the rounding of the O(n) updates; fitted values and Grams are
+        The norms are the exact quadratic forms; fitted values and Grams are
         summed in term order, as ``predict`` and ``CompositeKernel.gram`` sum.
         """
         coeffs = tuple(self.alpha.T)
@@ -579,12 +569,6 @@ def _step_size(rule: str, m: int, objective_1d, tol: float) -> float:
     return 1.0 / m
 
 
-def _constraint_norm(norm_kind: str, block_norms: np.ndarray) -> float:
-    if norm_kind == "lk":
-        return float(block_norms.sum())
-    return float(np.sqrt((block_norms**2).sum()))
-
-
 def greedy_fit(x, y, loss: LossSpec, kernels, config: FitConfig) -> AdditiveModel:
     """Frank-Wolfe greedy estimation in the lk- or hk-norm ball.
 
@@ -606,7 +590,7 @@ def greedy_fit(x, y, loss: LossSpec, kernels, config: FitConfig) -> AdditiveMode
         blocks = _GramBlocks(n, [gram_matrix(k, _select(x, sel)) for k, sel in terms])
     fitted = np.zeros(n)
 
-    coords, steps, multipliers, objectives, norms, gaps = [], [], [], [], [], []
+    coords, steps, multipliers, objectives, gaps = [], [], [], [], []
     for m in range(1, config.iterations + 1):
         grad = np.asarray(loss.deriv(1, y, fitted), dtype=float)
         found = blocks.direction(grad, config.norm_kind == "hk")
@@ -624,18 +608,19 @@ def greedy_fit(x, y, loss: LossSpec, kernels, config: FitConfig) -> AdditiveMode
         steps.append(tau)
         multipliers.append(rho)
         objectives.append(float(np.mean(loss.value(y, fitted))))
-        norms.append(_constraint_norm(config.norm_kind, blocks.norms()))
 
     coeffs, block_norms, in_sample, span = blocks.finish()
-    norm = _constraint_norm(config.norm_kind, block_norms)
+    norm_hk = float(np.sqrt((block_norms**2).sum()))
+    norm_lk = float(block_norms.sum())
+    norm = norm_lk if config.norm_kind == "lk" else norm_hk
     return AdditiveModel(
         representation=blocks.representation,
         terms=terms,
         coeffs=coeffs,
         budget=budget,
         norm_kind=config.norm_kind,
-        norm_hk=float(np.sqrt((block_norms**2).sum())),
-        norm_lk=float(block_norms.sum()),
+        norm_hk=norm_hk,
+        norm_lk=norm_lk,
         ridge_rho=float(multipliers[-1]) if multipliers else 0.0,
         budget_binding=norm >= (1.0 - BINDING_RTOL) * budget,
         anchors=x,
@@ -645,7 +630,6 @@ def greedy_fit(x, y, loss: LossSpec, kernels, config: FitConfig) -> AdditiveMode
             steps=np.array(steps),
             multipliers=np.array(multipliers),
             objectives=np.array(objectives),
-            norms=np.array(norms),
             gaps=np.array(gaps),
         ),
         gram=None if finite_rank else span,

@@ -79,7 +79,7 @@ def series_feature_columns(
 def build_instruments(
     x,
     *,
-    kernel: Kernel | None = None,
+    kernel: Kernel,
     anchor_indices=None,
 ) -> np.ndarray:
     """Raw instrument matrix (n, R) of normalized kernel sections.
@@ -90,8 +90,6 @@ def build_instruments(
     """
     x = _as_sample(x, None)
     n = x.shape[0]
-    if kernel is None:
-        raise ValueError("kernel sections need the alternative kernel")
     idx = np.arange(n) if anchor_indices is None else np.asarray(anchor_indices)
     z = x[idx]
     diag = np.array([kernel.eval(z[r], z[r]) for r in range(z.shape[0])])
@@ -422,6 +420,8 @@ def run_test(
         count = spec.count
     if count is not None and count < 1:
         raise ValueError(f"the instrument count must be at least 1, got {count}")
+    if not series and plan.r1 is None:
+        raise ValueError("kernel sections need the alternative kernel r1; the plan's r1 is None")
     x = _as_sample(x, None)
     y = np.asarray(y, dtype=float)
     n = x.shape[0]
@@ -455,8 +455,7 @@ def run_test(
         raw = series_feature_columns(x, spec.kernel, spec.test_pairs)
     else:
         idx = _evenly_spaced_indices(n, count) if count is not None else None
-        section_kernel = plan.r0 + plan.r1 if plan.r1 is not None else None
-        raw = build_instruments(x, kernel=section_kernel, anchor_indices=idx)
+        raw = build_instruments(x, kernel=plan.r0 + plan.r1, anchor_indices=idx)
     projected, null_span = _project_on_null(model, s_diag, raw, rho)
 
     ortho = None

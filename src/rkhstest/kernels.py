@@ -8,15 +8,15 @@ object can be shared freely across threads.  Every kernel knows how to
 * return a feature matrix F with F F' = gram(x) (``feature_matrix``), or
   None when the kernel has infinite rank and so only a Gram.
 
-Points are real vectors; a sample is an ``(n, d)`` array.  Univariate kernels
-(``dim == 1``) receive the selected coordinate as an ``(n,)`` array.
+Points are real vectors; a sample is an ``(n, d)`` array.  The univariate
+kernels (series and integrated Brownian) take one coordinate, as an ``(n,)``
+or ``(n, 1)`` array.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 
@@ -42,9 +42,7 @@ def _as_sample(x, dim: int | None) -> np.ndarray:
     if arr.ndim == 0:
         arr = arr.reshape(1, 1)
     elif arr.ndim == 1:
-        # A 1-d array is a column of scalar points for univariate kernels,
-        # or a single point for multivariate ones.
-        arr = arr[:, None] if dim in (None, 1) else arr[None, :]
+        arr = arr[:, None]  # a column of scalar points
     if arr.ndim != 2:
         raise ValueError(f"points must form an (n, d) array, got shape {arr.shape}")
     if dim is not None and arr.shape[1] != dim:
@@ -82,9 +80,6 @@ def _select(x: np.ndarray, sel) -> np.ndarray:
 class Kernel:
     """Base class for positive semi-definite covariance functions."""
 
-    #: expected point dimension, or None when any width is accepted
-    dim: int | None = None
-
     def __post_init__(self):
         # a kernel's scale enters feature maps as sqrt(scale); negative is not PSD
         if getattr(self, "scale", 0.0) < 0:
@@ -114,7 +109,6 @@ class ConstantKernel(Kernel):
     """C(s, t) = scale."""
 
     scale: float = 1.0
-    dim: int | None = None
 
     def eval(self, s, t) -> float:
         return float(self.scale)
@@ -133,24 +127,23 @@ class LinearKernel(Kernel):
     """C(s, t) = scale * <s, t>."""
 
     scale: float = 1.0
-    dim: int | None = None
 
     def eval(self, s, t) -> float:
-        s = _as_point(s, self.dim)
-        t = _as_point(t, self.dim)
+        s = _as_point(s, None)
+        t = _as_point(t, None)
         if s.shape != t.shape:
             raise ValueError("dimension mismatch between points")
         return float(self.scale * np.dot(s, t))
 
     def gram(self, x, z=None) -> np.ndarray:
-        x = _as_sample(x, self.dim)
-        z = x if z is None else _as_sample(z, self.dim)
+        x = _as_sample(x, None)
+        z = x if z is None else _as_sample(z, None)
         if x.shape[1] != z.shape[1]:
             raise ValueError("dimension mismatch between point sets")
         return self.scale * (x @ z.T)
 
     def feature_matrix(self, x) -> np.ndarray:
-        return math.sqrt(self.scale) * _as_sample(x, self.dim)
+        return math.sqrt(self.scale) * _as_sample(x, None)
 
 
 @dataclass(frozen=True)
@@ -162,7 +155,6 @@ class GaussianRBF(Kernel):
 
     lengthscale: float = 1.0
     scale: float = 1.0
-    dim: int | None = None
 
     def __post_init__(self):
         if self.lengthscale <= 0:
@@ -170,16 +162,16 @@ class GaussianRBF(Kernel):
         super().__post_init__()
 
     def eval(self, s, t) -> float:
-        s = _as_point(s, self.dim)
-        t = _as_point(t, self.dim)
+        s = _as_point(s, None)
+        t = _as_point(t, None)
         if s.shape != t.shape:
             raise ValueError("dimension mismatch between points")
         d2 = float(np.sum((s - t) ** 2))
         return self.scale * math.exp(-0.5 * d2 / self.lengthscale**2)
 
     def gram(self, x, z=None) -> np.ndarray:
-        x = _as_sample(x, self.dim)
-        z = x if z is None else _as_sample(z, self.dim)
+        x = _as_sample(x, None)
+        z = x if z is None else _as_sample(z, None)
         if x.shape[1] != z.shape[1]:
             raise ValueError("dimension mismatch between point sets")
         # |x|^2 + |z|^2 - 2 x.z, then scale * exp(-0.5 d2 / a^2), each
@@ -199,21 +191,16 @@ class GaussianRBF(Kernel):
 
 @dataclass(frozen=True)
 class SeriesKernel(Kernel):
-    """Truncated series kernel C(s, t) = sum_v w_v phi_v(s) phi_v(t).
+    """Polynomial series kernel C(s, t) = sum_v w_v (s t)^v on one coordinate.
 
-    ``weights`` holds the w_v = lambda_v^2 (positive, typically descending);
-    ``features`` the callables phi_v acting elementwise on coordinate values.
+    ``weights`` holds the w_v = lambda_v^2, v = 1..V (positive, typically
+    descending); feature v is the monomial u^v.
     """
 
     weights: tuple[float, ...]
-    features: tuple[Callable[[np.ndarray], np.ndarray], ...]
-    dim: int = 1
 
     def __post_init__(self):
         object.__setattr__(self, "weights", tuple(float(w) for w in self.weights))
-        object.__setattr__(self, "features", tuple(self.features))
-        if len(self.weights) != len(self.features):
-            raise ValueError("weights and features must have equal length")
         if any(w <= 0 for w in self.weights):
             raise ValueError("series weights must be positive")
 
@@ -222,7 +209,7 @@ class SeriesKernel(Kernel):
         return len(self.weights)
 
     def _phi(self, values: np.ndarray) -> np.ndarray:
-        cols = [np.asarray(f(values), dtype=float) for f in self.features]
+        cols = [values**v for v in range(1, self.n_terms + 1)]
         return np.column_stack(cols) if cols else np.empty((values.shape[0], 0))
 
     def feature_matrix(self, x) -> np.ndarray:
@@ -252,16 +239,9 @@ def polynomial_weights(n_terms: int, decay: float = 2.2) -> tuple[float, ...]:
     return tuple(float(v) ** (-decay) for v in range(1, n_terms + 1))
 
 
-def _monomial(v: int) -> Callable[[np.ndarray], np.ndarray]:
-    return lambda u, _v=v: np.asarray(u, dtype=float) ** _v
-
-
 def polynomial_series(n_terms: int, decay: float = 2.2) -> SeriesKernel:
     """Series form of the polynomial kernel sum_v v^(-decay) (s t)^v."""
-    return SeriesKernel(
-        weights=polynomial_weights(n_terms, decay),
-        features=tuple(_monomial(v) for v in range(1, n_terms + 1)),
-    )
+    return SeriesKernel(polynomial_weights(n_terms, decay))
 
 
 def _integrated_brownian(order: int, s, t):
@@ -282,7 +262,6 @@ class IntegratedBrownianKernel(Kernel):
     [0, 1] of G_V(s, u) G_V(t, u), G_V(r, u) = (r - u)^(V-1)/(V-1)! for u <= r, else 0."""
 
     order: int = 1
-    dim: int = 1
 
     def __post_init__(self):
         if self.order < 1:
@@ -322,11 +301,6 @@ class CompositeKernel(Kernel):
                 sel = tuple(int(i) for i in sel)
             norm.append((kernel, sel))
         object.__setattr__(self, "terms", tuple(norm))
-
-    @property
-    def dim(self) -> int | None:  # type: ignore[override]
-        needed = [max(sel) + 1 for _, sel in self.terms if sel]
-        return max(needed) if needed else None
 
     def eval(self, s, t) -> float:
         s = _as_point(s, None)
@@ -431,10 +405,7 @@ def kernel_from_config(spec) -> Kernel:
             weights = polynomial_weights(
                 int(spec.pop("degree", 10)), float(spec.pop("decay", 2.2))
             )
-        kernel = SeriesKernel(
-            weights=weights,
-            features=tuple(_monomial(v) for v in range(1, len(weights) + 1)),
-        )
+        kernel = SeriesKernel(weights)
     elif kind == "integrated_brownian":
         kernel = IntegratedBrownianKernel(order=int(spec.pop("order", 1)))
     else:

@@ -53,6 +53,8 @@ DESIGNS = ("Lin3", "LinAll", "NonLinear", "Bivariate")
 HYPOTHESES = ("Lin1", "Lin2", "Lin3", "LinAll", "LinPoly", "Lin1NonLin", "BivLinAll")
 
 _TRUNC = 2.0
+# series designs: monomials 1.._SERIES_TERMS with polynomial_series' weights v^(-2.2)
+_SERIES_TERMS = 10
 
 
 def _correlation_matrix(k: int, pair_corr: float, shape: str) -> np.ndarray:
@@ -151,17 +153,17 @@ def gen_response(
     return y, noise_sd, mu
 
 
-def _lin_j_plan(name: str, j: int, k: int, n_terms: int, decay: float) -> HypothesisPlan:
-    base = polynomial_series(n_terms, decay)
+def _lin_j_plan(name: str, j: int, k: int) -> HypothesisPlan:
+    base = polynomial_series(_SERIES_TERMS)
     r0 = CompositeKernel(tuple((LinearKernel(), (c,)) for c in range(j)))
-    r1_terms = tuple((polynomial_series(n_terms, decay), (c,)) for c in range(k))
+    r1_terms = tuple((base, (c,)) for c in range(k))
     # the alternative space is the full additive polynomial space minus the
     # linear span of the first j coordinates: higher orders there, all
     # orders elsewhere
     test_pairs = tuple(
         (c, v)
         for c in range(k)
-        for v in range(2 if c < j else 1, n_terms + 1)
+        for v in range(2 if c < j else 1, _SERIES_TERMS + 1)
     )
     return HypothesisPlan(
         name=name,
@@ -171,13 +173,13 @@ def _lin_j_plan(name: str, j: int, k: int, n_terms: int, decay: float) -> Hypoth
     )
 
 
-def _lin_poly_plan(k: int, n_terms: int, decay: float) -> HypothesisPlan:
-    base = polynomial_series(n_terms, decay)
+def _lin_poly_plan(k: int) -> HypothesisPlan:
+    base = polynomial_series(_SERIES_TERMS)
     r0 = CompositeKernel(
         ((LinearKernel(), (0,)),)
-        + tuple((polynomial_series(n_terms, decay), (c,)) for c in range(1, k))
+        + tuple((base, (c,)) for c in range(1, k))
     )
-    test_pairs = tuple((0, v) for v in range(2, n_terms + 1))
+    test_pairs = tuple((0, v) for v in range(2, _SERIES_TERMS + 1))
     return HypothesisPlan(
         name="LinPoly",
         r0=r0,
@@ -209,9 +211,7 @@ def _bivariate_plans(name: str) -> HypothesisPlan:
     )
 
 
-def null_kernel_for(
-    hypothesis: str, k: int = 10, n_terms: int = 10, decay: float = 2.2
-) -> HypothesisPlan:
+def null_kernel_for(hypothesis: str, k: int = 10) -> HypothesisPlan:
     """Hypothesis registry: null and alternative kernels and instruments.
 
     Lin1/Lin2/Lin3/LinAll restrict the model to a linear function of the
@@ -222,9 +222,9 @@ def null_kernel_for(
     """
     if hypothesis in ("Lin1", "Lin2", "Lin3", "LinAll"):
         j = {"Lin1": 1, "Lin2": 2, "Lin3": 3, "LinAll": k}[hypothesis]
-        return _lin_j_plan(hypothesis, j, k, n_terms, decay)
+        return _lin_j_plan(hypothesis, j, k)
     if hypothesis == "LinPoly":
-        return _lin_poly_plan(k, n_terms, decay)
+        return _lin_poly_plan(k)
     if hypothesis in ("Lin1NonLin", "BivLinAll"):
         return _bivariate_plans(hypothesis)
     raise ValueError(

@@ -20,7 +20,6 @@ class HornerPolynomial(Kernel):
     """
 
     weights: tuple
-    dim: int = 1
 
     def _horner(self, p):
         acc = np.zeros_like(p)

@@ -439,7 +439,9 @@ class TestGreedyFit:
         terms = [(polynomial_series(6), (k,)) for k in range(3)]
         cfg = FitConfig(budget=0.8, iterations=120, norm_kind="lk")
         model = greedy_fit(x, y, rescaled_square_loss(), terms, cfg)
-        assert np.all(model.trace.norms <= 0.8 * (1 + 1e-8))
+        norms, last = _replayed_iterates(x, y, rescaled_square_loss(), cfg, model)
+        _assert_blocks_close(last, model.coeffs, 1e-12)
+        assert len(norms) == 120 and max(norms) <= 0.8 * (1 + 1e-8)
         assert model.norm_lk <= 0.8 * (1 + 1e-8)
 
     def test_norm_sandwich(self):
@@ -515,7 +517,9 @@ class TestGreedyFit:
         cfg = FitConfig(budget=0.7, iterations=200, norm_kind="hk")
         model = greedy_fit(x, y, rescaled_square_loss(), terms, cfg)
         assert model.norm_hk <= 0.7 * (1 + 1e-8)
-        assert np.all(model.trace.norms <= 0.7 * (1 + 1e-8))
+        norms, last = _replayed_iterates(x, y, rescaled_square_loss(), cfg, model)
+        _assert_blocks_close(last, model.coeffs, 1e-12)
+        assert len(norms) == 200 and max(norms) <= 0.7 * (1 + 1e-8)
         assert np.all(model.trace.coords == -1)
 
     def test_pinned_traces(self):
@@ -572,6 +576,42 @@ def _gram_path_fit(norm_kind, iterations=200):
     return x, y, loss, cfg, greedy_fit(x, y, loss, _rbf_terms(3), cfg)
 
 
+def _replayed_iterates(x, y, loss, cfg, model):
+    """(constraint norm after each step, final coefficient blocks), rebuilt from
+    the trace's picks, steps and multipliers and the gradient at each rebuilt
+    iterate.  Step m moves the term it picked (-1: every term) to
+    (1 - tau) c_t + tau B K_t beta with beta = -grad / (2 rho n), where K_t is
+    F_t' on the feature path and the identity on the Gram path."""
+    series = model.representation == "series"
+    spans = [
+        k.feature_matrix(x[:, list(sel)]) if series else k.gram(x[:, list(sel)])
+        for k, sel in model.terms
+    ]
+    blocks = [np.zeros_like(c) for c in model.coeffs]
+    norms = []
+    trace = model.trace
+    for picked, tau, rho in zip(trace.coords, trace.steps, trace.multipliers):
+        fitted = sum(s @ c for s, c in zip(spans, blocks))
+        beta = -loss.deriv(1, y, fitted) / (2.0 * rho * x.shape[0])
+        for t, s in enumerate(spans):
+            blocks[t] = (1.0 - tau) * blocks[t]
+            if picked in (-1, t):
+                blocks[t] += tau * cfg.budget * (s.T @ beta if series else beta)
+        per_term = (
+            np.array([np.linalg.norm(c) for c in blocks])
+            if series
+            else _exact_blocks(np.column_stack(blocks), spans)
+        )
+        norms.append(per_term.sum() if cfg.norm_kind == "lk" else np.sqrt(per_term @ per_term))
+    return norms, blocks
+
+
+def _assert_blocks_close(blocks, coeffs, rtol):
+    scale = max(np.max(np.abs(c)) for c in coeffs)
+    for b, c in zip(blocks, coeffs):
+        np.testing.assert_allclose(b, c, rtol=0.0, atol=rtol * scale)
+
+
 def _exact_blocks(alpha, grams):
     """sqrt(alpha_t' G_t alpha_t) per term."""
     return np.array(
@@ -580,30 +620,17 @@ def _exact_blocks(alpha, grams):
 
 
 class TestGramPath:
-    """The Gram-path loop's O(n) norm updates and the Grams the model carries."""
+    """The Gram-path loop's iterates and the Grams the model carries."""
 
     @pytest.mark.parametrize("norm_kind", ["lk", "hk"])
-    def test_trace_norms_match_exact_quadratic_forms(self, norm_kind):
-        # replay the trace's steps on representer coefficients and recompute
-        # every constraint norm from alpha_t' G_t alpha_t
+    def test_replayed_iterates_stay_in_budget_and_end_at_the_model(self, norm_kind):
+        # every iterate's constraint norm, from alpha_t' G_t alpha_t of the
+        # representer coefficients rebuilt from the trace
         x, y, loss, cfg, model = _gram_path_fit(norm_kind)
-        trace = model.trace
-        assert trace.steps.size == 200
-        n = x.shape[0]
-        grams = [k.gram(x[:, list(sel)]) for k, sel in model.terms]
-        alpha = np.zeros_like(np.column_stack(model.coeffs))
-        exact = []
-        for picked, tau, rho in zip(trace.coords, trace.steps, trace.multipliers):
-            fitted = sum(g @ alpha[:, t] for t, g in enumerate(grams))
-            beta = -loss.deriv(1, y, fitted) / (2.0 * rho * n)
-            alpha *= 1.0 - tau
-            if picked < 0:
-                alpha += tau * cfg.budget * beta[:, None]
-            else:
-                alpha[:, picked] += tau * cfg.budget * beta
-            blocks = _exact_blocks(alpha, grams)
-            exact.append(blocks.sum() if norm_kind == "lk" else np.sqrt((blocks**2).sum()))
-        np.testing.assert_allclose(trace.norms, exact, rtol=1e-12, atol=0.0)
+        norms, last = _replayed_iterates(x, y, loss, cfg, model)
+        assert len(norms) == 200
+        assert max(norms) <= cfg.budget * (1 + 1e-8)
+        _assert_blocks_close(last, model.coeffs, 1e-12)
 
     @pytest.mark.parametrize("norm_kind", ["lk", "hk"])
     def test_final_norms_are_exact_quadratic_forms(self, norm_kind):

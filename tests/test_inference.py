@@ -421,6 +421,22 @@ class TestRunTest:
                 instrument_count=count,
             )
 
+    def test_section_plan_without_r1_rejected_before_the_fit(self, monkeypatch):
+        fits = []
+        fit = inference._fit_by_solver
+
+        def spy(*args, **kwargs):
+            fits.append(args)
+            return fit(*args, **kwargs)
+
+        monkeypatch.setattr(inference, "_fit_by_solver", spy)
+        plan = replace(_toy_plan(), instruments=SectionInstrumentPlan(count=5))
+        assert plan.r1 is None
+        x = np.random.default_rng(4).uniform(-2, 2, (30, 2))
+        with pytest.raises(ValueError, match="alternative kernel r1"):
+            run_test(x, x[:, 0], plan, rescaled_square_loss(), FitConfig(budget=5.0))
+        assert fits == []
+
     @pytest.mark.parametrize("count", [0, 5])
     @pytest.mark.parametrize("plan", [_toy_plan(), null_kernel_for("Lin3")], ids=["toy", "Lin3"])
     def test_instrument_count_with_a_series_plan_rejected_before_the_fit(

@@ -4,6 +4,9 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 from scipy.integrate import quad
 
 from gram_only import HornerPolynomial
@@ -199,7 +202,24 @@ class TestSeries:
 
     def test_weights_must_be_positive(self):
         with pytest.raises(ValueError, match="positive"):
-            SeriesKernel(weights=(1.0, -0.1), features=(lambda u: u, lambda u: u**2))
+            SeriesKernel(weights=(1.0, -0.1))
+
+    def test_equal_weights_give_equal_kernels(self):
+        configured = kernel_from_config({"kind": "polynomial", "degree": 10})
+        assert polynomial_series(10) == polynomial_series(10)
+        assert configured == polynomial_series(10)
+        assert hash(configured) == hash(polynomial_series(10))
+
+    @settings(max_examples=60, deadline=None, derandomize=True, database=None)
+    @given(
+        n_terms=st.integers(1, 12),
+        decay=st.floats(0.5, 4.0),
+        x=arrays(np.float64, st.integers(1, 20), elements=st.floats(-3.0, 3.0)),
+    )
+    def test_features_are_scaled_monomials_bit_for_bit(self, n_terms, decay, x):
+        w = np.asarray(polynomial_weights(n_terms, decay))
+        expected = np.column_stack([x**v for v in range(1, n_terms + 1)]) * np.sqrt(w)
+        assert np.array_equal(polynomial_series(n_terms, decay).feature_matrix(x), expected)
 
 
 class TestFeatureMatrix:
