@@ -24,7 +24,6 @@ from .kernels import (
 )
 from .losses import (
     LossSpec,
-    absolute_loss,
     duration_loss,
     logistic_loss,
     loss_by_name,

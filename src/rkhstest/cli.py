@@ -212,11 +212,6 @@ def _validate(config: RunConfig) -> None:
             raise ConfigError(f"{config.command} mode requires data.path")
         if not Path(config.data.path).exists():
             raise ConfigError(f"data file {config.data.path!r} does not exist")
-        if config.loss == "absolute" and config.fit.solver == "greedy":
-            raise ConfigError(
-                "inconsistent config: the absolute loss is not smooth and "
-                "cannot be fit with the greedy solver"
-            )
     if config.command == "test" and "r0" not in config.kernels:
         raise ConfigError("test mode needs kernels.r0 (the null-space kernel)")
     if config.command == "fit" and "r0" not in config.kernels:
@@ -226,6 +221,10 @@ def _validate(config: RunConfig) -> None:
         raise ConfigError(f"unknown instrument mode {mode!r}")
     if mode == "series_features" and config.test.r is not None:
         raise ConfigError("test.r counts kernel sections; series_features mode takes test.features")
+    if mode == "kernel_sections_normalized" and config.test.features:
+        raise ConfigError(
+            "test.features lists series features; kernel_sections_normalized mode takes test.r"
+        )
     if config.command == "test" and mode != "series_features" and "r1" not in config.kernels:
         raise ConfigError(f"instrument mode {mode!r} needs kernels.r1")
 

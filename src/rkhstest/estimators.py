@@ -577,8 +577,6 @@ def greedy_fit(x, y, loss: LossSpec, kernels, config: FitConfig) -> AdditiveMode
     matrix (n, V_t) the O(nV) feature path is used, otherwise the O(n^2)
     Gram path.
     """
-    if not loss.smooth:
-        raise ValueError(f"greedy fitting needs a smooth loss, got {loss.kind!r}")
     x, y = _finite_sample(x, y)
     terms = _term_list(kernels)
     n, budget = x.shape[0], config.budget
@@ -637,13 +635,10 @@ def greedy_fit(x, y, loss: LossSpec, kernels, config: FitConfig) -> AdditiveMode
     )
 
 
-_RIDGE_LOSSES = ("square", "rescaled_square", "absolute")  # absolute: greedy cannot fit it
-
-
 def _fit_by_solver(kernel, x, y, loss: LossSpec, config: FitConfig) -> AdditiveModel:
     """The model ``config.solver`` fits on ``kernel``: greedy or closed-form ridge."""
     if config.solver == "greedy":
         return greedy_fit(x, y, loss, kernel, config)
-    if loss.kind not in _RIDGE_LOSSES:
+    if loss._square_scale is None:
         raise ValueError(f"the ridge_closed_form solver cannot fit the {loss.kind!r} loss")
     return fit_constrained_ridge(kernel, x, y, budget=config.budget, rho=config.ridge_rho)

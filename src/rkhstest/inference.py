@@ -430,12 +430,7 @@ def run_test(
 
     model = _fit_by_solver(plan.r0, x, y, loss, fit_config)
     e0 = np.asarray(loss.deriv(1, y, model.fitted), dtype=float)
-    if loss.smooth:
-        s_diag = np.broadcast_to(
-            np.asarray(loss.deriv(2, y, model.fitted), dtype=float), (n,)
-        ).copy()
-    else:
-        s_diag = np.ones(n)
+    s_diag = np.broadcast_to(loss.deriv(2, y, model.fitted), (n,)).astype(float)
 
     if proj_rho is None:
         if model.representation == "representer" and not series:

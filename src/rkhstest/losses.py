@@ -20,7 +20,6 @@ __all__ = [
     "poisson_loss",
     "logistic_loss",
     "duration_loss",
-    "absolute_loss",
     "loss_by_name",
     "LOSS_NAMES",
 ]
@@ -28,20 +27,13 @@ __all__ = [
 
 @dataclass(frozen=True)
 class LossSpec:
-    """A loss L(z, t) with analytic t-derivatives.
-
-    ``smooth`` is False only for the absolute loss, whose first derivative
-    follows the residual-sign convention 2*1{y - t >= 0} - 1 (so it is +1 at
-    the kink and is the negative of the analytic derivative where L is
-    differentiable; the test statistic is invariant to that global sign).
-    """
+    """A smooth loss L(z, t) with analytic t-derivatives of orders 1 to 3."""
 
     kind: str
-    smooth: bool
     _value: Callable
-    _derivs: tuple[Callable | None, Callable | None, Callable | None]
+    _derivs: tuple[Callable, Callable, Callable]
     _check_y: Callable | None = None
-    _square_scale: float | None = None  # κ when L = κ(y − t)²
+    _square_scale: float | None = None  # κ when L = κ(y − t)²; only these fit by ridge
 
     def _validate(self, y):
         if self._check_y is not None:
@@ -111,23 +103,16 @@ class LossSpec:
     def deriv(self, order: int, y, t):
         if order not in (1, 2, 3):
             raise ValueError("derivative order must be 1, 2 or 3")
-        fn = self._derivs[order - 1]
-        if fn is None:
-            raise ValueError(
-                f"order-{order} derivative unavailable for the {self.kind} loss "
-                "(non-smooth; only the sign-convention first derivative exists)"
-            )
         y = np.asarray(y, dtype=float)
         t = np.asarray(t, dtype=float)
         self._validate(y)
-        return fn(y, t)
+        return self._derivs[order - 1](y, t)
 
 
 def square_loss() -> LossSpec:
     """L = (y - t)^2; second derivative is identically 2."""
     return LossSpec(
         kind="square",
-        smooth=True,
         _value=lambda y, t: (y - t) ** 2,
         _derivs=(
             lambda y, t: -2.0 * (y - t),
@@ -146,7 +131,6 @@ def rescaled_square_loss() -> LossSpec:
     """
     return LossSpec(
         kind="rescaled_square",
-        smooth=True,
         _value=lambda y, t: 0.5 * (y - t) ** 2,
         _derivs=(
             lambda y, t: t - y,
@@ -166,7 +150,6 @@ def poisson_loss() -> LossSpec:
     """Poisson negative log-likelihood L = e^t - y t (up to a constant)."""
     return LossSpec(
         kind="poisson_count",
-        smooth=True,
         _value=lambda y, t: np.exp(t) - y * t,
         _derivs=(
             lambda y, t: np.exp(t) - y,
@@ -198,7 +181,6 @@ def logistic_loss() -> LossSpec:
 
     return LossSpec(
         kind="logistic",
-        smooth=True,
         _value=lambda y, t: np.logaddexp(0.0, -y * t),
         _derivs=(d1, d2, d3),
         _check_y=_check_logistic_y,
@@ -214,7 +196,6 @@ def duration_loss() -> LossSpec:
     """Duration negative log-likelihood L = y e^t - t, y > 0."""
     return LossSpec(
         kind="duration_hazard",
-        smooth=True,
         _value=lambda y, t: y * np.exp(t) - t,
         _derivs=(
             lambda y, t: y * np.exp(t) - 1.0,
@@ -222,20 +203,6 @@ def duration_loss() -> LossSpec:
             lambda y, t: y * np.exp(t),
         ),
         _check_y=_check_duration_y,
-    )
-
-
-def absolute_loss() -> LossSpec:
-    """Absolute loss L = |y - t|; only the first derivative is exposed."""
-    return LossSpec(
-        kind="absolute",
-        smooth=False,
-        _value=lambda y, t: np.abs(y - t),
-        _derivs=(
-            lambda y, t: 2.0 * (np.asarray(y - t) >= 0.0) - 1.0,
-            None,
-            None,
-        ),
     )
 
 
@@ -247,7 +214,6 @@ _FACTORIES = {
     "logistic": logistic_loss,
     "duration_hazard": duration_loss,
     "duration": duration_loss,
-    "absolute": absolute_loss,
 }
 
 LOSS_NAMES = tuple(sorted(_FACTORIES))

@@ -84,6 +84,19 @@ class TestParseConfig:
                 command="test",
             )
 
+    def test_series_features_in_section_mode_are_an_error(self, tmp_path):
+        # section mode builds its instruments from r1; test.features would be ignored
+        data = tmp_path / "d.csv"
+        data.write_text("y,x1,x2,x3\n1.0,2.0,3.0,4.0\n")
+        with pytest.raises(ConfigError, match=re.escape("test.features")):
+            parse_config(
+                f"kernels: {{r0: {{kind: linear}}, r1: {{kind: linear}}}}\n"
+                f"data: {{path: {data}}}\n"
+                "test: {instrument_mode: kernel_sections_normalized, r: 5,"
+                " features: [[1, 2, 9]]}\n",
+                command="test",
+            )
+
     @pytest.mark.parametrize("null", ["Lin3", "LinPoly"])
     def test_simulated_instrument_count_with_a_series_null_is_an_error(self, null):
         # series nulls test their feature columns; the count would be ignored
@@ -112,16 +125,16 @@ class TestParseConfig:
         with pytest.raises(ConfigError, match="seed"):
             parse_config("simulate: {design: Lin3}\n", command="simulate")
 
-    def test_absolute_loss_with_greedy_inconsistent(self, tmp_path):
+    def test_absolute_loss_is_unknown(self, tmp_path):
         data = tmp_path / "d.csv"
         data.write_text("y,x\n1.0,2.0\n")
         text = (
             "loss: absolute\n"
             "kernels: {r0: {kind: linear}}\n"
             f"data: {{path: {data}}}\n"
-            "fit: {solver: greedy}\n"
+            "fit: {solver: ridge_closed_form}\n"
         )
-        with pytest.raises(ConfigError, match="inconsistent"):
+        with pytest.raises(ConfigError, match="unknown loss 'absolute'"):
             parse_config(text, command="fit")
 
     def test_command_mismatch(self):

@@ -374,13 +374,6 @@ class TestGreedyFit:
         model = greedy_fit(x, y, rescaled_square_loss(), [(LinearKernel(), (0,))], cfg)
         assert np.array_equal(model.predict(x), np.zeros(10))
 
-    def test_nonsmooth_loss_rejected(self):
-        from rkhstest.losses import absolute_loss
-
-        cfg = FitConfig(budget=1.0)
-        with pytest.raises(ValueError, match="smooth"):
-            greedy_fit(np.ones((4, 1)), np.ones(4), absolute_loss(), [(LinearKernel(), (0,))], cfg)
-
     def test_single_step_is_scaled_direction(self):
         x = RNG.uniform(-2, 2, (15, 2))
         y = RNG.normal(size=15)

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from scipy import stats
 
 from rkhstest import inference
-from rkhstest.estimators import FitConfig, fit_constrained_ridge, greedy_fit
+from rkhstest.estimators import FitConfig, _fit_by_solver, fit_constrained_ridge, greedy_fit
 from rkhstest.inference import (
     HypothesisPlan,
     SectionInstrumentPlan,
@@ -37,7 +37,13 @@ from rkhstest.kernels import (
     gram_matrix,
     polynomial_series,
 )
-from rkhstest.losses import loss_by_name, poisson_loss, rescaled_square_loss, square_loss
+from rkhstest.losses import (
+    LOSS_NAMES,
+    loss_by_name,
+    poisson_loss,
+    rescaled_square_loss,
+    square_loss,
+)
 from rkhstest.simulation import gen_covariates, gen_response, null_kernel_for
 
 RNG = np.random.default_rng(99)
@@ -579,24 +585,22 @@ class TestRunTest:
         assert 0 < res.p_value <= 1
         assert res.naive_statistic >= 0
 
-    @pytest.mark.parametrize("name", ["logistic", "poisson_count", "duration_hazard"])
+    @pytest.mark.parametrize("name", LOSS_NAMES)
     def test_ridge_solver_rejects_non_least_squares_losses(self, name):
         # closed-form ridge minimizes square loss; scores of another loss at
-        # that fit would test the wrong restricted model
+        # that fit would test the wrong restricted model.  It fits exactly the
+        # losses L = κ(y − t)², whose line-search comparisons are certified.
         rng = np.random.default_rng(20)
         x = rng.uniform(-2, 2, (30, 2))
         y = rng.integers(0, 2, 30).astype(float)
+        loss = loss_by_name(name)
+        square = hasattr(loss.segment_mean(np.ones(3), np.zeros(3), np.ones(3)), "order")
         cfg = FitConfig(budget=5.0, solver="ridge_closed_form")
-        with pytest.raises(ValueError, match=repr(name)):
-            run_test(x, y, _toy_plan(), loss_by_name(name), cfg, n_draws=100)
-
-    def test_ridge_solver_fits_the_absolute_loss(self):
-        rng = np.random.default_rng(21)
-        x = rng.uniform(-2, 2, (30, 2))
-        y = 0.4 * x[:, 0] + 0.3 * rng.standard_normal(30)
-        cfg = FitConfig(budget=5.0, solver="ridge_closed_form")
-        res = run_test(x, y, _toy_plan(), loss_by_name("absolute"), cfg, n_draws=100)
-        assert 0 < res.p_value <= 1
+        if square:
+            assert _fit_by_solver(_toy_plan().r0, x, y, loss, cfg).fitted.shape == (30,)
+        else:
+            with pytest.raises(ValueError, match=repr(loss.kind)):
+                _fit_by_solver(_toy_plan().r0, x, y, loss, cfg)
 
 
 def _rbf_gram_case():

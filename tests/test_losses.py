@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 
 from rkhstest.estimators import line_search
 from rkhstest.losses import (
-    absolute_loss,
     duration_loss,
     logistic_loss,
     loss_by_name,
@@ -35,11 +34,10 @@ class TestValues:
     def test_logistic(self):
         assert logistic_loss().value(1.0, 0.0) == pytest.approx(np.log(2.0), rel=1e-12)
 
-    def test_nonnegative_square_and_absolute(self):
+    def test_nonnegative_square(self):
         rng = np.random.default_rng(0)
         y, t = rng.normal(size=50), rng.normal(size=50)
         assert np.all(square_loss().value(y, t) >= 0)
-        assert np.all(absolute_loss().value(y, t) >= 0)
 
 
 class TestDerivatives:
@@ -51,13 +49,6 @@ class TestDerivatives:
         assert np.array_equal(square_loss().deriv(1, y, y), np.zeros(5))
         # the Poisson score exp(t) - y is exactly 0 at y = 1, t = 0
         assert poisson_loss().deriv(1, np.array([1.0]), np.array([0.0]))[0] == 0.0
-
-    def test_absolute_sign_convention(self):
-        loss = absolute_loss()
-        assert loss.deriv(1, 1.0, 0.0) == 1.0
-        assert loss.deriv(1, 0.0, 1.0) == -1.0
-        # at the kink the indicator is >=, so the derivative is +1
-        assert loss.deriv(1, 0.5, 0.5) == 1.0
 
     def test_poisson_second_matches_finite_difference(self):
         loss = poisson_loss()
@@ -225,12 +216,6 @@ class TestErrors:
         with pytest.raises(ValueError, match="-1"):
             logistic_loss().value(0.5, 0.0)
 
-    def test_absolute_higher_orders_unavailable(self):
-        with pytest.raises(ValueError, match="non-smooth"):
-            absolute_loss().deriv(2, 1.0, 0.0)
-        with pytest.raises(ValueError, match="non-smooth"):
-            absolute_loss().deriv(3, 1.0, 0.0)
-
     def test_poisson_negative_count(self):
         with pytest.raises(ValueError, match="nonnegative"):
             poisson_loss().value(-1.0, 0.0)
@@ -247,6 +232,6 @@ class TestErrors:
 def test_lookup_by_name():
     assert loss_by_name("square").kind == "square"
     assert loss_by_name("poisson").kind == "poisson_count"
-    assert not loss_by_name("absolute").smooth
-    with pytest.raises(ValueError, match="unknown loss"):
-        loss_by_name("hinge")
+    for name in ("absolute", "hinge"):
+        with pytest.raises(ValueError, match="unknown loss"):
+            loss_by_name(name)
