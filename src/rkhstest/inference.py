@@ -226,6 +226,10 @@ def covariance_estimate(
     return sigma, np.clip(spectrum, 0.0, None)
 
 
+# values in simulate_null's reused block of normals (256 KB of float64)
+_NULL_BLOCK = 1 << 15
+
+
 def simulate_null(spectrum, n_draws: int, rng) -> np.ndarray:
     """Draws of sum_k omega_k N_k^2 with independent standard normals.
 
@@ -233,8 +237,21 @@ def simulate_null(spectrum, n_draws: int, rng) -> np.ndarray:
     or below the rank cutoff (1e-12 of the top weight) are pure rounding and
     get no normal, so they cannot shift which normals the other weights
     receive.
+
+    The normals fill one reused block of at most ``_NULL_BLOCK`` values,
+    draw after draw in C order, so draw i takes the i-th run of k normals
+    of the stream whatever the block size: the normals each weight gets are
+    those of ``(z * z) @ active`` with z the full (n_draws, k) matrix.  Only
+    the order in which a draw's k terms are summed differs from that BLAS
+    product (by about 1e-15 relative); ``np.einsum`` sums them the same way
+    whatever the BLAS kernel or thread count.
     """
     omega = np.asarray(spectrum, dtype=float)
+    bad = np.flatnonzero(~np.isfinite(omega))
+    if bad.size:
+        raise ValueError(
+            f"spectrum weights must be finite, got {omega.flat[bad].tolist()} at {bad.tolist()}"
+        )
     if np.any(omega < 0):
         raise ValueError("spectrum weights must be nonnegative")
     if n_draws < 1:
@@ -245,11 +262,13 @@ def simulate_null(spectrum, n_draws: int, rng) -> np.ndarray:
     if active.size == 0:
         return np.zeros(n_draws)
     out = np.empty(n_draws)
-    chunk = max(1, int(4_000_000 // max(active.size, 1)))
-    for start in range(0, n_draws, chunk):
-        stop = min(start + chunk, n_draws)
-        z = rng.standard_normal((stop - start, active.size))
-        out[start:stop] = (z * z) @ active
+    block = np.empty((max(1, min(n_draws, _NULL_BLOCK // active.size)), active.size))
+    for start in range(0, n_draws, block.shape[0]):
+        stop = min(start + block.shape[0], n_draws)
+        z = block[: stop - start]
+        rng.standard_normal(out=z)
+        np.square(z, out=z)
+        np.einsum("ij,j->i", z, active, out=out[start:stop])
     return out
 
 

@@ -1,5 +1,6 @@
 """Instrument projection, the moment statistic and its simulated null."""
 
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -347,6 +348,40 @@ class TestSimulatedNull:
 
     def test_empty_spectrum(self):
         assert np.array_equal(simulate_null([], 20, 1), np.zeros(20))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_weights_rejected(self, bad):
+        # a NaN top weight made every weight inactive, so the draws were all
+        # zero and any positive statistic read the smallest p-value, 1/(B+1)
+        with pytest.raises(ValueError, match=r"finite, got \[(nan|inf)\] at \[1\]"):
+            simulate_null([1.0, bad, 0.5], 5, 0)
+
+    @pytest.mark.parametrize("block", [1, 7])
+    def test_block_size_leaves_draws_bit_identical(self, monkeypatch, block):
+        omega = np.random.default_rng(3).uniform(0.1, 1.0, 97)
+        default = simulate_null(omega, 1000, 8)
+        monkeypatch.setattr(inference, "_NULL_BLOCK", block)
+        assert np.array_equal(simulate_null(omega, 1000, 8), default)
+
+    @pytest.mark.parametrize(
+        "k, draws", [(1, 50), (97, 1000), (inference._NULL_BLOCK + 3, 4)]
+    )
+    def test_draws_take_the_normals_in_row_order(self, k, draws):
+        # the last case has more weights than a block holds: one row a block
+        omega = np.random.default_rng(k).uniform(0.1, 1.0, k)
+        z = np.random.default_rng(21).standard_normal((draws, k))
+        np.testing.assert_allclose(
+            simulate_null(omega, draws, 21), (z * z) @ omega, rtol=1e-13, atol=0
+        )
+
+    def test_memory_stays_at_one_block(self):
+        tracemalloc.start()
+        try:
+            draws = simulate_null(np.linspace(1.0, 0.5, 200), 20_000, 4)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= draws.nbytes + 2 * 2**20
 
 
 class TestPValue:
