@@ -23,7 +23,6 @@ from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
-import scipy.linalg
 from scipy.optimize import brentq
 
 from .kernels import CompositeKernel, Kernel, _as_sample, _select, gram_matrix
@@ -81,32 +80,48 @@ class GramEigen:
             return np.where(self.values > self.cutoff, 1.0 / np.maximum(self.values, 1e-300), 0.0)
         return 1.0 / (np.maximum(self.values, 0.0) + rho)
 
-    def smooth(self, targets: np.ndarray, rho: float) -> np.ndarray:
+    def smooth(
+        self, targets: np.ndarray, rho: float, root: np.ndarray | None = None
+    ) -> np.ndarray:
         """C (C + rho I)^{-1} targets, for a vector or the columns of a matrix.
 
         That is U diag(kappa / (kappa + rho)) U' targets, thin or full, since C
         vanishes off a thin basis; at rho = 0 it is the projection onto the
         column space of C, with eigenvalues at or below the rank cutoff counted
-        as zero.  For a ridge fit a it equals C a, the fitted values.
+        as zero.  For a ridge fit a it equals C a, the fitted values.  With
+        ``root``, an (n, 1) column w, it is W^{-1} U diag(...) U' W targets for
+        W = diag(w), formed by scaling the basis rather than the targets.
         """
         shrink = np.maximum(self.values, 0.0) * self.inverse(rho)
-        coef = self.vectors.T @ targets
+        left = right = self.vectors
+        if root is not None:
+            left, right = self.vectors / root, self.vectors * root
+        coef = right.T @ targets
         if coef.ndim == 2:
             shrink = shrink[:, None]
-        return self.vectors @ (shrink * coef)
+        return left @ (shrink * coef)
 
 
 def gram_eigen(gram: np.ndarray, features: np.ndarray | None = None) -> GramEigen:
     """Eigenpairs of ``gram``, or the thin ones of F F' from its features F.
 
     With F of shape (n, p) the SVD F = U diag(s) V' costs O(n p^2) in place
-    of the O(n^3) ``eigh``: the values are s^2 and the vectors U.
+    of the O(n^3) ``eigh``: the values are s^2 and the vectors U.  Both run
+    on numpy's LAPACK, which returns NaN rather than raising on NaN or inf
+    input, so the input is checked first.
     """
     if features is None:
-        vals, vecs = scipy.linalg.eigh(gram)
+        _check_finite("Gram", gram)
+        vals, vecs = np.linalg.eigh(gram)
         return GramEigen(values=vals, vectors=vecs)
-    u, sv, _ = scipy.linalg.svd(features, full_matrices=False)
+    _check_finite("features", features)
+    u, sv, _ = np.linalg.svd(features, full_matrices=False)
     return GramEigen(values=sv[::-1] ** 2, vectors=u[:, ::-1])
+
+
+def _check_finite(name: str, values: np.ndarray) -> None:
+    if not np.isfinite(values).all():
+        raise ValueError(f"{name} must be finite; found NaN or inf")
 
 
 def fit_ridge(gram: np.ndarray, y: np.ndarray, rho: float) -> np.ndarray:
@@ -182,8 +197,7 @@ def _finite_sample(x, y) -> tuple[np.ndarray, np.ndarray]:
     x = _as_sample(x, None)
     y = np.asarray(y, dtype=float)
     for name, values in (("covariates x", x), ("response y", y)):
-        if not np.all(np.isfinite(values)):
-            raise ValueError(f"{name} must be finite; found NaN or inf")
+        _check_finite(name, values)
     return x, y
 
 

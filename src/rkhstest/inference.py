@@ -14,9 +14,8 @@ from dataclasses import dataclass, fields
 from typing import Sequence
 
 import numpy as np
-import scipy.linalg
 
-from .estimators import _EIG_CUTOFF, FitConfig, _fit_by_solver, gram_eigen
+from .estimators import _EIG_CUTOFF, FitConfig, _check_finite, _fit_by_solver, gram_eigen
 from .kernels import Kernel, SeriesKernel, _as_sample
 from .losses import LossSpec
 
@@ -121,18 +120,23 @@ def project_instruments(
     (c - C0 b)' S (c - C0 b) + rho b' C0 b, i.e. b = (C0 + rho S^{-1})^{-1} c
     for rho > 0; rho = 0 removes the S-weighted projection onto the column
     space of C0, so the projected column is S-orthogonal to that space.
+    Since (C0 + rho S^{-1}) b = c, the projected column c - C0 b equals
+    rho S^{-1} b, so rho > 0 costs one n x n solve and no C0 product.
     Returns the projected (n, R) matrix.
     """
     c0 = np.asarray(c0, dtype=float)
     raw = np.atleast_2d(np.asarray(raw, dtype=float))
     s_diag = _check_projection(s_diag, proj_rho)
+    _check_finite("c0", c0)
+    _check_finite("raw", raw)
     if proj_rho == 0.0:
         # S^{1/2} C0 S^{1/2} spans S^{1/2} col(C0) on the scale of C0
         root = np.sqrt(s_diag)[:, None]
         return raw - gram_eigen(root * c0 * root.T).smooth(root * raw, 0.0) / root
-    system = c0 + proj_rho * np.diag(1.0 / s_diag)
-    coeff = scipy.linalg.solve(system, raw, assume_a="pos")
-    return raw - c0 @ coeff
+    penalty = proj_rho / s_diag
+    system = c0.copy()
+    system.flat[:: system.shape[0] + 1] += penalty
+    return np.linalg.solve(system, raw) * penalty[:, None]
 
 
 def project_on_features(
@@ -144,13 +148,14 @@ def project_on_features(
     :func:`project_instruments` on C0: the coefficients solve
     (F'SF + rho I) b = F'S c, so F b = S^{-1/2} K (K + rho I)^{-1} S^{1/2} c
     with K = S^{1/2} C0 S^{1/2}.  The thin SVD of S^{1/2} F gives the
-    eigenpairs of K, so every rho costs O(n p^2) in place of an n x n solve.
+    eigenpairs of K, so every rho costs O(n p^2) in place of an n x n solve,
+    and S^{1/2} scales the n x p basis, never the n x R instruments.
     Returns the projected (n, R) matrix.
     """
     basis = np.asarray(basis, dtype=float)
     raw = np.atleast_2d(np.asarray(raw, dtype=float))
     root = np.sqrt(_check_projection(s_diag, proj_rho))[:, None]
-    return raw - gram_eigen(None, root * basis).smooth(root * raw, proj_rho) / root
+    return raw - gram_eigen(None, root * basis).smooth(raw, proj_rho, root=root)
 
 
 def orthogonality_defect(span: np.ndarray, s_diag, projected: np.ndarray) -> float:

@@ -401,10 +401,12 @@ def _replicate_safe(args):
 def _openblas_thread_controls() -> list[tuple[str, Callable[[], int], Callable[[int], None]]]:
     """(library name, get, set) thread-count functions of each bundled OpenBLAS.
 
-    The numpy and scipy wheels each bundle their own OpenBLAS: numpy's runs
-    ``np.linalg`` and matmul, scipy's runs ``scipy.linalg``.  Opening an
-    already loaded library by its path returns that library, so the
-    functions act on the copies the process computes with.  Empty when the
+    The numpy and scipy wheels each bundle their own OpenBLAS.  rkhstest
+    computes only with numpy's (``np.linalg`` and matmul); scipy's copy is
+    loaded with scipy, is idle unless a caller uses ``scipy.linalg``, and is
+    set too so that such a caller's pool workers also run one thread.
+    Opening an already loaded library by its path returns that library, so
+    the functions act on the copies the process holds.  Empty when the
     packages bundle none (a system or vendor BLAS).
     """
     controls = []

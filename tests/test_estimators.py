@@ -234,6 +234,27 @@ class TestFitValidation:
             else:
                 fit_constrained_ridge(r0, x, y, rho=0.5)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    @pytest.mark.parametrize("call", ["gram_eigen", "features", "fit_ridge", "solve_rho_for_budget"])
+    def test_nonfinite_gram_or_features_named(self, call, bad):
+        # numpy's eigh and svd return NaN for such input instead of raising
+        rng = np.random.default_rng(3)
+        gram = random_psd(5, rng, jitter=0.1)
+        gram[1, 2] = gram[2, 1] = bad
+        features = rng.normal(size=(5, 2))
+        features[3, 1] = bad
+        y = rng.normal(size=5)
+        name = "features" if call == "features" else "Gram"
+        with pytest.raises(ValueError, match=f"^{name} must be finite; found NaN or inf$"):
+            if call == "gram_eigen":
+                gram_eigen(gram)
+            elif call == "features":
+                gram_eigen(None, features)
+            elif call == "fit_ridge":
+                fit_ridge(gram, y, 0.5)
+            else:
+                solve_rho_for_budget(gram, y, 0.1)
+
 
 class TestLineSearch:
     def test_quadratic_vertex_oracle(self):

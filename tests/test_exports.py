@@ -1,5 +1,7 @@
-"""Every exported name and every function the benchmark tracer wraps exists."""
+"""Every exported name and every function the benchmark tracer wraps exists,
+and the package computes with one BLAS."""
 
+import ast
 import importlib
 import importlib.util
 from pathlib import Path
@@ -9,7 +11,9 @@ import pytest
 import rkhstest
 
 MODULES = ("kernels", "losses", "estimators", "inference", "simulation", "cli")
-TRACER = Path(__file__).resolve().parent.parent / "perfbench" / "tracer.py"
+ROOT = Path(__file__).resolve().parent.parent
+TRACER = ROOT / "perfbench" / "tracer.py"
+SOURCES = sorted((ROOT / "src" / "rkhstest").glob("*.py"))
 
 
 @pytest.mark.parametrize("module", MODULES)
@@ -47,3 +51,40 @@ def test_tracer_targets_exist():
         if not callable(getattr(importlib.import_module(f"rkhstest.{m}"), a, None))
     ]
     assert not missing, f"perfbench/tracer.py traces missing functions {missing}"
+
+
+def _scipy_linalg_uses(source: str) -> list[int]:
+    """Line numbers that import scipy.linalg or read it as an attribute."""
+    lines = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            names = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.module:
+            names = [node.module] + [f"{node.module}.{alias.name}" for alias in node.names]
+        elif isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name):
+            names = [f"{node.value.id}.{node.attr}"]
+        else:
+            continue
+        if any(name == "scipy.linalg" or name.startswith("scipy.linalg.") for name in names):
+            lines.append(node.lineno)
+    return lines
+
+
+def test_no_scipy_linalg_in_the_package():
+    """Every dense linear-algebra call runs on numpy's OpenBLAS.
+
+    The numpy and scipy wheels each bundle their own OpenBLAS.  After a call
+    into one copy, its idle worker spins on a core for a while, so the next
+    threaded call into the other copy waits for it (cross-library
+    spin-waits): on 2 cores a 0.5 ms covariance took 4.2 ms right after a
+    ``scipy.linalg.eigvalsh``.  Calls into one copy only do not wait.
+    """
+    for sample in ("import scipy.linalg", "from scipy import linalg",
+                   "from scipy.linalg import solve", "import scipy\nscipy.linalg.eigh(a)"):
+        assert _scipy_linalg_uses(sample), sample
+    assert SOURCES
+    found = {
+        path.name: lines for path in SOURCES
+        if (lines := _scipy_linalg_uses(path.read_text()))
+    }
+    assert not found, f"scipy.linalg used in src/rkhstest (file: lines): {found}"

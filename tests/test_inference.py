@@ -84,20 +84,26 @@ class TestProjection:
         inst = project_instruments(c0, np.ones(4), col, 0.0)
         assert np.allclose(inst, col, atol=1e-12)
 
-    def test_penalized_first_order_conditions_oracle(self):
+    @pytest.mark.parametrize("rank", [4, 2])
+    @pytest.mark.parametrize("rho", [1e-6, 0.1, 10.0])
+    def test_penalized_first_order_conditions_oracle(self, rho, rank):
+        # project_instruments returns rho S^{-1} b, never forming c - C0 b;
+        # at rank 2 C0 is singular, S is not constant, and many b solve the
+        # first-order system, all with one C0 b
         rng = np.random.default_rng(2)
-        c0 = rng.normal(size=(4, 4))
-        c0 = c0 @ c0.T + 0.5 * np.eye(4)
+        factor = rng.normal(size=(4, rank))
+        c0 = factor @ factor.T + (0.5 * np.eye(4) if rank == 4 else 0.0)
         s = rng.uniform(0.5, 2.0, 4)
         col = rng.normal(size=(4, 1))
-        rho = 0.1
         inst = project_instruments(c0, s, col, rho)
         # independent route: stationarity of the penalized weighted loss,
         # (C0 S C0 + rho C0) b = C0 S c
         lhs = c0 @ np.diag(s) @ c0 + rho * c0
         rhs = c0 @ (s * col[:, 0])
-        b = np.linalg.solve(lhs, rhs)
-        assert np.allclose(inst[:, 0], col[:, 0] - c0 @ b, atol=1e-8)
+        b = np.linalg.lstsq(lhs, rhs, rcond=None)[0]
+        expected = col[:, 0] - c0 @ b
+        # the oracle itself cancels to about 1e-8 relative at rho = 1e-6
+        assert np.max(np.abs(inst[:, 0] - expected)) <= 1e-7 * np.max(np.abs(expected))
 
     def test_projection_never_increases_weighted_objective(self):
         rng = np.random.default_rng(3)
@@ -133,6 +139,17 @@ class TestProjection:
     def test_weights_positive(self):
         with pytest.raises(ValueError, match="positive"):
             project_instruments(np.eye(2), np.array([1.0, 0.0]), np.ones((2, 1)), 0.1)
+
+    @pytest.mark.parametrize("rho", [0.0, 0.1])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    @pytest.mark.parametrize("where", ["c0", "raw"])
+    def test_nonfinite_input_names_the_argument(self, where, bad, rho):
+        # numpy's solve and eigh return NaN for such input instead of raising
+        c0 = np.eye(3) + 0.5
+        raw = np.ones((3, 2))
+        (c0 if where == "c0" else raw)[1, 1] = bad
+        with pytest.raises(ValueError, match=f"^{where} must be finite; found NaN or inf$"):
+            project_instruments(c0, np.ones(3), raw, rho)
 
     @pytest.mark.parametrize("solver", ["ridge_closed_form", "greedy"])
     def test_negative_rho_rejected_by_every_solver(self, solver):
@@ -189,10 +206,14 @@ class TestProjection:
             rhos = st.sampled_from([0.0]) | rhos
         rho = draw(rhos, label="rho")
         s_diag = np.full(n, draw(st.floats(0.2, 3.0), label="s"))
+        varying = draw(st.booleans(), label="varying S")
         rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1), label="seed"))
         x = rng.uniform(-2, 2, (n, 2))
         y = x[:, 0] + rng.normal(size=n)
         raw = rng.normal(size=(n, draw(st.integers(1, 5), label="R")))
+        if varying:
+            # the eigenbasis route then hands over to the Gram solve
+            s_diag = s_diag * rng.uniform(0.5, 2.0, n)
         model = fit_constrained_ridge(r0, x, y, rho=1.0)
         features = r0.feature_matrix(x)
         routes = {"null": lambda h: _project_on_null(model, s_diag, h, rho)[0]}
