@@ -74,7 +74,6 @@ class TestSettings:
     series_decay: float = 2.2
     proj_rho: object = "default"
     null_draws: int = 10000
-    covariance: str = "product_form"
 
 
 @dataclass(frozen=True)
@@ -103,7 +102,6 @@ class SimulateSettings:
     iterations: int = 500
     step_rule: str = "line_search"
     budget_multiplier: float = 10.0
-    covariance: str = "product_form"
 
 
 @dataclass(frozen=True)
@@ -498,7 +496,6 @@ def _run_test(config: RunConfig) -> list[Path]:
         loss,
         fit_config,
         proj_rho=None if proj_rho in ("default", None) else float(proj_rho),
-        covariance=config.test.covariance,
         n_draws=config.test.null_draws,
         rng=config.seed if config.seed is not None else 0,
     )
@@ -523,7 +520,6 @@ def _run_simulate(config: RunConfig) -> list[Path]:
         sizes=tuple(float(s) for s in sim.sizes),
         master_seed=config.seed,
         proj_rho=None if sim.proj_rho in ("default", None) else float(sim.proj_rho),
-        covariance=sim.covariance,
         null_draws=sim.null_draws,
         instrument_count=sim.instrument_count,
         iterations=sim.iterations,

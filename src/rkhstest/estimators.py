@@ -25,7 +25,7 @@ from typing import Callable
 import numpy as np
 from scipy.optimize import brentq
 
-from .kernels import CompositeKernel, Kernel, _as_sample, _select, gram_matrix
+from .kernels import CompositeKernel, Kernel, _as_sample, _require_finite, _select, gram_matrix
 from .losses import LossSpec
 
 __all__ = [
@@ -297,14 +297,14 @@ class AdditiveModel:
         return out
 
 
-def _representer_norms(terms, feats, x, a, fitted) -> tuple[float, float]:
+def _representer_norms(feats, grams, a, fitted) -> tuple[float, float]:
     norm_hk = math.sqrt(max(float(a @ fitted), 0.0))
-    if len(terms) == 1:
+    if len(feats) == 1:
         return norm_hk, norm_hk
     norm_lk = 0.0
-    for (term, sel), f_t in zip(terms, feats):
+    for f_t, g_t in zip(feats, grams):
         if f_t is None:
-            norm_lk += math.sqrt(max(float(a @ (term.gram(_select(x, sel)) @ a)), 0.0))
+            norm_lk += math.sqrt(max(float(a @ (g_t @ a)), 0.0))
         else:
             norm_lk += float(np.linalg.norm(f_t.T @ a))
     return norm_hk, norm_lk
@@ -329,7 +329,18 @@ def fit_constrained_ridge(
     terms = _term_list(kernel)
     feats = _term_features(terms, x)
     features = np.hstack(feats) if feats and all(f is not None for f in feats) else None
-    gram = gram_matrix(kernel, x) if features is None else None
+    gram, grams = None, [None] * len(terms)
+    if features is None and not isinstance(kernel, CompositeKernel):
+        gram = gram_matrix(kernel, x)
+    elif features is None:
+        # summed in term order as CompositeKernel.gram sums it, keeping the
+        # Grams of the terms with no feature map for norm_lk
+        gram = np.zeros((x.shape[0], x.shape[0]))
+        for i, ((term, sel), f_t) in enumerate(zip(terms, feats)):
+            g_t = term.gram(_select(x, sel), _select(x, sel))
+            gram += g_t
+            grams[i] = g_t if f_t is None else None
+        _require_finite(gram)
     eig = gram_eigen(gram, features)
     binding = False
     if rho is None:
@@ -339,7 +350,7 @@ def fit_constrained_ridge(
         binding = rho > 0.0
     a = _ridge_from_eigen(eig, y, float(rho))
     fitted = eig.smooth(y, float(rho))
-    norm_hk, norm_lk = _representer_norms(terms, feats, x, a, fitted)
+    norm_hk, norm_lk = _representer_norms(feats, grams, a, fitted)
     return AdditiveModel(
         representation="representer",
         terms=((kernel, None),),

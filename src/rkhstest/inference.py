@@ -122,6 +122,8 @@ def project_instruments(
     space of C0, so the projected column is S-orthogonal to that space.
     Since (C0 + rho S^{-1}) b = c, the projected column c - C0 b equals
     rho S^{-1} b, so rho > 0 costs one n x n solve and no C0 product.
+    ``c0`` must be positive semi-definite, as a Gram matrix is; only a
+    negative diagonal entry, the O(n) symptom, is checked.
     Returns the projected (n, R) matrix.
     """
     c0 = np.asarray(c0, dtype=float)
@@ -129,6 +131,8 @@ def project_instruments(
     s_diag = _check_projection(s_diag, proj_rho)
     _check_finite("c0", c0)
     _check_finite("raw", raw)
+    if np.any(np.diagonal(c0) < 0):
+        raise ValueError("c0 must be positive semi-definite; its diagonal has a negative entry")
     if proj_rho == 0.0:
         # S^{1/2} C0 S^{1/2} spans S^{1/2} col(C0) on the scale of C0
         root = np.sqrt(s_diag)[:, None]
@@ -155,6 +159,8 @@ def project_on_features(
     basis = np.asarray(basis, dtype=float)
     raw = np.atleast_2d(np.asarray(raw, dtype=float))
     root = np.sqrt(_check_projection(s_diag, proj_rho))[:, None]
+    _check_finite("basis", basis)
+    _check_finite("raw", raw)
     return raw - gram_eigen(None, root * basis).smooth(raw, proj_rho, root=root)
 
 
@@ -201,31 +207,17 @@ def test_statistic(e0: np.ndarray, instruments: np.ndarray) -> float:
     return float(s @ s) / r
 
 
-def covariance_estimate(
-    e0: np.ndarray,
-    instruments: np.ndarray,
-    s_diag=None,
-    variant: str = "product_form",
-) -> tuple[np.ndarray, np.ndarray]:
+def covariance_estimate(e0: np.ndarray, instruments: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Estimated covariance of the moment vector and its scaled spectrum.
 
-    product_form: (n^{-1} e0'e0) * (n^{-1} H'H), the homoskedastic score
-    estimator; pointwise: n^{-1} H' diag(S) H with the supplied weights.
-    Returns (Sigma, spectrum) where the spectrum holds the eigenvalues of
-    Sigma / R in descending order, clipped at zero.
+    The product form (n^{-1} e0'e0) * (n^{-1} H'H), the homoskedastic score
+    estimator.  Returns (Sigma, spectrum) where the spectrum holds the
+    eigenvalues of Sigma / R in descending order, clipped at zero.
     """
     h = np.atleast_2d(np.asarray(instruments, dtype=float))
     e0 = np.asarray(e0, dtype=float)
     n, r = h.shape
-    if variant == "product_form":
-        sigma = (float(e0 @ e0) / n) * (h.T @ h / n)
-    elif variant == "pointwise":
-        if s_diag is None:
-            raise ValueError("pointwise variant needs the second-derivative weights")
-        s_diag = np.asarray(s_diag, dtype=float)
-        sigma = h.T @ (h * s_diag[:, None]) / n
-    else:
-        raise ValueError(f"unknown covariance variant {variant!r}")
+    sigma = (float(e0 @ e0) / n) * (h.T @ h / n)
     sigma = (sigma + sigma.T) / 2.0
     spectrum = np.linalg.eigvalsh(sigma / r)[::-1]
     return sigma, np.clip(spectrum, 0.0, None)
@@ -418,7 +410,6 @@ def run_test(
     fit_config: FitConfig,
     *,
     proj_rho: float | None = None,
-    covariance: str = "product_form",
     n_draws: int = 10_000,
     rng=0,
     instrument_count: int | None = None,
@@ -482,9 +473,9 @@ def run_test(
         ortho = orthogonality_defect(null_span, s_diag, projected)
 
     statistic = test_statistic(e0, projected)
-    _, spectrum = covariance_estimate(e0, projected, s_diag, covariance)
+    _, spectrum = covariance_estimate(e0, projected)
     naive_statistic = test_statistic(e0, raw)
-    _, naive_spectrum = covariance_estimate(e0, raw, s_diag, covariance)
+    _, naive_spectrum = covariance_estimate(e0, raw)
 
     stream_pi, stream_naive = rng.spawn(2)
     draws = simulate_null(spectrum, n_draws, stream_pi)
@@ -513,7 +504,7 @@ def run_test(
             "budget": fit_config.budget,
             "iterations": fit_config.iterations,
             "step_rule": fit_config.step_rule,
-            "covariance": covariance,
+            "covariance": "product_form",
             "n_draws": n_draws,
             "n": n,
             "r_count": raw.shape[1],

@@ -261,7 +261,6 @@ class McConfig:
     sizes: tuple[float, ...] = (0.10, 0.05)
     master_seed: int = 0
     proj_rho: float | None = None  # None applies the default decay rule
-    covariance: str = "product_form"
     null_draws: int = 10_000
     instrument_count: int | None = None
     iterations: int = 500
@@ -377,7 +376,6 @@ def _replicate_outcome(config: McConfig, rep: int) -> tuple[float, float, bool, 
         rescaled_square_loss(),
         fit_config,
         proj_rho=config.proj_rho,
-        covariance=config.covariance,
         n_draws=config.null_draws,
         rng=rng,
         instrument_count=config.instrument_count,

@@ -379,6 +379,24 @@ class TestCommands:
         assert captured.err.startswith("error:")
         assert "desgin" in captured.err
 
+    @pytest.mark.parametrize("command", ["test", "simulate"])
+    def test_covariance_key_is_unknown(self, tmp_path, capsys, command):
+        # the product form is the only moment-covariance estimator
+        data = tmp_path / "d.csv"
+        _write_dataset(data)
+        texts = {
+            "test": TEST_CONFIG + "  covariance: product_form\n" + f"data: {{path: {data}}}\n",
+            "simulate": "seed: 1\nsimulate: {design: Lin3, covariance: product_form}\n",
+        }
+        cfg = tmp_path / "cfg.yaml"
+        cfg.write_text(texts[command])
+        out = tmp_path / "out"
+        rc = main([command, "--config", str(cfg), "--out", str(out)])
+        captured = capsys.readouterr()
+        assert rc == 1
+        assert captured.err == f"error: unknown config key {command}.'covariance'\n"
+        assert not out.exists()
+
     def test_ridge_solver_with_logistic_loss_is_an_error(self, tmp_path, capsys):
         data = tmp_path / "d.csv"
         _write_dataset(data)

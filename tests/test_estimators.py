@@ -39,6 +39,7 @@ from rkhstest.losses import (
     rescaled_square_loss,
     square_loss,
 )
+from rkhstest.simulation import gen_covariates, gen_response, null_kernel_for
 
 RNG = np.random.default_rng(2024)
 
@@ -779,6 +780,27 @@ class TestRidgeTermFeatures:
         assert (model.features is None) == (path == "gram")
         want = ["ConstantKernel", "LinearKernel"] + (["LinearKernel"] if path == "features" else [])
         assert calls == want
+        assert model.norm_lk > model.norm_hk > 0.0
+
+    def test_each_gram_term_is_built_once(self, monkeypatch):
+        # the fit sums the term Grams into r0's Gram and reuses the RBF
+        # term's Gram for norm_lk
+        shapes = []
+
+        def spy(self, x, z=None, _method=GaussianRBF.gram):
+            g = _method(self, x, z)
+            shapes.append(g.shape)
+            return g
+
+        r0 = null_kernel_for("Lin1NonLin").r0
+        rng = np.random.default_rng(152)
+        x = gen_covariates(300, 2, 0.0, "geometric", rng)
+        y, _, _ = gen_response(x, "Bivariate", 1.0, rng)
+        want = gram_matrix(r0, x)
+        monkeypatch.setattr(GaussianRBF, "gram", spy)
+        model = fit_constrained_ridge(r0, x, y, budget=1.0)
+        assert shapes == [(300, 300)]
+        assert np.array_equal(model.gram, want)
         assert model.norm_lk > model.norm_hk > 0.0
 
 

@@ -142,14 +142,23 @@ class TestProjection:
 
     @pytest.mark.parametrize("rho", [0.0, 0.1])
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
-    @pytest.mark.parametrize("where", ["c0", "raw"])
+    @pytest.mark.parametrize("where", ["c0", "raw", "basis"])
     def test_nonfinite_input_names_the_argument(self, where, bad, rho):
-        # numpy's solve and eigh return NaN for such input instead of raising
-        c0 = np.eye(3) + 0.5
+        # numpy's solve, eigh and svd return NaN for such input instead of
+        # raising; project_on_features used to return an all-NaN column
+        span = np.eye(3) + 0.5
         raw = np.ones((3, 2))
-        (c0 if where == "c0" else raw)[1, 1] = bad
-        with pytest.raises(ValueError, match=f"^{where} must be finite; found NaN or inf$"):
-            project_instruments(c0, np.ones(3), raw, rho)
+        (raw if where == "raw" else span)[1, 1] = bad
+        routes = {"c0": [project_instruments], "basis": [project_on_features]}
+        for project in routes.get(where, [project_instruments, project_on_features]):
+            with pytest.raises(ValueError, match=f"^{where} must be finite; found NaN or inf$"):
+                project(span, np.ones(3), raw, rho)
+
+    def test_negative_gram_diagonal_rejected(self):
+        # not a Gram: the solve would return a finite but meaningless projection
+        match = "^c0 must be positive semi-definite; its diagonal has a negative entry$"
+        with pytest.raises(ValueError, match=match):
+            project_instruments(np.diag([1.0, -0.5, 2.0]), np.ones(3), np.ones((3, 2)), 0.1)
 
     @pytest.mark.parametrize("solver", ["ridge_closed_form", "greedy"])
     def test_negative_rho_rejected_by_every_solver(self, solver):
@@ -289,26 +298,15 @@ class TestCovariance:
         h = np.sqrt(n) * q
         sigma2 = 2.5
         e0 = np.full(n, np.sqrt(sigma2))
-        sigma, spectrum = covariance_estimate(e0, h, None, "product_form")
+        sigma, spectrum = covariance_estimate(e0, h)
         assert np.allclose(sigma, sigma2 * np.eye(r), atol=1e-10)
         assert np.allclose(spectrum, np.full(r, sigma2 / r), atol=1e-10)
-
-    def test_pointwise_equals_product_for_unit_weights(self):
-        rng = np.random.default_rng(9)
-        n = 12
-        h = rng.normal(size=(n, 3))
-        e0 = rng.normal(size=n)
-        e0 *= np.sqrt(n) / np.linalg.norm(e0)  # e0'e0/n = 1
-        s1, w1 = covariance_estimate(e0, h, np.ones(n), "pointwise")
-        s2, w2 = covariance_estimate(e0, h, None, "product_form")
-        assert np.allclose(s1, s2, rtol=1e-12)
-        assert np.allclose(w1, w2, rtol=1e-12)
 
     def test_eigenvalues_match_cubic_oracle(self):
         rng = np.random.default_rng(10)
         h = rng.normal(size=(20, 3))
         e0 = rng.normal(size=20)
-        sigma, spectrum = covariance_estimate(e0, h, None, "product_form")
+        sigma, spectrum = covariance_estimate(e0, h)
         m = sigma / 3.0
         # roots of the characteristic polynomial, an independent route
         c2 = -np.trace(m)
@@ -321,14 +319,10 @@ class TestCovariance:
         rng = np.random.default_rng(11)
         h = rng.normal(size=(25, 6))
         e0 = rng.normal(size=25)
-        sigma, spectrum = covariance_estimate(e0, h, None, "product_form")
+        sigma, spectrum = covariance_estimate(e0, h)
         assert np.all(np.diff(spectrum) <= 1e-12)
         assert np.all(spectrum >= 0)
         assert spectrum.sum() == pytest.approx(np.trace(sigma) / 6.0, rel=1e-8)
-
-    def test_pointwise_requires_weights(self):
-        with pytest.raises(ValueError, match="weights"):
-            covariance_estimate(np.ones(3), np.ones((3, 1)), None, "pointwise")
 
 
 class TestSimulatedNull:
@@ -529,6 +523,25 @@ class TestRunTest:
         assert a.p_value == b.p_value
         assert np.array_equal(a.null_draws, b.null_draws)
         assert np.array_equal(a.spectrum, b.spectrum)
+
+    @settings(max_examples=10, deadline=None, derandomize=True, database=None)
+    @given(order=st.permutations(range(len(_toy_plan().instruments.test_pairs))))
+    def test_test_pair_order_leaves_statistic_and_spectrum(self, order):
+        # the statistic averages the squared moments and the spectrum is that
+        # of a covariance whose rows and columns the order only permutes
+        rng = np.random.default_rng(21)
+        x = rng.uniform(-2, 2, (40, 2))
+        y = 0.4 * x[:, 0] + 0.5 * rng.standard_normal(40)
+        plan = _toy_plan()
+        pairs = plan.instruments.test_pairs
+        shuffled = replace(
+            plan, instruments=replace(plan.instruments, test_pairs=tuple(pairs[i] for i in order))
+        )
+        cfg = FitConfig(budget=5.0, iterations=100)
+        a = run_test(x, y, plan, rescaled_square_loss(), cfg, n_draws=10)
+        b = run_test(x, y, shuffled, rescaled_square_loss(), cfg, n_draws=10)
+        assert b.statistic == pytest.approx(a.statistic, rel=1e-12)
+        np.testing.assert_allclose(b.spectrum, a.spectrum, rtol=1e-12, atol=1e-12 * a.spectrum[0])
 
     def test_degenerate_exact_fit(self):
         rng = np.random.default_rng(16)
