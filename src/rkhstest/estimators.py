@@ -326,20 +326,11 @@ def fit_constrained_ridge(
     if rho is not None and not 0.0 <= rho < math.inf:
         raise ValueError(f"ridge penalty rho must be finite and nonnegative, got {rho!r}")
     x, y = _finite_sample(x, y)
-    terms = _term_list(kernel)
-    feats = _term_features(terms, x)
+    feats = _term_features(_term_list(kernel), x)
     features = np.hstack(feats) if feats and all(f is not None for f in feats) else None
-    gram, grams = None, [None] * len(terms)
-    if features is None and not isinstance(kernel, CompositeKernel):
-        gram = gram_matrix(kernel, x)
-    elif features is None:
-        # summed in term order as CompositeKernel.gram sums it, keeping the
-        # Grams of the terms with no feature map for norm_lk
-        gram = np.zeros((x.shape[0], x.shape[0]))
-        for i, ((term, sel), f_t) in enumerate(zip(terms, feats)):
-            g_t = term.gram(_select(x, sel), _select(x, sel))
-            gram += g_t
-            grams[i] = g_t if f_t is None else None
+    gram, grams = None, [None] * len(feats)
+    if features is None:  # norm_lk reads the Grams of the terms with no feature map
+        gram, grams = kernel.gram_and_terms(x, keep={i for i, f in enumerate(feats) if f is None})
         _require_finite(gram)
     eig = gram_eigen(gram, features)
     binding = False

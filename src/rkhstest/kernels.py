@@ -93,6 +93,11 @@ class Kernel:
         """Cross Gram matrix with entries C(x_i, z_j); z defaults to x."""
         raise NotImplementedError
 
+    def gram_and_terms(self, x, z=None, keep=()) -> tuple[np.ndarray, list]:
+        """The Gram, and per term its Gram if its index is in ``keep`` (else None)."""
+        g = self.gram(x, z)
+        return g, [g if 0 in keep else None]
+
     def feature_matrix(self, x) -> np.ndarray | None:
         """Matrix F with F F' = gram(x), or None: the kernel has only a Gram."""
         return None
@@ -311,12 +316,19 @@ class CompositeKernel(Kernel):
         return total
 
     def gram(self, x, z=None) -> np.ndarray:
+        return self.gram_and_terms(x, z)[0]
+
+    def gram_and_terms(self, x, z=None, keep=()) -> tuple[np.ndarray, list]:
         x = _as_sample(x, None)
         z2 = x if z is None else _as_sample(z, None)
         total = np.zeros((x.shape[0], z2.shape[0]))
-        for kernel, sel in self.terms:
-            total += kernel.gram(_select(x, sel), _select(z2, sel))
-        return total
+        kept = []
+        for i, (kernel, sel) in enumerate(self.terms):
+            g = kernel.gram(_select(x, sel), _select(z2, sel))
+            total += g
+            kept.append(g if i in keep else None)
+            del g  # so the next term's Gram is built with this one freed
+        return total, kept
 
     def feature_matrix(self, x) -> np.ndarray | None:
         """The terms' feature blocks side by side; None if a term has none."""

@@ -152,6 +152,17 @@ class TestComposite:
         total = sum(k.gram(x[:, list(sel)]) for k, sel in terms)
         assert np.allclose(comp.gram(x), total, rtol=1e-12, atol=0)
 
+    def test_gram_and_terms_keeps_only_the_asked_terms(self):
+        x = RNG.uniform(-2, 2, (9, 2))
+        comp = CompositeKernel(((LinearKernel(0.7), (0,)), (GaussianRBF(1.1), (1,))))
+        gram, kept = comp.gram_and_terms(x, keep={1})
+        assert np.array_equal(gram, comp.gram(x))
+        assert kept[0] is None
+        assert np.array_equal(kept[1], GaussianRBF(1.1).gram(x[:, [1]], x[:, [1]]))
+        single, [term] = GaussianRBF(1.1).gram_and_terms(x, keep={0})
+        assert term is single and np.array_equal(single, GaussianRBF(1.1).gram(x))
+        assert GaussianRBF(1.1).gram_and_terms(x)[1] == [None]
+
     def test_additive_diagonal_scaling(self):
         base = polynomial_series(6)
         k = additive_kernel(base, 4)
