@@ -35,7 +35,7 @@ from .simulation import (
     DgpSpec,
     McConfig,
     RejectionTable,
-    null_kernel_for,
+    _SERIES_TERMS,
     run_monte_carlo,
 )
 
@@ -61,8 +61,6 @@ class FitSettings:
     solver: str = "greedy"
     iterations: int = 500
     step_rule: str = "line_search"
-    line_search_tol: float = 1e-6
-    ridge_rho: float | None = None
 
 
 @dataclass(frozen=True)
@@ -70,8 +68,6 @@ class TestSettings:
     instrument_mode: str = "series_features"
     r: int | None = None
     features: tuple = ()
-    series_terms: int = 10
-    series_decay: float = 2.2
     proj_rho: object = "default"
     null_draws: int = 10000
 
@@ -81,7 +77,6 @@ class DataSettings:
     path: str | None = None
     response: str | None = None
     covariates: tuple | None = None
-    standardize: bool = False
 
 
 @dataclass(frozen=True)
@@ -202,9 +197,6 @@ def _validate(config: RunConfig) -> None:
             raise ConfigError(f"unknown design {sim.design!r}")
         if sim.null not in HYPOTHESES:
             raise ConfigError(f"unknown null hypothesis {sim.null!r}")
-        series = isinstance(null_kernel_for(sim.null).instruments, SeriesInstrumentPlan)
-        if series and sim.instrument_count is not None:
-            raise ConfigError(f"simulate.instrument_count counts sections; {sim.null} tests series")
     if config.command in ("fit", "test"):
         if config.data.path is None:
             raise ConfigError(f"{config.command} mode requires data.path")
@@ -249,29 +241,14 @@ class Dataset:
     x: np.ndarray
     response_name: str
     covariate_names: tuple[str, ...]
-    scalers: dict | None = None
-
-    @property
-    def n(self) -> int:
-        return self.y.shape[0]
-
-    @property
-    def k(self) -> int:
-        return self.x.shape[1]
 
 
-def ingest_csv(
-    path,
-    response: str | None = None,
-    covariates=None,
-    standardize: bool = False,
-) -> Dataset:
+def ingest_csv(path, response: str | None = None, covariates=None) -> Dataset:
     """Read a rectangular numeric CSV with a header row.
 
     The response defaults to the first column and the covariates to all
     remaining columns.  Rows with missing/NaN cells are fatal and reported
-    by row number; optional standardization centers and scales each
-    covariate column, recording the scalers on the dataset.
+    by row number.
     """
     path = Path(path)
     with path.open(newline="") as handle:
@@ -318,24 +295,11 @@ def ingest_csv(
         for name in covariates:
             if name not in header:
                 raise ValueError(f"{path}: covariate column {name!r} not found")
-    y = data[:, header.index(response)]
-    x = data[:, [header.index(c) for c in covariates]]
-    scalers = None
-    if standardize:
-        mean = x.mean(axis=0)
-        std = x.std(axis=0)
-        std = np.where(std > 0, std, 1.0)
-        x = (x - mean) / std
-        scalers = {
-            name: {"mean": float(m), "std": float(s)}
-            for name, m, s in zip(covariates, mean, std)
-        }
     return Dataset(
-        y=y,
-        x=x,
+        y=data[:, header.index(response)],
+        x=data[:, [header.index(c) for c in covariates]],
         response_name=response,
         covariate_names=covariates,
-        scalers=scalers,
     )
 
 
@@ -435,8 +399,6 @@ def _build_fit_config(config: RunConfig, y: np.ndarray) -> FitConfig:
         solver=settings.solver,
         iterations=settings.iterations,
         step_rule=settings.step_rule,
-        line_search_tol=settings.line_search_tol,
-        ridge_rho=settings.ridge_rho,
     )
 
 
@@ -453,7 +415,7 @@ def _plan_from_config(config: RunConfig) -> HypothesisPlan:
     r1 = kernel_from_config(config.kernels["r1"]) if "r1" in config.kernels else None
     settings = config.test
     if settings.instrument_mode == "series_features":
-        base = polynomial_series(settings.series_terms, settings.series_decay)
+        base = polynomial_series(_SERIES_TERMS)
         if not settings.features:
             raise ConfigError("series_features mode needs test.features ranges")
         instruments = SeriesInstrumentPlan(
@@ -465,12 +427,7 @@ def _plan_from_config(config: RunConfig) -> HypothesisPlan:
 
 
 def _run_fit(config: RunConfig) -> list[Path]:
-    data = ingest_csv(
-        config.data.path,
-        config.data.response,
-        config.data.covariates,
-        config.data.standardize,
-    )
+    data = ingest_csv(config.data.path, config.data.response, config.data.covariates)
     loss = loss_by_name(config.loss)
     fit_config = _build_fit_config(config, data.y)
     kernel = kernel_from_config(config.kernels["r0"])
@@ -479,12 +436,7 @@ def _run_fit(config: RunConfig) -> list[Path]:
 
 
 def _run_test(config: RunConfig) -> list[Path]:
-    data = ingest_csv(
-        config.data.path,
-        config.data.response,
-        config.data.covariates,
-        config.data.standardize,
-    )
+    data = ingest_csv(config.data.path, config.data.response, config.data.covariates)
     loss = loss_by_name(config.loss)
     fit_config = _build_fit_config(config, data.y)
     plan = _plan_from_config(config)

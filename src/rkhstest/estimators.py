@@ -25,7 +25,7 @@ from typing import Callable
 import numpy as np
 from scipy.optimize import brentq
 
-from .kernels import CompositeKernel, Kernel, _as_sample, _require_finite, _select, gram_matrix
+from .kernels import CompositeKernel, Kernel, _as_sample, _check_finite, _select, gram_matrix
 from .losses import LossSpec
 
 __all__ = [
@@ -117,11 +117,6 @@ def gram_eigen(gram: np.ndarray, features: np.ndarray | None = None) -> GramEige
     _check_finite("features", features)
     u, sv, _ = np.linalg.svd(features, full_matrices=False)
     return GramEigen(values=sv[::-1] ** 2, vectors=u[:, ::-1])
-
-
-def _check_finite(name: str, values: np.ndarray) -> None:
-    if not np.isfinite(values).all():
-        raise ValueError(f"{name} must be finite; found NaN or inf")
 
 
 def fit_ridge(gram: np.ndarray, y: np.ndarray, rho: float) -> np.ndarray:
@@ -310,37 +305,22 @@ def _representer_norms(feats, grams, a, fitted) -> tuple[float, float]:
     return norm_hk, norm_lk
 
 
-def fit_constrained_ridge(
-    kernel: Kernel,
-    x,
-    y,
-    *,
-    budget: float | None = None,
-    rho: float | None = None,
-) -> AdditiveModel:
+def fit_constrained_ridge(kernel: Kernel, x, y, *, budget: float) -> AdditiveModel:
     """Square-loss kernel ridge under an RKHS-norm budget.
 
-    Either ``budget`` (penalty solved so the norm constraint binds when
-    needed) or a fixed finite ``rho`` >= 0 must be given.
+    The penalty is solved so the norm constraint binds when the unconstrained
+    fit exceeds the budget; :func:`fit_ridge` solves at a fixed penalty.
     """
-    if rho is not None and not 0.0 <= rho < math.inf:
-        raise ValueError(f"ridge penalty rho must be finite and nonnegative, got {rho!r}")
     x, y = _finite_sample(x, y)
     feats = _term_features(_term_list(kernel), x)
     features = np.hstack(feats) if feats and all(f is not None for f in feats) else None
     gram, grams = None, [None] * len(feats)
     if features is None:  # norm_lk reads the Grams of the terms with no feature map
         gram, grams = kernel.gram_and_terms(x, keep={i for i, f in enumerate(feats) if f is None})
-        _require_finite(gram)
     eig = gram_eigen(gram, features)
-    binding = False
-    if rho is None:
-        if budget is None:
-            raise ValueError("either budget or rho is required")
-        rho = solve_rho_for_budget(gram, y, budget, eig=eig)
-        binding = rho > 0.0
-    a = _ridge_from_eigen(eig, y, float(rho))
-    fitted = eig.smooth(y, float(rho))
+    rho = solve_rho_for_budget(gram, y, budget, eig=eig)
+    a = _ridge_from_eigen(eig, y, rho)
+    fitted = eig.smooth(y, rho)
     norm_hk, norm_lk = _representer_norms(feats, grams, a, fitted)
     return AdditiveModel(
         representation="representer",
@@ -350,8 +330,8 @@ def fit_constrained_ridge(
         norm_kind="hk",
         norm_hk=norm_hk,
         norm_lk=norm_lk,
-        ridge_rho=float(rho),
-        budget_binding=binding,
+        ridge_rho=rho,
+        budget_binding=rho > 0.0,
         anchors=x,
         fitted=fitted,
         gram=gram,
@@ -369,8 +349,6 @@ class FitConfig:
     solver: str = "greedy"
     iterations: int = 500
     step_rule: str = "line_search"
-    line_search_tol: float = 1e-6
-    ridge_rho: float | None = None
 
     def __post_init__(self):
         if self.norm_kind not in ("lk", "hk"):
@@ -383,14 +361,6 @@ class FitConfig:
             raise ValueError("iterations must be >= 0")
         if not np.isfinite(self.budget) or self.budget <= 0:
             raise ValueError("budget must be finite and positive")
-        if not 0.0 < self.line_search_tol < math.inf:
-            raise ValueError(
-                f"line_search_tol must be finite and positive, got {self.line_search_tol!r}"
-            )
-        if self.ridge_rho is not None and not 0.0 <= self.ridge_rho < math.inf:
-            raise ValueError(
-                f"ridge_rho must be finite and nonnegative, got {self.ridge_rho!r}"
-            )
 
 
 def line_search(objective: Callable[[float], float], tol: float = 1e-6) -> float:
@@ -577,9 +547,9 @@ def greedy_direction_series(
     return _one_term_direction(_FeatureBlocks, grad, scaled_features, "unit")
 
 
-def _step_size(rule: str, m: int, objective_1d, tol: float) -> float:
+def _step_size(rule: str, m: int, objective_1d) -> float:
     if rule == "line_search":
-        return line_search(objective_1d, tol)
+        return line_search(objective_1d)
     if rule == "two_over_m_plus_two":
         return 2.0 / (m + 2.0)
     return 1.0 / m
@@ -614,7 +584,7 @@ def greedy_fit(x, y, loss: LossSpec, kernels, config: FitConfig) -> AdditiveMode
         delta = budget * unit - fitted
         gaps.append(float(-(grad @ delta)) / n)
         segment = loss.segment_mean(y, fitted, delta)
-        tau = _step_size(config.step_rule, m, segment, config.line_search_tol)
+        tau = _step_size(config.step_rule, m, segment)
         blocks.step(tau, tau * budget)
         fitted = fitted + tau * delta
 
@@ -657,4 +627,4 @@ def _fit_by_solver(kernel, x, y, loss: LossSpec, config: FitConfig) -> AdditiveM
         return greedy_fit(x, y, loss, kernel, config)
     if loss._square_scale is None:
         raise ValueError(f"the ridge_closed_form solver cannot fit the {loss.kind!r} loss")
-    return fit_constrained_ridge(kernel, x, y, budget=config.budget, rho=config.ridge_rho)
+    return fit_constrained_ridge(kernel, x, y, budget=config.budget)

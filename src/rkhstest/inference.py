@@ -15,8 +15,8 @@ from typing import Sequence
 
 import numpy as np
 
-from .estimators import _EIG_CUTOFF, FitConfig, _check_finite, _fit_by_solver, gram_eigen
-from .kernels import Kernel, SeriesKernel, _as_sample
+from .estimators import _EIG_CUTOFF, FitConfig, _fit_by_solver, gram_eigen
+from .kernels import Kernel, SeriesKernel, _as_sample, _check_finite
 from .losses import LossSpec
 
 __all__ = [

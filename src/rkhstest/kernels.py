@@ -344,15 +344,16 @@ def additive_kernel(base: Kernel, n_coords: int) -> CompositeKernel:
     return CompositeKernel(tuple((base, (k,)) for k in range(n_coords)))
 
 
-def _require_finite(g: np.ndarray) -> np.ndarray:
-    if not np.all(np.isfinite(g)):
-        raise ValueError("non-finite kernel value in Gram matrix (domain violation?)")
-    return g
+def _check_finite(name: str, values: np.ndarray) -> None:
+    if not np.isfinite(values).all():
+        raise ValueError(f"{name} must be finite; found NaN or inf")
 
 
 def gram_matrix(kernel: Kernel, x) -> np.ndarray:
     """Gram matrix over a point sample; raises on non-finite entries."""
-    return _require_finite(kernel.gram(x))
+    g = kernel.gram(x)
+    _check_finite("Gram", g)
+    return g
 
 
 _CONFIG_KINDS = (
@@ -406,18 +407,7 @@ def kernel_from_config(spec) -> Kernel:
             scale=float(spec.pop("scale", 1.0)),
         )
     elif kind == "polynomial":
-        if "weights" in spec:
-            clash = sorted({"degree", "decay"} & set(spec))
-            if clash:
-                raise ValueError(
-                    f"polynomial kernel takes 'weights' or {clash[0]!r}, not both"
-                )
-            weights = tuple(float(w) for w in spec.pop("weights"))
-        else:
-            weights = polynomial_weights(
-                int(spec.pop("degree", 10)), float(spec.pop("decay", 2.2))
-            )
-        kernel = SeriesKernel(weights)
+        kernel = polynomial_series(int(spec.pop("degree", 10)), float(spec.pop("decay", 2.2)))
     elif kind == "integrated_brownian":
         kernel = IntegratedBrownianKernel(order=int(spec.pop("order", 1)))
     else:

@@ -210,10 +210,8 @@ _FACTORIES = {
     "square": square_loss,
     "rescaled_square": rescaled_square_loss,
     "poisson_count": poisson_loss,
-    "poisson": poisson_loss,
     "logistic": logistic_loss,
     "duration_hazard": duration_loss,
-    "duration": duration_loss,
 }
 
 LOSS_NAMES = tuple(sorted(_FACTORIES))

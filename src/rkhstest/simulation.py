@@ -13,11 +13,10 @@ import ctypes
 import math
 from collections.abc import Callable
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import astuple, dataclass, field
+from dataclasses import astuple, dataclass, field, fields
 from pathlib import Path
 
 import numpy as np
-import scipy
 
 from .estimators import FitConfig
 from .inference import (
@@ -275,14 +274,18 @@ class McConfig:
             raise ValueError(f"unknown hypothesis {self.null_hypothesis!r}")
         if self.solver not in ("auto", "greedy", "ridge"):
             raise ValueError("solver must be auto, greedy or ridge")
+        series = isinstance(null_kernel_for(self.null_hypothesis).instruments, SeriesInstrumentPlan)
+        if series and self.instrument_count is not None:
+            raise ValueError(
+                f"instrument_count counts kernel sections; {self.null_hypothesis} tests series"
+            )
+        if self.instrument_count is not None and self.instrument_count < 1:
+            raise ValueError(
+                f"the instrument count must be at least 1, got {self.instrument_count}"
+            )
         if not all(0.0 < s < 1.0 for s in self.sizes):
             raise ValueError("nominal sizes must lie in (0, 1)")
         object.__setattr__(self, "sizes", tuple(float(s) for s in self.sizes))
-
-
-REJECTION_CSV_HEADER = (
-    "design,null,n,rho,snr,size,freq_no_pi,freq_pi,mc_se,replicates"
-)
 
 
 @dataclass(frozen=True)
@@ -297,6 +300,9 @@ class RejectionRow:
     freq_pi: float
     mc_se: float
     replicates: int
+
+
+REJECTION_CSV_HEADER = ",".join(f.name for f in fields(RejectionRow))
 
 
 @dataclass
@@ -397,32 +403,29 @@ def _replicate_safe(args):
 
 
 def _openblas_thread_controls() -> list[tuple[str, Callable[[], int], Callable[[int], None]]]:
-    """(library name, get, set) thread-count functions of each bundled OpenBLAS.
+    """(library name, get, set) thread-count functions of numpy's bundled OpenBLAS.
 
-    The numpy and scipy wheels each bundle their own OpenBLAS.  rkhstest
-    computes only with numpy's (``np.linalg`` and matmul); scipy's copy is
-    loaded with scipy, is idle unless a caller uses ``scipy.linalg``, and is
-    set too so that such a caller's pool workers also run one thread.
-    Opening an already loaded library by its path returns that library, so
-    the functions act on the copies the process holds.  Empty when the
-    packages bundle none (a system or vendor BLAS).
+    rkhstest computes only with numpy's BLAS (``np.linalg`` and matmul); the
+    OpenBLAS that scipy bundles is never called by a pool worker.  Opening
+    an already loaded library by its path returns that library, so the
+    functions act on the copy the process holds.  Empty when numpy bundles
+    none (a system or vendor BLAS).
     """
     controls = []
-    for package in (np, scipy):
-        libs = Path(package.__file__).parent.parent / f"{package.__name__}.libs"
-        for lib in sorted(libs.glob("libscipy_openblas*.so")):
-            try:
-                handle = ctypes.CDLL(str(lib))
-            except OSError:
-                continue
-            for suffix in ("64_", ""):
-                get = getattr(handle, f"scipy_openblas_get_num_threads{suffix}", None)
-                put = getattr(handle, f"scipy_openblas_set_num_threads{suffix}", None)
-                if get is not None and put is not None:
-                    get.argtypes, get.restype = [], ctypes.c_int
-                    put.argtypes, put.restype = [ctypes.c_int], None
-                    controls.append((lib.name, get, put))
-                    break
+    libs = Path(np.__file__).parent.parent / "numpy.libs"
+    for lib in sorted(libs.glob("libscipy_openblas*.so")):
+        try:
+            handle = ctypes.CDLL(str(lib))
+        except OSError:
+            continue
+        for suffix in ("64_", ""):
+            get = getattr(handle, f"scipy_openblas_get_num_threads{suffix}", None)
+            put = getattr(handle, f"scipy_openblas_set_num_threads{suffix}", None)
+            if get is not None and put is not None:
+                get.argtypes, get.restype = [], ctypes.c_int
+                put.argtypes, put.restype = [ctypes.c_int], None
+                controls.append((lib.name, get, put))
+                break
     return controls
 
 

@@ -90,15 +90,20 @@ class TestFitRidge:
         other = a + np.array([2.0, -1.0, 0.0])  # also solves (in range sense)
         assert np.linalg.norm(a) <= np.linalg.norm(other)
 
-    @pytest.mark.parametrize("rho", [0.0, 0.4])
-    def test_is_the_solve_of_the_constrained_ridge_fit(self, rho):
+    @pytest.mark.parametrize(
+        "budget, binding", [(0.5, True), (1e3, False)], ids=["binding", "slack"]
+    )
+    def test_is_the_solve_of_the_constrained_ridge_fit(self, budget, binding):
         rng = np.random.default_rng(8)
         x = rng.uniform(-2, 2, (25, 2))
         y = np.sin(x[:, 0]) + 0.2 * rng.standard_normal(25)
         kernel = GaussianRBF(0.8)
-        model = fit_constrained_ridge(kernel, x, y, rho=rho)
+        model = fit_constrained_ridge(kernel, x, y, budget=budget)
         assert model.features is None
-        assert np.array_equal(fit_ridge(gram_matrix(kernel, x), y, rho), model.coeffs[0])
+        assert model.budget_binding == binding == (model.ridge_rho > 0.0)
+        assert np.array_equal(
+            fit_ridge(gram_matrix(kernel, x), y, model.ridge_rho), model.coeffs[0]
+        )
 
 
 class TestBudget:
@@ -176,22 +181,24 @@ class TestBudget:
 class TestFitValidation:
     @pytest.mark.parametrize("tol", [0.0, -1.0, np.nan, np.inf])
     def test_line_search_tolerance_must_be_finite_and_positive(self, tol):
-        with pytest.raises(ValueError, match=f"line_search_tol .* got {tol!r}"):
-            FitConfig(budget=1.0, line_search_tol=tol)
         with pytest.raises(ValueError, match=f"tolerance .* got {tol!r}"):
             line_search(lambda t: (t - 0.3) ** 2, tol=tol)
 
-    @pytest.mark.parametrize("rho", [-0.5, np.nan, np.inf])
-    def test_ridge_rho_must_be_finite_and_nonnegative(self, rho):
-        rng = np.random.default_rng(7)
-        x = rng.uniform(-2, 2, (50, 1))
-        y = np.sin(x[:, 0]) + 0.1 * rng.standard_normal(50)
-        with pytest.raises(ValueError, match=f"ridge_rho .* got {rho!r}"):
-            FitConfig(budget=1.0, ridge_rho=rho)
-        with pytest.raises(ValueError, match=f"rho must be finite and nonnegative, got {rho!r}"):
-            fit_constrained_ridge(GaussianRBF(1.0), x, y, rho=rho)
-        assert FitConfig(budget=1.0, ridge_rho=0.0).ridge_rho == 0.0
-        assert fit_constrained_ridge(GaussianRBF(1.0), x, y, rho=0.0).ridge_rho == 0.0
+    @pytest.mark.parametrize(
+        "build",
+        [
+            lambda x, y: FitConfig(budget=1.0, ridge_rho=0.5),
+            lambda x, y: FitConfig(budget=1.0, line_search_tol=1e-6),
+            lambda x, y: fit_constrained_ridge(GaussianRBF(1.0), x, y, budget=1.0, rho=0.5),
+            lambda x, y: fit_constrained_ridge(GaussianRBF(1.0), x, y),
+        ],
+        ids=["config_ridge_rho", "config_line_search_tol", "ridge_rho", "ridge_no_budget"],
+    )
+    def test_the_budget_is_the_only_ridge_setting(self, build):
+        # a fixed penalty goes through fit_ridge; the line search runs at its default
+        x = np.random.default_rng(7).uniform(-2, 2, (20, 1))
+        with pytest.raises(TypeError):
+            build(x, np.sin(x[:, 0]))
 
     @pytest.mark.parametrize("kernel", ["features", "rbf"])
     @pytest.mark.parametrize("where", ["x", "y"])
@@ -200,9 +207,8 @@ class TestFitValidation:
         [
             FitConfig(budget=1.0, iterations=20),
             FitConfig(budget=1.0, solver="ridge_closed_form"),
-            FitConfig(budget=1.0, solver="ridge_closed_form", ridge_rho=0.5),
         ],
-        ids=["greedy", "ridge_budget", "ridge_fixed_rho"],
+        ids=["greedy", "ridge_budget"],
     )
     def test_nonfinite_input_names_the_argument(self, config, where, kernel):
         rng = np.random.default_rng(9)
@@ -219,7 +225,7 @@ class TestFitValidation:
             _fit_by_solver(r0, x, y, rescaled_square_loss(), config)
 
     @pytest.mark.parametrize("where", ["x", "y"])
-    @pytest.mark.parametrize("fit", ["greedy", "ridge_budget", "ridge_fixed_rho"])
+    @pytest.mark.parametrize("fit", ["greedy", "ridge_budget"])
     def test_fitters_called_directly_reject_nonfinite_input(self, fit, where):
         rng = np.random.default_rng(9)
         x = rng.uniform(-2, 2, (40, 2))
@@ -230,10 +236,8 @@ class TestFitValidation:
         with pytest.raises(ValueError, match=f"{name} must be finite; found NaN or inf"):
             if fit == "greedy":
                 greedy_fit(x, y, rescaled_square_loss(), r0, FitConfig(budget=1.0, iterations=20))
-            elif fit == "ridge_budget":
-                fit_constrained_ridge(r0, x, y, budget=1.0)
             else:
-                fit_constrained_ridge(r0, x, y, rho=0.5)
+                fit_constrained_ridge(r0, x, y, budget=1.0)
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     @pytest.mark.parametrize("call", ["gram_eigen", "features", "fit_ridge", "solve_rho_for_budget"])
@@ -677,22 +681,21 @@ class TestFeaturePath:
     WIDE = additive_kernel(polynomial_series(10, 2.2), 2)  # p = 20 features
 
     @pytest.mark.parametrize(
-        "kernel, n, kw, binding",
+        "kernel, n, budget, binding",
         [
-            (BIV, 60, {"budget": 0.2}, True),
-            (BIV, 60, {"budget": 1e3}, False),
-            (BIV, 60, {"rho": 0.3}, False),
-            (WIDE, 12, {"budget": 0.5}, True),  # p >= n: the basis is square
+            (BIV, 60, 0.2, True),
+            (BIV, 60, 1e3, False),
+            (WIDE, 12, 0.5, True),  # p >= n: the basis is square
         ],
-        ids=["binding", "slack", "fixed_rho", "p_ge_n"],
+        ids=["binding", "slack", "p_ge_n"],
     )
-    def test_ridge_matches_gram_eigh_reference(self, kernel, n, kw, binding):
+    def test_ridge_matches_gram_eigh_reference(self, kernel, n, budget, binding):
         rng = np.random.default_rng(41)
         x = rng.uniform(-2, 2, (n, 2))
         y = 0.5 * x[:, 0] - 0.3 * x[:, 1] ** 2 + 0.3 * rng.standard_normal(n)
-        fast = fit_constrained_ridge(kernel, x, y, **kw)
+        fast = fit_constrained_ridge(kernel, x, y, budget=budget)
         reference = CompositeKernel(tuple((GramOnly(k), sel) for k, sel in kernel.terms))
-        ref = fit_constrained_ridge(reference, x, y, **kw)
+        ref = fit_constrained_ridge(reference, x, y, budget=budget)
         p = kernel.feature_matrix(x).shape[1]
         assert fast.eigen.vectors.shape == (n, min(n, p)) and not ref.eigen.thin
         points = np.vstack([x, rng.uniform(-2, 2, (20, 2))])

@@ -223,7 +223,7 @@ class TestProjection:
         if varying:
             # the eigenbasis route then hands over to the Gram solve
             s_diag = s_diag * rng.uniform(0.5, 2.0, n)
-        model = fit_constrained_ridge(r0, x, y, rho=1.0)
+        model = fit_constrained_ridge(r0, x, y, budget=1.0)
         features = r0.feature_matrix(x)
         routes = {"null": lambda h: _project_on_null(model, s_diag, h, rho)[0]}
         if features is None:
@@ -542,6 +542,42 @@ class TestRunTest:
         b = run_test(x, y, shuffled, rescaled_square_loss(), cfg, n_draws=10)
         assert b.statistic == pytest.approx(a.statistic, rel=1e-12)
         np.testing.assert_allclose(b.spectrum, a.spectrum, rtol=1e-12, atol=1e-12 * a.spectrum[0])
+
+    @settings(max_examples=16, deadline=None, derandomize=True, database=None)
+    @given(
+        name=st.sampled_from(["BivLinAll", "Lin3"]),
+        multiplier=st.sampled_from([0.3, 10.0]),
+        c=st.floats(0.1, 10.0),
+        seed=st.integers(0, 2**16),
+    )
+    def test_scaling_y_and_budget_scales_statistic_and_spectrum(self, name, multiplier, c, seed):
+        # under the rescaled square loss scaling y and the budget by c scales the
+        # fit and the residuals by c and leaves the fit's penalty, the weights S,
+        # the projection and the instruments as they were
+        design, k, solver, count = {
+            "BivLinAll": ("Bivariate", 2, "ridge_closed_form", 20),
+            "Lin3": ("Lin3", 10, "greedy", None),
+        }[name]
+        rng = np.random.default_rng(seed)
+        x = gen_covariates(60, k, 0.0, rng=rng)
+        y, _, _ = gen_response(x, design, 1.0, rng)
+        budget = multiplier * float(np.std(y))
+        base, scaled = (
+            run_test(
+                x, scale * y, null_kernel_for(name, k=k), rescaled_square_loss(),
+                FitConfig(budget=scale * budget, solver=solver, iterations=100),
+                n_draws=200, rng=seed, instrument_count=count,
+            )
+            for scale in (1.0, c)
+        )
+        for attr in ("statistic", "naive_statistic"):
+            assert getattr(scaled, attr) == pytest.approx(c**2 * getattr(base, attr), rel=1e-10)
+        for attr in ("spectrum", "naive_spectrum"):
+            want = c**2 * getattr(base, attr)
+            got = getattr(scaled, attr)
+            np.testing.assert_allclose(got, want, rtol=1e-10, atol=1e-10 * want[0])
+        for attr in ("p_value", "naive_p_value"):
+            assert abs(getattr(scaled, attr) - getattr(base, attr)) <= 1.0 / 201 + 1e-15
 
     def test_degenerate_exact_fit(self):
         rng = np.random.default_rng(16)

@@ -88,7 +88,9 @@ class TestGram:
 
     def test_nonfinite_entries_rejected(self):
         x = np.array([1e200, 1e200])
-        with np.errstate(over="ignore"), pytest.raises(ValueError, match="non-finite"):
+        with np.errstate(over="ignore"), pytest.raises(
+            ValueError, match="^Gram must be finite; found NaN or inf$"
+        ):
             gram_matrix(LinearKernel(1.0), x)
 
     @pytest.mark.parametrize("lengthscale", [0.3, 1.0, 2.7])
@@ -425,10 +427,10 @@ class TestConfig:
         with pytest.raises(ValueError, match="unknown kernel config key 'series'"):
             kernel_from_config({"kind": "polynomial", "degree": 4, "series": False})
 
-    @pytest.mark.parametrize("key, value", [("degree", 4), ("decay", 2.2)])
-    def test_polynomial_weights_exclude_degree_and_decay(self, key, value):
-        spec = {"kind": "polynomial", "weights": [1.0, 0.5], key: value}
-        with pytest.raises(ValueError, match=f"'weights' or '{key}', not both"):
+    def test_polynomial_weights_key_is_unknown(self):
+        # degree and decay are the one spelling of the polynomial kernel
+        spec = {"kind": "polynomial", "weights": [1.0, 0.5]}
+        with pytest.raises(ValueError, match="^unknown kernel config key 'weights'$"):
             kernel_from_config(spec)
-        spec.pop(key)
+        spec = {"kind": "polynomial", "degree": 2, "decay": 1.0}
         assert kernel_from_config(spec).weights == (1.0, 0.5)

@@ -231,7 +231,8 @@ class TestErrors:
 
 def test_lookup_by_name():
     assert loss_by_name("square").kind == "square"
-    assert loss_by_name("poisson").kind == "poisson_count"
-    for name in ("absolute", "hinge"):
+    assert loss_by_name("poisson_count").kind == "poisson_count"
+    assert loss_by_name("duration_hazard").kind == "duration_hazard"
+    for name in ("absolute", "hinge", "poisson", "duration"):
         with pytest.raises(ValueError, match="unknown loss"):
             loss_by_name(name)

@@ -229,6 +229,23 @@ class TestMonteCarlo:
         with pytest.raises(RuntimeError, match="NonLinear needs"):
             run_monte_carlo(mc)
 
+    @pytest.mark.parametrize(
+        "design, null, count, message",
+        [
+            ("Lin3", "Lin3", 5, "instrument_count counts kernel sections; Lin3 tests series"),
+            ("Lin3", "LinPoly", 0, "instrument_count counts kernel sections; LinPoly tests series"),
+            ("Bivariate", "BivLinAll", 0, "the instrument count must be at least 1, got 0"),
+            ("Bivariate", "Lin1NonLin", -2, "the instrument count must be at least 1, got -2"),
+        ],
+        ids=["Lin3", "LinPoly", "BivLinAll", "Lin1NonLin"],
+    )
+    def test_unusable_instrument_count_rejected_when_built(self, design, null, count, message):
+        # a run would otherwise generate every replicate's data, then fail them all
+        dgp = DgpSpec(design, 40, 2 if design == "Bivariate" else 10)
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            McConfig(dgp=dgp, null_hypothesis=null, replicates=2, instrument_count=count)
+        assert McConfig(dgp=dgp, null_hypothesis=null, replicates=2).instrument_count is None
+
     def test_size_calibration_under_true_null(self):
         size = 0.10
         reps = 40
@@ -281,7 +298,7 @@ class TestMonteCarlo:
     def test_workers_run_one_blas_thread(self):
         parent = _blas_thread_counts()
         if not parent:
-            pytest.skip("numpy and scipy bundle no OpenBLAS with a thread-count symbol")
+            pytest.skip("numpy bundles no OpenBLAS with a thread-count symbol")
         with ProcessPoolExecutor(max_workers=1, initializer=_one_blas_thread) as pool:
             worker = pool.submit(_blas_thread_counts).result(timeout=60)
         assert worker == {name: 1 for name in parent}
