@@ -102,6 +102,14 @@ def _check_penalty(proj_rho: float) -> None:
         raise ValueError("projection penalty must be nonnegative")
 
 
+def _check_count(value, name: str) -> None:
+    """Reject a count that is not an integer of at least 1 (a bool is not one)."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    if value < 1:
+        raise ValueError(f"{name} must be at least 1, got {value}")
+
+
 def _check_projection(s_diag, proj_rho: float) -> np.ndarray:
     """The weights as an array, after the checks every projection route shares."""
     s_diag = np.asarray(s_diag, dtype=float)
@@ -433,8 +441,9 @@ def run_test(
     count = len(spec.test_pairs) if series else instrument_count
     if count is None:
         count = spec.count
-    if count is not None and count < 1:
-        raise ValueError(f"the instrument count must be at least 1, got {count}")
+    if count is not None:
+        _check_count(count, "the instrument count")
+    _check_count(n_draws, "n_draws")
     if not series and plan.r1 is None:
         raise ValueError("kernel sections need the alternative kernel r1; the plan's r1 is None")
     x = _as_sample(x, None)

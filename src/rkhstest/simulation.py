@@ -13,6 +13,7 @@ import ctypes
 import math
 from collections.abc import Callable
 from concurrent.futures import ProcessPoolExecutor
+from contextlib import contextmanager
 from dataclasses import astuple, dataclass, field, fields
 from pathlib import Path
 
@@ -23,6 +24,7 @@ from .inference import (
     HypothesisPlan,
     SectionInstrumentPlan,
     SeriesInstrumentPlan,
+    _check_count,
     run_test,
 )
 from .kernels import (
@@ -279,10 +281,9 @@ class McConfig:
             raise ValueError(
                 f"instrument_count counts kernel sections; {self.null_hypothesis} tests series"
             )
-        if self.instrument_count is not None and self.instrument_count < 1:
-            raise ValueError(
-                f"the instrument count must be at least 1, got {self.instrument_count}"
-            )
+        if self.instrument_count is not None:
+            _check_count(self.instrument_count, "the instrument count")
+        _check_count(self.null_draws, "null_draws")
         if not all(0.0 < s < 1.0 for s in self.sizes):
             raise ValueError("nominal sizes must lie in (0, 1)")
         object.__setattr__(self, "sizes", tuple(float(s) for s in self.sizes))
@@ -434,11 +435,37 @@ def _blas_thread_counts() -> dict[str, int]:
     return {name: int(get()) for name, get, _ in _openblas_thread_controls()}
 
 
+@contextmanager
+def _one_blas_thread_in_parent():
+    """Set numpy's OpenBLAS to one thread inside the block, then restore each
+    saved count, also when the block raises.
+
+    A worker forked inside the block inherits the count of 1, so it never
+    starts an OpenBLAS thread of its own.
+    """
+    controls = _openblas_thread_controls()
+    saved = [get() for _, get, _ in controls]
+    try:
+        for _, _, put in controls:
+            put(1)
+        yield
+    finally:
+        for (_, _, put), count in zip(controls, saved):
+            put(count)
+
+
 def _one_blas_thread() -> None:
     """Pool initializer: one BLAS thread per worker, so n_jobs workers run
-    n_jobs threads rather than n_jobs times the default."""
-    for _, _, put in _openblas_thread_controls():
-        put(1)
+    n_jobs threads rather than n_jobs times the default.
+
+    A forked worker already inherits a count of 1 and is left alone: setting
+    it again would restart OpenBLAS's thread pool in the child, whose idle
+    thread then spins on a core.  Only a worker started by spawn or
+    forkserver, which loads OpenBLAS at its default count, is set here.
+    """
+    for _, get, put in _openblas_thread_controls():
+        if get() != 1:
+            put(1)
 
 
 def run_monte_carlo(config: McConfig, n_jobs: int = 1) -> RejectionTable:
@@ -447,12 +474,17 @@ def run_monte_carlo(config: McConfig, n_jobs: int = 1) -> RejectionTable:
     Replicate r draws all randomness from a stream keyed by
     (master_seed, r), so the table is identical however the replicates are
     scheduled.  Failed replicates are counted and reported, never silently
-    dropped.  Pool workers run one BLAS thread each; the serial path keeps
+    dropped.  With ``n_jobs > 1`` the parent sets numpy's OpenBLAS to one
+    thread while the pool lives, so forked workers inherit that count, and
+    restores its counts when the pool is done or raises; meanwhile any other
+    thread of the parent runs BLAS on one thread too.  The serial path keeps
     the process's BLAS threads.
     """
     jobs = [(config, rep) for rep in range(config.replicates)]
     if n_jobs > 1:
-        with ProcessPoolExecutor(max_workers=n_jobs, initializer=_one_blas_thread) as pool:
+        with _one_blas_thread_in_parent(), ProcessPoolExecutor(
+            max_workers=n_jobs, initializer=_one_blas_thread
+        ) as pool:
             outcomes = list(pool.map(_replicate_safe, jobs, chunksize=1))
     else:
         outcomes = [_replicate_safe(job) for job in jobs]

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 import yaml
 
+from rkhstest import inference, simulation
 from rkhstest.cli import (
     ConfigError,
     Dataset,
@@ -469,6 +470,54 @@ class TestCommands:
         out = tmp_path / "o"
         assert main(["simulate", "--config", str(cfg), "--out", str(out)]) == 1
         assert capsys.readouterr().err == "error: the instrument count must be at least 1, got 0\n"
+        assert not out.exists()
+
+    def test_fractional_section_count_is_an_error(self, tmp_path, capsys, monkeypatch):
+        # 2.5 used to pass the count check and fail after the fit
+        def no_fit(*args, **kwargs):
+            raise AssertionError("the restricted fit ran before the instrument count check")
+
+        monkeypatch.setattr(inference, "_fit_by_solver", no_fit)
+        data = tmp_path / "d.csv"
+        _write_dataset(data)
+        cfg = tmp_path / "cfg.yaml"
+        cfg.write_text(
+            TEST_CONFIG.replace("instrument_mode: series_features",
+                                "instrument_mode: kernel_sections_normalized\n  r: 2.5")
+            .replace("  features: [[0, 2, 6], [1, 1, 6]]\n", "")
+            .replace("kernels:\n", "kernels:\n  r1: {kind: gaussian_rbf, coords: [1]}\n")
+            + f"data: {{path: {data}}}\n"
+        )
+        out = tmp_path / "out"
+        assert main(["test", "--config", str(cfg), "--out", str(out)]) == 1
+        assert capsys.readouterr().err == "error: the instrument count must be an integer, got 2.5\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "keys, message",
+        [
+            ("null_draws: 100, instrument_count: 2.5",
+             "the instrument count must be an integer, got 2.5"),
+            ("null_draws: 0", "null_draws must be at least 1, got 0"),
+        ],
+        ids=["instrument_count", "null_draws"],
+    )
+    def test_unusable_simulate_count_fails_before_any_replicate(
+        self, tmp_path, capsys, monkeypatch, keys, message
+    ):
+        def no_replicate(*args, **kwargs):
+            raise AssertionError("a replicate ran before the config check")
+
+        monkeypatch.setattr(simulation, "_replicate_safe", no_replicate)
+        cfg = tmp_path / "sim.yaml"
+        cfg.write_text(
+            "seed: 12\n"
+            "simulate: {design: Bivariate, null: BivLinAll, n: 40, replicates: 3,"
+            f" sizes: [0.1], {keys}}}\n"
+        )
+        out = tmp_path / "o"
+        assert main(["simulate", "--config", str(cfg), "--out", str(out)]) == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
         assert not out.exists()
 
     def test_gram_columns_mode_is_unknown(self, tmp_path, capsys):

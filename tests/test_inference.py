@@ -1,5 +1,6 @@
 """Instrument projection, the moment statistic and its simulated null."""
 
+import re
 import tracemalloc
 from dataclasses import replace
 
@@ -476,6 +477,56 @@ class TestRunTest:
                 x, x[:, 0], plan, rescaled_square_loss(), FitConfig(budget=5.0),
                 instrument_count=count,
             )
+
+    @pytest.mark.parametrize(
+        "instruments, count, message",
+        [
+            (SectionInstrumentPlan(count=2.5), None, "the instrument count must be an integer, got 2.5"),
+            (SectionInstrumentPlan(), 2.5, "the instrument count must be an integer, got 2.5"),
+            (SectionInstrumentPlan(), True, "the instrument count must be an integer, got True"),
+        ],
+    )
+    def test_non_integer_instrument_count_rejected_before_the_fit(
+        self, monkeypatch, instruments, count, message
+    ):
+        # 2.5 used to pass the count check and fail after the fit in np.linspace
+        def no_fit(*args, **kwargs):
+            raise AssertionError("the restricted fit ran before the instrument count check")
+
+        monkeypatch.setattr(inference, "_fit_by_solver", no_fit)
+        plan = replace(_toy_plan(), r1=LinearKernel(), instruments=instruments)
+        x = np.random.default_rng(4).uniform(-2, 2, (30, 2))
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            run_test(
+                x, x[:, 0], plan, rescaled_square_loss(), FitConfig(budget=5.0),
+                instrument_count=count,
+            )
+
+    @pytest.mark.parametrize(
+        "n_draws, message",
+        [(0, "n_draws must be at least 1, got 0"), (1.5, "n_draws must be an integer, got 1.5")],
+    )
+    def test_unusable_draw_count_rejected_before_the_fit(self, monkeypatch, n_draws, message):
+        def no_fit(*args, **kwargs):
+            raise AssertionError("the restricted fit ran before the draw count check")
+
+        monkeypatch.setattr(inference, "_fit_by_solver", no_fit)
+        x = np.random.default_rng(4).uniform(-2, 2, (30, 2))
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            run_test(
+                x, x[:, 0], _toy_plan(), rescaled_square_loss(), FitConfig(budget=5.0),
+                n_draws=n_draws,
+            )
+
+    def test_numpy_integer_counts_accepted(self):
+        x = np.random.default_rng(4).uniform(-2, 2, (30, 2))
+        plan = replace(_toy_plan(), r1=LinearKernel(), instruments=SectionInstrumentPlan())
+        result = run_test(
+            x, x[:, 0], plan, rescaled_square_loss(), FitConfig(budget=5.0),
+            n_draws=np.int64(50), instrument_count=np.int32(4),
+        )
+        assert result.r_count == 4
+        assert result.null_draws.shape == (50,)
 
     def test_section_plan_without_r1_rejected_before_the_fit(self, monkeypatch):
         fits = []

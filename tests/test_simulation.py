@@ -1,10 +1,14 @@
 """Data generation, the hypothesis registry and the Monte Carlo harness."""
 
+import multiprocessing
+import os
+import re
 from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
 import pytest
 
+from rkhstest import simulation
 from rkhstest.inference import (
     SectionInstrumentPlan,
     SeriesInstrumentPlan,
@@ -18,11 +22,22 @@ from rkhstest.simulation import (
     _blas_thread_counts,
     _correlation_matrix,
     _one_blas_thread,
+    _one_blas_thread_in_parent,
     gen_covariates,
     gen_response,
     null_kernel_for,
     run_monte_carlo,
 )
+
+
+def _worker_blas_state():
+    """The worker's BLAS thread counts and, where /proc lists them, its OS
+    threads after a 600x600 product and an eigvalsh, calls large enough for
+    OpenBLAS to use every thread it may."""
+    a = np.random.default_rng(0).standard_normal((600, 600))
+    np.linalg.eigvalsh(a @ a.T)
+    tasks = len(os.listdir("/proc/self/task")) if os.path.isdir("/proc/self/task") else None
+    return _blas_thread_counts(), tasks
 
 
 class TestCovariates:
@@ -236,15 +251,39 @@ class TestMonteCarlo:
             ("Lin3", "LinPoly", 0, "instrument_count counts kernel sections; LinPoly tests series"),
             ("Bivariate", "BivLinAll", 0, "the instrument count must be at least 1, got 0"),
             ("Bivariate", "Lin1NonLin", -2, "the instrument count must be at least 1, got -2"),
+            ("Bivariate", "BivLinAll", 2.5, "the instrument count must be an integer, got 2.5"),
+            ("Bivariate", "BivLinAll", True, "the instrument count must be an integer, got True"),
         ],
-        ids=["Lin3", "LinPoly", "BivLinAll", "Lin1NonLin"],
+        ids=["Lin3", "LinPoly", "BivLinAll", "Lin1NonLin", "fraction", "bool"],
     )
     def test_unusable_instrument_count_rejected_when_built(self, design, null, count, message):
         # a run would otherwise generate every replicate's data, then fail them all
         dgp = DgpSpec(design, 40, 2 if design == "Bivariate" else 10)
-        with pytest.raises(ValueError, match=f"^{message}$"):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             McConfig(dgp=dgp, null_hypothesis=null, replicates=2, instrument_count=count)
         assert McConfig(dgp=dgp, null_hypothesis=null, replicates=2).instrument_count is None
+
+    def test_numpy_integer_instrument_count_accepted(self):
+        mc = McConfig(
+            dgp=DgpSpec("Bivariate", 40, 2), null_hypothesis="BivLinAll", replicates=2,
+            instrument_count=np.int64(5),
+        )
+        assert mc.instrument_count == 5
+
+    @pytest.mark.parametrize(
+        "draws, message",
+        [
+            (0, "null_draws must be at least 1, got 0"),
+            (-10, "null_draws must be at least 1, got -10"),
+            (100.0, "null_draws must be an integer, got 100.0"),
+        ],
+    )
+    def test_unusable_null_draws_rejected_when_built(self, draws, message):
+        # a run would otherwise fit and project every replicate, then fail them all
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            McConfig(
+                dgp=DgpSpec("Lin3", 40), null_hypothesis="Lin3", replicates=2, null_draws=draws
+            )
 
     def test_size_calibration_under_true_null(self):
         size = 0.10
@@ -295,13 +334,38 @@ class TestMonteCarlo:
         for name in ("p_values", "naive_p_values", "budget_binding", "residual_null_scores"):
             assert np.array_equal(getattr(serial, name), getattr(parallel, name))
 
-    def test_workers_run_one_blas_thread(self):
+    def test_forked_worker_inherits_one_blas_thread(self):
         parent = _blas_thread_counts()
         if not parent:
             pytest.skip("numpy bundles no OpenBLAS with a thread-count symbol")
-        with ProcessPoolExecutor(max_workers=1, initializer=_one_blas_thread) as pool:
+        if "fork" not in multiprocessing.get_all_start_methods():
+            pytest.skip("no fork start method")
+        fork = multiprocessing.get_context("fork")
+        with _one_blas_thread_in_parent(), ProcessPoolExecutor(
+            max_workers=1, mp_context=fork, initializer=_one_blas_thread
+        ) as pool:
+            counts, tasks = pool.submit(_worker_blas_state).result(timeout=60)
+        assert _blas_thread_counts() == parent
+        assert counts == {name: 1 for name in parent}
+        # setting the count again in the child would restart OpenBLAS's
+        # thread pool there and leave an idle thread spinning beside the worker
+        if tasks is None:
+            pytest.skip("no /proc/self/task to count the worker's threads")
+        assert tasks == 1
+
+    def test_spawned_worker_is_set_to_one_blas_thread(self):
+        parent = _blas_thread_counts()
+        if not parent:
+            pytest.skip("numpy bundles no OpenBLAS with a thread-count symbol")
+        spawn = multiprocessing.get_context("spawn")
+        with ProcessPoolExecutor(max_workers=1, mp_context=spawn, initializer=_one_blas_thread) as pool:
             worker = pool.submit(_blas_thread_counts).result(timeout=60)
         assert worker == {name: 1 for name in parent}
+
+    def test_parent_blas_threads_restored_after_a_study(self, monkeypatch):
+        parent = _blas_thread_counts()
+        if not parent:
+            pytest.skip("numpy bundles no OpenBLAS with a thread-count symbol")
         mc = McConfig(
             dgp=DgpSpec("Lin3", 40, 10, 0.0, "geometric", 1.0),
             null_hypothesis="Lin3",
@@ -312,6 +376,27 @@ class TestMonteCarlo:
             iterations=30,
         )
         run_monte_carlo(mc, n_jobs=2)
+        assert _blas_thread_counts() == parent
+
+        seen = []
+
+        class BrokenPool:
+            def __init__(self, **kwargs):
+                seen.append(_blas_thread_counts())
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, *args, **kwargs):
+                raise RuntimeError("pool broke")
+
+        monkeypatch.setattr(simulation, "ProcessPoolExecutor", BrokenPool)
+        with pytest.raises(RuntimeError, match="pool broke"):
+            run_monte_carlo(mc, n_jobs=2)
+        assert seen == [{name: 1 for name in parent}]
         assert _blas_thread_counts() == parent
 
     def test_text_table_layout(self):
