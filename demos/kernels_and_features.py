@@ -3,9 +3,9 @@
 Walks through the kernel zoo, checks positive semi-definiteness on random
 samples, and shows that the truncated series expansion of the polynomial
 kernel reproduces its closed form sum_v w_v (s t)^v, evaluated inline by
-Horner's scheme.  Finite-rank kernels return a
-feature matrix F with F F' equal to their Gram; infinite-rank ones return
-None.
+Horner's scheme.  A kernel gives a Gram matrix and, where it has finite
+rank, a feature matrix F with F F' equal to that Gram (infinite-rank kernels
+return None); a single value C(s, t) is the Gram on two 1-row samples.
 """
 
 import numpy as np
@@ -24,13 +24,19 @@ from rkhstest import (
 
 rng = np.random.default_rng(11)
 
+
+def value(kernel, s, t):
+    """C(s, t) for two single points: the kernel's Gram on two 1-row samples."""
+    return kernel.gram(np.atleast_2d(s), np.atleast_2d(t))[0, 0]
+
+
 print("=== closed-form kernels ===")
 rbf = GaussianRBF(lengthscale=0.75, scale=0.5)
 lin = LinearKernel(1.0)
-print(f"RBF(0.3, 0.9)    = {rbf.eval(0.3, 0.9):.6f}")
-print(f"linear(0.5, 0.4) = {lin.eval(0.5, 0.4):.6f}")
-print(f"Brownian-type H_1(0.3, 0.7) = {IntegratedBrownianKernel(1).eval(0.3, 0.7):.6f} (= min)")
-print(f"Brownian-type H_2(1, 1)     = {IntegratedBrownianKernel(2).eval(1.0, 1.0):.6f} (= 1/3)")
+print(f"RBF(0.3, 0.9)    = {value(rbf, 0.3, 0.9):.6f}")
+print(f"linear(0.5, 0.4) = {value(lin, 0.5, 0.4):.6f}")
+print(f"Brownian-type H_1(0.3, 0.7) = {value(IntegratedBrownianKernel(1), 0.3, 0.7):.6f} (= min)")
+print(f"Brownian-type H_2(1, 1)     = {value(IntegratedBrownianKernel(2), 1.0, 1.0):.6f} (= 1/3)")
 
 
 
@@ -46,7 +52,7 @@ print("\n=== series expansion vs closed form ===")
 series = polynomial_series(10, decay=2.2)   # weights v^-2.2 on (s t)^v
 weights = polynomial_weights(10, 2.2)
 s, t = 0.8, -1.3
-print(f"series {series.eval(s, t):+.12f}  vs closed {horner(weights, np.float64(s * t)):+.12f}")
+print(f"series {value(series, s, t):+.12f}  vs closed {horner(weights, np.float64(s * t)):+.12f}")
 
 x = rng.uniform(-2, 2, (6, 1))
 feats = series.feature_matrix(x)             # entries lambda_v phi_v(x_i)

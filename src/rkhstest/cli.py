@@ -25,6 +25,7 @@ from .inference import (
     SectionInstrumentPlan,
     SeriesInstrumentPlan,
     TestResult,
+    _check_count,
     run_test,
 )
 from .kernels import kernel_from_config, polynomial_series
@@ -217,6 +218,7 @@ def _validate(config: RunConfig) -> None:
         )
     if config.command == "test" and mode != "series_features" and "r1" not in config.kernels:
         raise ConfigError(f"instrument mode {mode!r} needs kernels.r1")
+    _check_count(config.test.null_draws, "test.null_draws")
 
 
 def resolved_config_yaml(config: RunConfig) -> str:

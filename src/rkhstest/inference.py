@@ -84,17 +84,18 @@ def build_instruments(
     """Raw instrument matrix (n, R) of normalized kernel sections.
 
     Column j is C_R1(X_i, Z_j) / sqrt(C_R1(Z_j, Z_j)) for the sample points
-    Z = X[anchor_indices] (default: all points).  Series-feature instruments
-    come from :func:`series_feature_columns`.
+    Z = X[anchor_indices] (default: all points).  C_R1(Z_j, Z_j) is read off
+    the cross Gram, at row anchor_indices[j] of column j.  Series-feature
+    instruments come from :func:`series_feature_columns`.
     """
     x = _as_sample(x, None)
     n = x.shape[0]
     idx = np.arange(n) if anchor_indices is None else np.asarray(anchor_indices)
-    z = x[idx]
-    diag = np.array([kernel.eval(z[r], z[r]) for r in range(z.shape[0])])
+    g = kernel.gram(x, x[idx])
+    diag = g[idx, np.arange(idx.size)]
     if np.any(diag <= 0):
         raise ValueError("cannot normalize a section with C(z, z) <= 0")
-    return kernel.gram(x, z) / np.sqrt(diag)[None, :]
+    return g / np.sqrt(diag)
 
 
 def _check_penalty(proj_rho: float) -> None:

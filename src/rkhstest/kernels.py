@@ -1,12 +1,12 @@
 """Covariance kernels, Gram matrices and series-feature matrices.
 
 Kernels are immutable after construction and evaluation is pure, so the same
-object can be shared freely across threads.  Every kernel knows how to
+object can be shared freely across threads.  Every kernel gives
 
-* evaluate a single pair of points (``eval``),
-* build a cross Gram matrix over point sets (``gram``),
-* return a feature matrix F with F F' = gram(x) (``feature_matrix``), or
-  None when the kernel has infinite rank and so only a Gram.
+* a cross Gram matrix over point sets (``gram``); a single value C(s, t) is
+  ``gram`` on two 1-row samples,
+* a feature matrix F with F F' = gram(x) (``feature_matrix``), or None when
+  the kernel has infinite rank and so only a Gram.
 
 Points are real vectors; a sample is an ``(n, d)`` array.  The univariate
 kernels (series and integrated Brownian) take one coordinate, as an ``(n,)``
@@ -53,28 +53,16 @@ def _as_sample(x, dim: int | None) -> np.ndarray:
     return arr
 
 
-def _as_point(x, dim: int | None) -> np.ndarray:
-    arr = np.atleast_1d(np.asarray(x, dtype=float))
-    if arr.ndim != 1:
-        raise ValueError(f"a point must be a vector, got shape {arr.shape}")
-    if dim is not None and arr.shape[0] != dim:
-        raise ValueError(
-            f"dimension mismatch: kernel expects points of length {dim}, "
-            f"got {arr.shape[0]}"
-        )
-    return arr
-
-
 def _select(x: np.ndarray, sel) -> np.ndarray:
-    """Coordinates ``sel`` of a point (d,) or of a sample (n, d); None selects all."""
+    """Coordinates ``sel`` of a sample (n, d); None selects all."""
     if sel is None:
         return x
-    if max(sel) >= x.shape[-1]:
+    if max(sel) >= x.shape[1]:
         raise ValueError(
             f"dimension mismatch: selector {sel} needs {max(sel) + 1} "
-            f"coordinates, got {x.shape[-1]}"
+            f"coordinates, got {x.shape[1]}"
         )
-    return x[..., list(sel)]
+    return x[:, list(sel)]
 
 
 class Kernel:
@@ -84,10 +72,6 @@ class Kernel:
         # a kernel's scale enters feature maps as sqrt(scale); negative is not PSD
         if getattr(self, "scale", 0.0) < 0:
             raise ValueError(f"{type(self).__name__} scale must be nonnegative, got {self.scale}")
-
-    def eval(self, s, t) -> float:
-        """Evaluate C(s, t) for a single pair of points."""
-        raise NotImplementedError
 
     def gram(self, x, z=None) -> np.ndarray:
         """Cross Gram matrix with entries C(x_i, z_j); z defaults to x."""
@@ -115,9 +99,6 @@ class ConstantKernel(Kernel):
 
     scale: float = 1.0
 
-    def eval(self, s, t) -> float:
-        return float(self.scale)
-
     def gram(self, x, z=None) -> np.ndarray:
         x = _as_sample(x, None)
         z = x if z is None else _as_sample(z, None)
@@ -132,13 +113,6 @@ class LinearKernel(Kernel):
     """C(s, t) = scale * <s, t>."""
 
     scale: float = 1.0
-
-    def eval(self, s, t) -> float:
-        s = _as_point(s, None)
-        t = _as_point(t, None)
-        if s.shape != t.shape:
-            raise ValueError("dimension mismatch between points")
-        return float(self.scale * np.dot(s, t))
 
     def gram(self, x, z=None) -> np.ndarray:
         x = _as_sample(x, None)
@@ -165,14 +139,6 @@ class GaussianRBF(Kernel):
         if self.lengthscale <= 0:
             raise ValueError("lengthscale must be positive")
         super().__post_init__()
-
-    def eval(self, s, t) -> float:
-        s = _as_point(s, None)
-        t = _as_point(t, None)
-        if s.shape != t.shape:
-            raise ValueError("dimension mismatch between points")
-        d2 = float(np.sum((s - t) ** 2))
-        return self.scale * math.exp(-0.5 * d2 / self.lengthscale**2)
 
     def gram(self, x, z=None) -> np.ndarray:
         x = _as_sample(x, None)
@@ -221,15 +187,6 @@ class SeriesKernel(Kernel):
         """Scaled feature matrix with entries lambda_v phi_v(x_i), (n, V)."""
         return self._phi(_as_sample(x, 1)[:, 0]) * np.sqrt(np.asarray(self.weights))
 
-    def eval(self, s, t) -> float:
-        s = _as_point(s, 1)
-        t = _as_point(t, 1)
-        w = np.asarray(self.weights)
-        phis = self._phi(s)[0]
-        phit = self._phi(t)[0]
-        # phi(s)*phi(t) first keeps the evaluation symmetric bit-for-bit
-        return float(np.dot(w, phis * phit))
-
     def gram(self, x, z=None) -> np.ndarray:
         fx = self.feature_matrix(x)
         fz = fx if z is None else self.feature_matrix(z)
@@ -272,14 +229,6 @@ class IntegratedBrownianKernel(Kernel):
         if self.order < 1:
             raise ValueError("order must be >= 1")
 
-    def eval(self, s, t) -> float:
-        s = float(_as_point(s, 1)[0])
-        t = float(_as_point(t, 1)[0])
-        for name, r in (("s", s), ("t", t)):
-            if not 0.0 <= r <= 1.0:
-                raise ValueError(f"{name}={r} outside the kernel domain [0, 1]")
-        return float(_integrated_brownian(self.order, s, t))
-
     def gram(self, x, z=None) -> np.ndarray:
         x = _as_sample(x, 1)
         z = x if z is None else _as_sample(z, 1)
@@ -306,14 +255,6 @@ class CompositeKernel(Kernel):
                 sel = tuple(int(i) for i in sel)
             norm.append((kernel, sel))
         object.__setattr__(self, "terms", tuple(norm))
-
-    def eval(self, s, t) -> float:
-        s = _as_point(s, None)
-        t = _as_point(t, None)
-        total = 0.0
-        for kernel, sel in self.terms:
-            total += kernel.eval(_select(s, sel), _select(t, sel))
-        return total
 
     def gram(self, x, z=None) -> np.ndarray:
         return self.gram_and_terms(x, z)[0]

@@ -27,9 +27,6 @@ class HornerPolynomial(Kernel):
             acc = (acc + w) * p
         return acc
 
-    def eval(self, s, t) -> float:
-        return float(self._horner(np.asarray(float(s) * float(t))))
-
     def gram(self, x, z=None) -> np.ndarray:
         x = _as_sample(x, 1)
         z = x if z is None else _as_sample(z, 1)
@@ -38,12 +35,9 @@ class HornerPolynomial(Kernel):
 
 @dataclass(frozen=True)
 class GramOnly(Kernel):
-    """``inner`` with its Gram and evaluation but without its feature map."""
+    """``inner`` with its Gram but without its feature map."""
 
     inner: Kernel
-
-    def eval(self, s, t) -> float:
-        return self.inner.eval(s, t)
 
     def gram(self, x, z=None) -> np.ndarray:
         return self.inner.gram(x, z)

@@ -494,6 +494,32 @@ class TestCommands:
         assert not out.exists()
 
     @pytest.mark.parametrize(
+        "draws, message",
+        [
+            ("0", "test.null_draws must be at least 1, got 0"),
+            ("2.5", "test.null_draws must be an integer, got 2.5"),
+        ],
+    )
+    def test_unusable_test_null_draws_names_the_key_before_the_fit(
+        self, tmp_path, capsys, monkeypatch, draws, message
+    ):
+        def no_fit(*args, **kwargs):
+            raise AssertionError("the restricted fit ran before the draw count check")
+
+        monkeypatch.setattr(inference, "_fit_by_solver", no_fit)
+        data = tmp_path / "d.csv"
+        _write_dataset(data)
+        cfg = tmp_path / "cfg.yaml"
+        cfg.write_text(
+            TEST_CONFIG.replace("null_draws: 400", f"null_draws: {draws}")
+            + f"data: {{path: {data}}}\n"
+        )
+        out = tmp_path / "out"
+        assert main(["test", "--config", str(cfg), "--out", str(out)]) == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
         "keys, message",
         [
             ("null_draws: 100, instrument_count: 2.5",

@@ -332,14 +332,15 @@ class TestDirections:
         rng = np.random.default_rng(51)
         x = rng.uniform(-1, 1, 3)
         grad = rng.normal(size=3)
-        kern = HornerPolynomial(polynomial_weights(4))
-        gram = kern.gram(x)
+        weights = polynomial_weights(4)
+        gram = HornerPolynomial(weights).gram(x)
         beta, rho = greedy_direction(grad, gram)
         n = 3
         total = 0.0
         for i in range(n):
             for j in range(n):
-                total += (grad[i] / n) * (grad[j] / n) * kern.eval(x[i], x[j])
+                c_ij = sum(w * (x[i] * x[j]) ** v for v, w in enumerate(weights, start=1))
+                total += (grad[i] / n) * (grad[j] / n) * c_ij
         assert rho == pytest.approx(0.5 * np.sqrt(total), rel=1e-12)
         # unit RKHS norm of the direction
         assert float(beta @ gram @ beta) == pytest.approx(1.0, rel=1e-8)

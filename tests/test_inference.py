@@ -34,6 +34,7 @@ from rkhstest.kernels import (
     CompositeKernel,
     ConstantKernel,
     GaussianRBF,
+    IntegratedBrownianKernel,
     Kernel,
     LinearKernel,
     gram_matrix,
@@ -241,6 +242,12 @@ class TestProjection:
                 assert np.max(np.abs(project(once) - once)) <= 1e-12
 
 
+def _sum_kernel(name):
+    """C_R0 + C_R1 of a bivariate hypothesis: the kernel its sections are built on."""
+    plan = null_kernel_for(name)
+    return plan.r0 + plan.r1
+
+
 class TestBuildInstruments:
     def test_series_features_monomial_grid(self):
         x = RNG.uniform(-2, 2, (7, 3))
@@ -261,6 +268,48 @@ class TestBuildInstruments:
         k = LinearKernel(1.0)
         with pytest.raises(ValueError, match="normalize"):
             build_instruments(np.array([[1.0], [0.0], [1.0]]), kernel=k, anchor_indices=[1])
+
+    @pytest.mark.parametrize(
+        "kernel, domain, diagonal",
+        [
+            (ConstantKernel(0.7), (-2.0, 2.0), lambda z: np.full(len(z), 0.7)),
+            (LinearKernel(1.5), (-2.0, 2.0), lambda z: 1.5 * np.sum(z**2, axis=1)),
+            (CompositeKernel(((GaussianRBF(0.6, 1.4), (1,)),)), (-2.0, 2.0), lambda z: np.full(len(z), 1.4)),
+            (GaussianRBF(0.75, 0.5), (-2.0, 2.0), lambda z: np.full(len(z), 0.5)),
+            (
+                CompositeKernel(((polynomial_series(10, 2.2), (0,)),)),
+                (-2.0, 2.0),
+                lambda z: sum(v**-2.2 * z[:, 0] ** (2 * v) for v in range(1, 11)),
+            ),
+            # twice-integrated Brownian motion: C(z, z) = z^3 / 3 on [0, 1]
+            (CompositeKernel(((IntegratedBrownianKernel(2), (1,)),)), (0.0, 1.0), lambda z: z[:, 1] ** 3 / 3),
+            (_sum_kernel("Lin1NonLin"), (-2.0, 2.0), lambda z: 1.5 + 0.5 * np.sum(z**2, axis=1)),
+            (_sum_kernel("BivLinAll"), (-2.0, 2.0), lambda z: 1.0 + 0.5 * np.sum(z**2, axis=1)),
+        ],
+        ids=["constant", "linear", "rbf_1d", "rbf_2d", "series", "brownian", "Lin1NonLin", "BivLinAll"],
+    )
+    def test_normalizer_read_off_the_gram_is_the_closed_form(self, kernel, domain, diagonal):
+        # column j at its own anchor is C(z_j, z_j) / sqrt(C(z_j, z_j))
+        x = np.random.default_rng(31).uniform(*domain, (30, 2))
+        idx = np.array([17, 3, 29, 3, 0, 11, 8])
+        h = build_instruments(x, kernel=kernel, anchor_indices=idx)
+        want = diagonal(x[idx])
+        np.testing.assert_allclose(h[idx, np.arange(idx.size)] ** 2, want, rtol=1e-14, atol=0)
+
+    @settings(max_examples=20, deadline=None, derandomize=True, database=None)
+    @given(
+        name=st.sampled_from(["Lin1NonLin", "BivLinAll"]),
+        order=st.permutations(range(8)),
+        seed=st.integers(0, 2**16),
+    )
+    def test_anchor_order_permutes_the_columns(self, name, order, seed):
+        rng = np.random.default_rng(seed)
+        x = rng.uniform(-2, 2, (30, 2))
+        idx = rng.choice(30, 8, replace=False)
+        kernel = _sum_kernel(name)
+        base = build_instruments(x, kernel=kernel, anchor_indices=idx)
+        permuted = build_instruments(x, kernel=kernel, anchor_indices=idx[list(order)])
+        np.testing.assert_allclose(permuted, base[:, list(order)], rtol=1e-14, atol=0)
 
 
 class TestStatistic:
@@ -593,6 +642,30 @@ class TestRunTest:
         b = run_test(x, y, shuffled, rescaled_square_loss(), cfg, n_draws=10)
         assert b.statistic == pytest.approx(a.statistic, rel=1e-12)
         np.testing.assert_allclose(b.spectrum, a.spectrum, rtol=1e-12, atol=1e-12 * a.spectrum[0])
+
+    @settings(max_examples=12, deadline=None, derandomize=True, database=None)
+    @given(
+        name=st.sampled_from(["Lin1NonLin", "BivLinAll"]),
+        solver=st.sampled_from(["ridge_closed_form", "greedy"]),
+        order=st.permutations(range(8)),
+    )
+    def test_anchor_order_leaves_statistic_and_spectrum(self, name, solver, order):
+        # permuting the anchors permutes the section columns, so the averaged
+        # squared moments and the covariance spectrum stay put
+        rng = np.random.default_rng(23)
+        x = rng.uniform(-2, 2, (40, 2))
+        y = 0.4 * x[:, 0] + np.sin(2.0 * x[:, 1]) + 0.3 * rng.standard_normal(40)
+        cfg = FitConfig(budget=3.0, solver=solver, iterations=60)
+        args = (x, y, null_kernel_for(name), rescaled_square_loss(), cfg)
+        base = run_test(*args, n_draws=10, instrument_count=8)
+        spaced = inference._evenly_spaced_indices
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(inference, "_evenly_spaced_indices", lambda n, c: spaced(n, c)[list(order)])
+            permuted = run_test(*args, n_draws=10, instrument_count=8)
+        assert permuted.statistic == pytest.approx(base.statistic, rel=1e-12)
+        np.testing.assert_allclose(
+            permuted.spectrum, base.spectrum, rtol=1e-12, atol=1e-12 * base.spectrum[0]
+        )
 
     @settings(max_examples=16, deadline=None, derandomize=True, database=None)
     @given(

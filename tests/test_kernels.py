@@ -1,4 +1,4 @@
-"""Kernel evaluation, Gram construction and series features."""
+"""Gram construction, single kernel values and series features."""
 
 import math
 
@@ -37,33 +37,64 @@ ALL_SCALAR_KERNELS = [
 ]
 
 
-class TestEval:
+def value(kernel, s, t) -> float:
+    """C(s, t) as the kernel's Gram on two 1-row samples."""
+    row = lambda p: np.atleast_1d(np.asarray(p, dtype=float))[None, :]
+    return kernel.gram(row(s), row(t))[0, 0]
+
+
+# closed forms of the kernels, written from their definitions
+
+
+def rbf_value(s, t, lengthscale, scale):
+    d2 = float(np.sum((np.asarray(s, dtype=float) - np.asarray(t, dtype=float)) ** 2))
+    return scale * math.exp(-0.5 * d2 / lengthscale**2)
+
+
+def series_value(weights, s, t):
+    return sum(w * (s * t) ** v for v, w in enumerate(weights, start=1))
+
+
+def brownian_value(order, s, t):
+    """The integral over [0, min(s, t)] of (s - u)^(V-1) (t - u)^(V-1) / ((V-1)!)^2."""
+    fact = math.factorial(order - 1)
+    val, _ = quad(
+        lambda u: (s - u) ** (order - 1) * (t - u) ** (order - 1) / fact**2,
+        0.0, min(s, t), epsabs=1e-14, epsrel=1e-12,
+    )
+    return val
+
+
+class TestSingleValues:
     def test_rbf_diagonal_is_one(self):
         k = GaussianRBF(lengthscale=1.0)
+        assert value(k, 0.3, 0.3) == rbf_value([0.3], [0.3], 1.0, 1.0) == 1.0
+        # on two coordinates |s|^2 + |s|^2 - 2 s.s need not round to 0
         s = np.array([0.3, -1.2])
-        assert k.eval(s, s) == 1.0
+        assert rbf_value(s, s, 1.0, 1.0) == 1.0
+        assert abs(value(k, s, s) - 1.0) <= np.finfo(float).eps
 
     def test_linear_product(self):
-        assert LinearKernel(1.0).eval(0.5, 0.4) == pytest.approx(0.20)
+        assert value(LinearKernel(1.0), 0.5, 0.4) == pytest.approx(0.20)
+        s, t = np.array([0.5, -1.5]), np.array([0.4, 2.0])
+        assert value(LinearKernel(0.5), s, t) == pytest.approx(0.5 * float(s @ t), rel=1e-15)
 
     def test_polynomial_partial_sum_at_one(self):
         # direct-summation oracle for sum_v v^-2.2 (s t)^v at s = t = 1
-        oracle = sum(v**-2.2 * (1.0 * 1.0) ** v for v in range(1, 11))
+        oracle = series_value(polynomial_weights(10, 2.2), 1.0, 1.0)
         assert oracle == pytest.approx(1.4410028461622895, rel=1e-15)
-        assert polynomial_series(10, 2.2).eval(1.0, 1.0) == pytest.approx(
+        assert value(polynomial_series(10, 2.2), 1.0, 1.0) == pytest.approx(oracle, rel=1e-12)
+        assert value(HornerPolynomial(polynomial_weights(10, 2.2)), 1.0, 1.0) == pytest.approx(
             oracle, rel=1e-12
         )
-        assert HornerPolynomial(polynomial_weights(10, 2.2)).eval(
-            1.0, 1.0
-        ) == pytest.approx(oracle, rel=1e-12)
 
     def test_dimension_mismatch(self):
         k = GaussianRBF()
         with pytest.raises(ValueError, match="dimension mismatch"):
-            k.eval(np.array([1.0, 2.0]), np.array([1.0]))
+            k.gram(np.array([[1.0, 2.0]]), np.array([[1.0]]))
         comp = CompositeKernel(((LinearKernel(), (2,)),))
         with pytest.raises(ValueError, match="dimension mismatch"):
-            comp.eval(np.array([1.0]), np.array([1.0]))
+            comp.gram(np.array([[1.0]]), np.array([[1.0]]))
 
 
 class TestGram:
@@ -72,19 +103,19 @@ class TestGram:
         x = np.array([[0.7]])
         g = gram_matrix(k, x)
         assert g.shape == (1, 1)
-        assert g[0, 0] == k.eval(x[0], x[0])
+        assert g[0, 0] == rbf_value(x[0], x[0], 0.5, 1.0) == 1.0
 
     def test_linear_outer_product(self):
         g = gram_matrix(LinearKernel(1.0), np.array([1.0, 2.0]))
         assert np.array_equal(g, np.array([[1.0, 2.0], [2.0, 4.0]]))
 
-    def test_rbf_matches_pairwise_eval(self):
+    def test_rbf_matches_pairwise_closed_form(self):
         k = GaussianRBF(lengthscale=0.9, scale=1.3)
         x = RNG.uniform(-2, 2, (5, 3))
         g = gram_matrix(k, x)
         for i in range(5):
             for j in range(5):
-                assert g[i, j] == pytest.approx(k.eval(x[i], x[j]), rel=1e-12)
+                assert g[i, j] == pytest.approx(rbf_value(x[i], x[j], 0.9, 1.3), rel=1e-12)
 
     def test_nonfinite_entries_rejected(self):
         x = np.array([1e200, 1e200])
@@ -125,9 +156,8 @@ class TestGram:
     @pytest.mark.parametrize("kernel", ALL_SCALAR_KERNELS)
     def test_bitexact_symmetry(self, kernel):
         lo, hi = (0.0, 1.0) if isinstance(kernel, IntegratedBrownianKernel) else (-2, 2)
-        for _ in range(10):
-            s, t = RNG.uniform(lo, hi, 2)
-            assert kernel.eval(s, t) == kernel.eval(t, s)
+        g = kernel.gram(RNG.uniform(lo, hi, (10, 1)))
+        assert np.array_equal(g, g.T)
 
     def test_composite_symmetry(self):
         k = CompositeKernel(
@@ -137,9 +167,8 @@ class TestGram:
                 (GaussianRBF(0.75, 0.5), (1,)),
             )
         )
-        for _ in range(10):
-            s, t = RNG.uniform(-2, 2, (2, 2))
-            assert k.eval(s, t) == k.eval(t, s)
+        g = k.gram(RNG.uniform(-2, 2, (10, 2)))
+        assert np.array_equal(g, g.T)
 
 
 class TestComposite:
@@ -169,8 +198,8 @@ class TestComposite:
         base = polynomial_series(6)
         k = additive_kernel(base, 4)
         point = np.full(4, 0.8)
-        assert k.eval(point, point) == pytest.approx(
-            4 * base.eval(0.8, 0.8), rel=1e-14
+        assert value(k, point, point) == pytest.approx(
+            4 * series_value(base.weights, 0.8, 0.8), rel=1e-14
         )
 
     def test_add_operator_flattens(self):
@@ -196,13 +225,14 @@ class TestSeries:
         f = series.feature_matrix(x)
         assert np.allclose(f @ f.T, closed.gram(x), rtol=1e-10, atol=0)
 
-    def test_series_equals_closed_form_eval(self):
+    def test_series_equals_closed_form_on_single_points(self):
         series = polynomial_series(10, 2.2)
         closed = HornerPolynomial(polynomial_weights(10, 2.2))
         for _ in range(20):
             s, t = RNG.uniform(-2, 2, 2)
-            assert series.eval(s, t) == pytest.approx(
-                closed.eval(s, t), rel=1e-12
+            assert value(series, s, t) == pytest.approx(value(closed, s, t), rel=1e-12)
+            assert value(series, s, t) == pytest.approx(
+                series_value(series.weights, s, t), rel=1e-12
             )
 
     def test_zero_point_gives_zero_row(self):
@@ -306,10 +336,10 @@ class TestIntegratedBrownian:
         )
         assert err < 1e-10
         assert oracle == pytest.approx(0.3, abs=1e-10)
-        assert IntegratedBrownianKernel(1).eval(0.3, 0.7) == pytest.approx(0.3, abs=1e-12)
+        assert value(IntegratedBrownianKernel(1), 0.3, 0.7) == pytest.approx(0.3, abs=1e-12)
 
     def test_zero_endpoint(self):
-        assert IntegratedBrownianKernel(1).eval(0.0, 0.6) == 0.0
+        assert value(IntegratedBrownianKernel(1), 0.0, 0.6) == 0.0
 
     def test_order_two_against_quadrature(self):
         def oracle(s, t):
@@ -319,65 +349,54 @@ class TestIntegratedBrownian:
             assert err < 1e-10
             return val
 
-        assert IntegratedBrownianKernel(2).eval(1.0, 1.0) == pytest.approx(
-            oracle(1.0, 1.0), abs=1e-10
-        )
+        k = IntegratedBrownianKernel(2)
+        assert value(k, 1.0, 1.0) == pytest.approx(oracle(1.0, 1.0), abs=1e-10)
         # frozen third-party values: 1/3 and 23/375 from symbolic integration
-        assert IntegratedBrownianKernel(2).eval(1.0, 1.0) == pytest.approx(1 / 3, abs=1e-12)
-        assert IntegratedBrownianKernel(2).eval(0.4, 0.9) == pytest.approx(
-            23 / 375, abs=1e-12
-        )
+        assert value(k, 1.0, 1.0) == pytest.approx(1 / 3, abs=1e-12)
+        assert value(k, 0.4, 0.9) == pytest.approx(23 / 375, abs=1e-12)
 
     def test_order_three_against_symbolic_values(self):
         # frozen values 1/20 and 31/6400 from symbolic integration
-        assert IntegratedBrownianKernel(3).eval(1.0, 1.0) == pytest.approx(0.05, abs=1e-10)
-        assert IntegratedBrownianKernel(3).eval(0.5, 0.8) == pytest.approx(
+        assert value(IntegratedBrownianKernel(3), 1.0, 1.0) == pytest.approx(0.05, abs=1e-10)
+        assert value(IntegratedBrownianKernel(3), 0.5, 0.8) == pytest.approx(
             0.00484375, abs=1e-10
         )
 
     def test_domain_enforced(self):
         with pytest.raises(ValueError, match="domain"):
-            IntegratedBrownianKernel(1).eval(-0.1, 0.5)
+            value(IntegratedBrownianKernel(1), -0.1, 0.5)
+        with pytest.raises(ValueError, match="domain"):
+            value(IntegratedBrownianKernel(1), 0.5, 1.2)
         with pytest.raises(ValueError, match="domain"):
             IntegratedBrownianKernel(order=1).gram(np.array([0.5, 1.4]))
 
     @pytest.mark.parametrize("order", range(1, 7))
     def test_closed_form_against_quadrature(self, order):
-        fact = math.factorial(order - 1)
-
-        def oracle(s, t):
-            val, _ = quad(
-                lambda u: (s - u) ** (order - 1) * (t - u) ** (order - 1) / fact**2,
-                0.0, min(s, t), epsabs=1e-14, epsrel=1e-12,
-            )
-            return val
-
         pairs = [(0.0, 0.6), (1.0, 1.0), (0.5, 0.5), *RNG.uniform(0, 1, (8, 2))]
         for s, t in pairs:
-            assert IntegratedBrownianKernel(order).eval(s, t) == pytest.approx(
-                oracle(s, t), abs=1e-12
+            assert value(IntegratedBrownianKernel(order), s, t) == pytest.approx(
+                brownian_value(order, s, t), abs=1e-12
             )
 
-    def test_gram_matches_scalar_eval(self):
+    def test_gram_matches_quadrature(self):
         x = RNG.uniform(0, 1, (6, 1))
         for order in (1, 2, 3, 5):
-            k = IntegratedBrownianKernel(order=order)
-            g = k.gram(x)
+            g = IntegratedBrownianKernel(order=order).gram(x)
             for i in range(6):
                 for j in range(6):
                     assert g[i, j] == pytest.approx(
-                        k.eval(x[i, 0], x[j, 0]), abs=1e-12
+                        brownian_value(order, x[i, 0], x[j, 0]), abs=1e-12
                     )
 
 
 def test_normalized_section_has_unit_norm():
-    for kernel, z in (
-        (GaussianRBF(0.75, 0.5), np.array([0.4, -1.0])),
-        (polynomial_series(10, 2.2), np.array([1.3])),
-        (LinearKernel(2.0), np.array([0.7])),
+    for kernel, z, czz in (
+        (GaussianRBF(0.75, 0.5), np.array([0.4, -1.0]), 0.5),
+        (polynomial_series(10, 2.2), np.array([1.3]), series_value(polynomial_weights(10), 1.3, 1.3)),
+        (LinearKernel(2.0), np.array([0.7]), 2.0 * 0.7**2),
     ):
         # h = C(., z) / sqrt(C(z, z)); reproduction gives |h|^2 = h(z) / sqrt(C(z, z))
-        root = np.sqrt(kernel.eval(z, z))
+        root = np.sqrt(czz)
         h_at_z = build_instruments(z[None, :], kernel=kernel, anchor_indices=[0])[0, 0]
         assert h_at_z / root == pytest.approx(1.0, abs=1e-12)
         # with features, h has the coefficient vector F(z) / sqrt(C(z, z))

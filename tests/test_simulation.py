@@ -168,7 +168,7 @@ class TestRegistry:
         assert biv.r1.terms[0][1] == (0, 1)
         # Gaussian factors use the negative-exponent (PSD) form
         rbf = biv.r1.terms[0][0]
-        assert rbf.eval(np.array([0.0]), np.array([2.0])) < rbf.scale
+        assert rbf.gram(np.array([[0.0]]), np.array([[2.0]]))[0, 0] < rbf.scale
 
     def test_split_kernels_are_psd(self):
         rng = np.random.default_rng(9)
