@@ -28,7 +28,7 @@ from .inference import (
     _check_count,
     run_test,
 )
-from .kernels import kernel_from_config, polynomial_series
+from .kernels import kernel_from_config
 from .losses import LOSS_NAMES, loss_by_name
 from .simulation import (
     DESIGNS,
@@ -36,7 +36,6 @@ from .simulation import (
     DgpSpec,
     McConfig,
     RejectionTable,
-    _SERIES_TERMS,
     run_monte_carlo,
 )
 
@@ -131,18 +130,14 @@ def _coerce_section(cls, mapping: dict, prefix: str):
 _TOP_KEYS = ("command", "seed", "out", "threads", "loss", "kernels", "fit", "test", "data", "simulate")
 
 
-def parse_config(source=None, *, overrides: dict | None = None, command: str | None = None) -> RunConfig:
-    """Build a validated RunConfig from YAML text/path plus flag overrides.
+def parse_config(text: str | None = None, *, overrides: dict | None = None, command: str | None = None) -> RunConfig:
+    """Build a validated RunConfig from YAML text plus flag overrides.
 
     Unknown keys anywhere in the document are fatal, naming the offending
     key, so typos cannot silently fall back to defaults.
     """
     raw: dict = {}
-    if source is not None:
-        if isinstance(source, (str, Path)) and "\n" not in str(source):
-            text = Path(source).read_text()
-        else:
-            text = str(source)
+    if text is not None:
         loaded = yaml.safe_load(text)
         if loaded is None:
             loaded = {}
@@ -198,6 +193,10 @@ def _validate(config: RunConfig) -> None:
             raise ConfigError(f"unknown design {sim.design!r}")
         if sim.null not in HYPOTHESES:
             raise ConfigError(f"unknown null hypothesis {sim.null!r}")
+        for key in ("n", "replicates", "null_draws"):
+            _check_count(getattr(sim, key), f"simulate.{key}")
+        if sim.instrument_count is not None:
+            _check_count(sim.instrument_count, "simulate.instrument_count")
     if config.command in ("fit", "test"):
         if config.data.path is None:
             raise ConfigError(f"{config.command} mode requires data.path")
@@ -218,6 +217,8 @@ def _validate(config: RunConfig) -> None:
         )
     if config.command == "test" and mode != "series_features" and "r1" not in config.kernels:
         raise ConfigError(f"instrument mode {mode!r} needs kernels.r1")
+    if config.test.r is not None:
+        _check_count(config.test.r, "test.r")
     _check_count(config.test.null_draws, "test.null_draws")
 
 
@@ -417,12 +418,9 @@ def _plan_from_config(config: RunConfig) -> HypothesisPlan:
     r1 = kernel_from_config(config.kernels["r1"]) if "r1" in config.kernels else None
     settings = config.test
     if settings.instrument_mode == "series_features":
-        base = polynomial_series(_SERIES_TERMS)
         if not settings.features:
             raise ConfigError("series_features mode needs test.features ranges")
-        instruments = SeriesInstrumentPlan(
-            kernel=base, test_pairs=_expand_feature_ranges(settings.features)
-        )
+        instruments = SeriesInstrumentPlan(test_pairs=_expand_feature_ranges(settings.features))
     else:
         instruments = SectionInstrumentPlan(count=settings.r)
     return HypothesisPlan(name="config", r0=r0, r1=r1, instruments=instruments)
@@ -511,7 +509,7 @@ def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         config = parse_config(
-            args.config,
+            None if args.config is None else Path(args.config).read_text(),
             command=args.command,
             overrides={"out": args.out, "seed": args.seed, "threads": args.threads},
         )

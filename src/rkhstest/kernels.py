@@ -297,14 +297,15 @@ def gram_matrix(kernel: Kernel, x) -> np.ndarray:
     return g
 
 
-_CONFIG_KINDS = (
-    "constant",
-    "linear",
-    "gaussian_rbf",
-    "polynomial",
-    "integrated_brownian",
-    "sum",
-)
+# config kind -> (constructor, its config keys with their defaults, in argument
+# order); each value is converted by the type of its default
+_CONFIG_KINDS = {
+    "constant": (ConstantKernel, {"scale": 1.0}),
+    "linear": (LinearKernel, {"scale": 1.0}),
+    "gaussian_rbf": (GaussianRBF, {"lengthscale": 1.0, "scale": 1.0}),
+    "polynomial": (polynomial_series, {"degree": 10, "decay": 2.2}),
+    "integrated_brownian": (IntegratedBrownianKernel, {"order": 1}),
+}
 
 
 def kernel_from_config(spec) -> Kernel:
@@ -314,10 +315,8 @@ def kernel_from_config(spec) -> Kernel:
     integrated_brownian, and sum (a list of term specs).  Any term may carry
     ``coords``, a list of coordinate indices the kernel is applied to.
     """
-    if isinstance(spec, list):
-        spec = {"kind": "sum", "terms": spec}
     if not isinstance(spec, dict):
-        raise ValueError(f"kernel spec must be a mapping or list, got {type(spec)!r}")
+        raise ValueError(f"kernel spec must be a mapping, got {type(spec)!r}")
     spec = dict(spec)
     kind = spec.pop("kind", None)
     if kind is None:
@@ -338,22 +337,12 @@ def kernel_from_config(spec) -> Kernel:
             else:
                 parts.append((built, None))
         kernel: Kernel = CompositeKernel(tuple(parts))
-    elif kind == "constant":
-        kernel = ConstantKernel(scale=float(spec.pop("scale", 1.0)))
-    elif kind == "linear":
-        kernel = LinearKernel(scale=float(spec.pop("scale", 1.0)))
-    elif kind == "gaussian_rbf":
-        kernel = GaussianRBF(
-            lengthscale=float(spec.pop("lengthscale", 1.0)),
-            scale=float(spec.pop("scale", 1.0)),
-        )
-    elif kind == "polynomial":
-        kernel = polynomial_series(int(spec.pop("degree", 10)), float(spec.pop("decay", 2.2)))
-    elif kind == "integrated_brownian":
-        kernel = IntegratedBrownianKernel(order=int(spec.pop("order", 1)))
+    elif isinstance(kind, str) and kind in _CONFIG_KINDS:
+        make, defaults = _CONFIG_KINDS[kind]
+        kernel = make(*(type(d)(spec.pop(key, d)) for key, d in defaults.items()))
     else:
         raise ValueError(
-            f"unknown kernel kind {kind!r}; expected one of {_CONFIG_KINDS}"
+            f"unknown kernel kind {kind!r}; expected one of {(*_CONFIG_KINDS, 'sum')}"
         )
     if spec:
         raise ValueError(f"unknown kernel config key {sorted(spec)[0]!r}")

@@ -109,18 +109,23 @@ class LossSpec:
         return self._derivs[order - 1](y, t)
 
 
-def square_loss() -> LossSpec:
-    """L = (y - t)^2; second derivative is identically 2."""
+def _square(kind: str, kappa: float) -> LossSpec:
+    """L = kappa (y - t)^2, with derivatives 2 kappa (t - y), 2 kappa and 0."""
     return LossSpec(
-        kind="square",
-        _value=lambda y, t: (y - t) ** 2,
+        kind=kind,
+        _value=lambda y, t: kappa * (y - t) ** 2,
         _derivs=(
-            lambda y, t: -2.0 * (y - t),
-            lambda y, t: np.full(np.broadcast(y, t).shape, 2.0),
+            lambda y, t: 2.0 * kappa * (t - y),
+            lambda y, t: np.full(np.broadcast(y, t).shape, 2.0 * kappa),
             lambda y, t: np.zeros(np.broadcast(y, t).shape),
         ),
-        _square_scale=1.0,
+        _square_scale=kappa,
     )
+
+
+def square_loss() -> LossSpec:
+    """L = (y - t)^2; second derivative is identically 2."""
+    return _square("square", 1.0)
 
 
 def rescaled_square_loss() -> LossSpec:
@@ -129,16 +134,7 @@ def rescaled_square_loss() -> LossSpec:
     With this scaling the generalized residual is -(y - t) and the projection
     weights are all one, which is the convention the simulation harness uses.
     """
-    return LossSpec(
-        kind="rescaled_square",
-        _value=lambda y, t: 0.5 * (y - t) ** 2,
-        _derivs=(
-            lambda y, t: t - y,
-            lambda y, t: np.ones(np.broadcast(y, t).shape),
-            lambda y, t: np.zeros(np.broadcast(y, t).shape),
-        ),
-        _square_scale=0.5,
-    )
+    return _square("rescaled_square", 0.5)
 
 
 def _check_poisson_y(y):

@@ -24,16 +24,11 @@ from .inference import (
     HypothesisPlan,
     SectionInstrumentPlan,
     SeriesInstrumentPlan,
+    _SERIES_BASIS,
     _check_count,
     run_test,
 )
-from .kernels import (
-    CompositeKernel,
-    ConstantKernel,
-    GaussianRBF,
-    LinearKernel,
-    polynomial_series,
-)
+from .kernels import CompositeKernel, ConstantKernel, GaussianRBF, LinearKernel
 from .losses import rescaled_square_loss
 
 __all__ = [
@@ -54,8 +49,6 @@ DESIGNS = ("Lin3", "LinAll", "NonLinear", "Bivariate")
 HYPOTHESES = ("Lin1", "Lin2", "Lin3", "LinAll", "LinPoly", "Lin1NonLin", "BivLinAll")
 
 _TRUNC = 2.0
-# series designs: monomials 1.._SERIES_TERMS with polynomial_series' weights v^(-2.2)
-_SERIES_TERMS = 10
 
 
 def _correlation_matrix(k: int, pair_corr: float, shape: str) -> np.ndarray:
@@ -154,38 +147,26 @@ def gen_response(
     return y, noise_sd, mu
 
 
-def _lin_j_plan(name: str, j: int, k: int) -> HypothesisPlan:
-    base = polynomial_series(_SERIES_TERMS)
-    r0 = CompositeKernel(tuple((LinearKernel(), (c,)) for c in range(j)))
-    r1_terms = tuple((base, (c,)) for c in range(k))
-    # the alternative space is the full additive polynomial space minus the
-    # linear span of the first j coordinates: higher orders there, all
-    # orders elsewhere
+def _series_plan(name: str, j: int, t: int, k: int) -> HypothesisPlan:
+    """r0 linear in coordinates 0..j-1 and the series basis on t..k-1; the
+    alternative r1 is the series basis on the tested coordinates 0..t-1."""
+    r0 = CompositeKernel(
+        tuple((LinearKernel(), (c,)) for c in range(j))
+        + tuple((_SERIES_BASIS, (c,)) for c in range(t, k))
+    )
+    # the alternative space is the additive polynomial space on the tested
+    # coordinates minus the linear span of the first j coordinates: higher
+    # orders there, all orders elsewhere
     test_pairs = tuple(
         (c, v)
-        for c in range(k)
-        for v in range(2 if c < j else 1, _SERIES_TERMS + 1)
+        for c in range(t)
+        for v in range(2 if c < j else 1, _SERIES_BASIS.n_terms + 1)
     )
     return HypothesisPlan(
         name=name,
         r0=r0,
-        r1=CompositeKernel(r1_terms),
-        instruments=SeriesInstrumentPlan(kernel=base, test_pairs=test_pairs),
-    )
-
-
-def _lin_poly_plan(k: int) -> HypothesisPlan:
-    base = polynomial_series(_SERIES_TERMS)
-    r0 = CompositeKernel(
-        ((LinearKernel(), (0,)),)
-        + tuple((base, (c,)) for c in range(1, k))
-    )
-    test_pairs = tuple((0, v) for v in range(2, _SERIES_TERMS + 1))
-    return HypothesisPlan(
-        name="LinPoly",
-        r0=r0,
-        r1=CompositeKernel(((base, (0,)),)),
-        instruments=SeriesInstrumentPlan(kernel=base, test_pairs=test_pairs),
+        r1=CompositeKernel(tuple((_SERIES_BASIS, (c,)) for c in range(t))),
+        instruments=SeriesInstrumentPlan(test_pairs=test_pairs),
     )
 
 
@@ -223,9 +204,9 @@ def null_kernel_for(hypothesis: str, k: int = 10) -> HypothesisPlan:
     """
     if hypothesis in ("Lin1", "Lin2", "Lin3", "LinAll"):
         j = {"Lin1": 1, "Lin2": 2, "Lin3": 3, "LinAll": k}[hypothesis]
-        return _lin_j_plan(hypothesis, j, k)
+        return _series_plan(hypothesis, j, k, k)
     if hypothesis == "LinPoly":
-        return _lin_poly_plan(k)
+        return _series_plan(hypothesis, 1, 1, k)
     if hypothesis in ("Lin1NonLin", "BivLinAll"):
         return _bivariate_plans(hypothesis)
     raise ValueError(

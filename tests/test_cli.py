@@ -47,6 +47,11 @@ class TestParseConfig:
         assert cfg.simulate.n == 100
         assert cfg.simulate.replicates == 500
 
+    def test_text_without_a_newline_is_yaml(self):
+        # parse_config once read any string without a newline as a file path
+        cfg = parse_config("seed: 1", command="simulate")
+        assert cfg.seed == 1
+
     def test_unknown_key_is_fatal_and_named(self):
         with pytest.raises(ConfigError, match="rigde"):
             parse_config(
@@ -308,12 +313,13 @@ class TestCommands:
         [
             ("{kind: linear, coords: [0, 1]}", "{solver: ridge_closed_form, budget: 4.0}",
              "representer", (40,)),
-            ("[{kind: polynomial, degree: 6, coords: [0]}, "
-             "{kind: polynomial, degree: 6, coords: [1]}]",
+            ("{kind: sum, terms: [{kind: polynomial, degree: 6, coords: [0]}, "
+             "{kind: polynomial, degree: 6, coords: [1]}]}",
              "{solver: greedy, budget: 1.0, iterations: 20}", "series", (2, 6)),
             ("{kind: linear, coords: [0, 1]}", "{solver: greedy, budget: 1.0, iterations: 20}",
              "series", (1, 2)),
-            ("[{kind: gaussian_rbf, coords: [0]}, {kind: gaussian_rbf, coords: [1]}]",
+            ("{kind: sum, terms: [{kind: gaussian_rbf, coords: [0]}, "
+             "{kind: gaussian_rbf, coords: [1]}]}",
              "{solver: greedy, budget: 1.0, iterations: 20}", "representer_greedy", (40, 2)),
         ],
         ids=["ridge", "series_greedy", "linear_greedy", "gram_greedy"],
@@ -458,7 +464,7 @@ class TestCommands:
         )
         rc = main(["test", "--config", str(cfg), "--out", str(tmp_path / "out")])
         assert rc == 1
-        assert capsys.readouterr().err == "error: the instrument count must be at least 1, got 0\n"
+        assert capsys.readouterr().err == "error: test.r must be at least 1, got 0\n"
 
     def test_zero_simulated_instrument_count_is_an_error(self, tmp_path, capsys):
         cfg = tmp_path / "sim.yaml"
@@ -469,7 +475,7 @@ class TestCommands:
         )
         out = tmp_path / "o"
         assert main(["simulate", "--config", str(cfg), "--out", str(out)]) == 1
-        assert capsys.readouterr().err == "error: the instrument count must be at least 1, got 0\n"
+        assert capsys.readouterr().err == "error: simulate.instrument_count must be at least 1, got 0\n"
         assert not out.exists()
 
     def test_fractional_section_count_is_an_error(self, tmp_path, capsys, monkeypatch):
@@ -490,7 +496,7 @@ class TestCommands:
         )
         out = tmp_path / "out"
         assert main(["test", "--config", str(cfg), "--out", str(out)]) == 1
-        assert capsys.readouterr().err == "error: the instrument count must be an integer, got 2.5\n"
+        assert capsys.readouterr().err == "error: test.r must be an integer, got 2.5\n"
         assert not out.exists()
 
     @pytest.mark.parametrize(
@@ -522,11 +528,13 @@ class TestCommands:
     @pytest.mark.parametrize(
         "keys, message",
         [
-            ("null_draws: 100, instrument_count: 2.5",
-             "the instrument count must be an integer, got 2.5"),
-            ("null_draws: 0", "null_draws must be at least 1, got 0"),
+            ({"null_draws": 100, "instrument_count": 2.5},
+             "simulate.instrument_count must be an integer, got 2.5"),
+            ({"null_draws": 0}, "simulate.null_draws must be at least 1, got 0"),
+            ({"replicates": 2.5}, "simulate.replicates must be an integer, got 2.5"),
+            ({"n": 2.5}, "simulate.n must be an integer, got 2.5"),
         ],
-        ids=["instrument_count", "null_draws"],
+        ids=["instrument_count", "null_draws", "replicates", "n"],
     )
     def test_unusable_simulate_count_fails_before_any_replicate(
         self, tmp_path, capsys, monkeypatch, keys, message
@@ -536,11 +544,9 @@ class TestCommands:
 
         monkeypatch.setattr(simulation, "_replicate_safe", no_replicate)
         cfg = tmp_path / "sim.yaml"
-        cfg.write_text(
-            "seed: 12\n"
-            "simulate: {design: Bivariate, null: BivLinAll, n: 40, replicates: 3,"
-            f" sizes: [0.1], {keys}}}\n"
-        )
+        simulate = {"design": "Bivariate", "null": "BivLinAll", "n": 40, "replicates": 3,
+                    "sizes": [0.1], **keys}
+        cfg.write_text(yaml.safe_dump({"seed": 12, "simulate": simulate}))
         out = tmp_path / "o"
         assert main(["simulate", "--config", str(cfg), "--out", str(out)]) == 1
         assert capsys.readouterr().err == f"error: {message}\n"

@@ -251,9 +251,8 @@ def _sum_kernel(name):
 class TestBuildInstruments:
     def test_series_features_monomial_grid(self):
         x = RNG.uniform(-2, 2, (7, 3))
-        base = polynomial_series(10, 2.2)
         pairs = [(0, 2), (2, 5)]
-        cols = series_feature_columns(x, base, pairs)
+        cols = series_feature_columns(x, pairs)
         for j, (coord, v) in enumerate(pairs):
             assert np.allclose(cols[:, j], v**-1.1 * x[:, coord] ** v, rtol=1e-12)
 
@@ -490,13 +489,11 @@ def test_synthetic_null_calibration_two_sample_ks():
 
 
 def _toy_plan():
-    base = polynomial_series(6, 2.2)
     return HypothesisPlan(
         name="toy",
         r0=CompositeKernel(((LinearKernel(1.0), (0,)),)),
         r1=None,
         instruments=SeriesInstrumentPlan(
-            kernel=base,
             test_pairs=tuple((0, v) for v in range(2, 7)) + tuple((1, v) for v in range(1, 7)),
         ),
     )
@@ -509,7 +506,7 @@ class TestRunTest:
             (SectionInstrumentPlan(count=0), None, 0),
             (SectionInstrumentPlan(), 0, 0),
             (SectionInstrumentPlan(count=5), -3, -3),
-            (SeriesInstrumentPlan(kernel=polynomial_series(4), test_pairs=()), None, 0),
+            (SeriesInstrumentPlan(test_pairs=()), None, 0),
         ],
     )
     def test_instrument_count_below_one_rejected_before_the_fit(

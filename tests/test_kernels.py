@@ -1,6 +1,7 @@
 """Gram construction, single kernel values and series features."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -240,8 +241,8 @@ class TestSeries:
         assert np.array_equal(f, np.zeros((1, 8)))
 
     def test_too_many_terms_rejected(self):
-        with pytest.raises(ValueError, match="series order 6 outside 1..5"):
-            series_feature_columns(np.array([[0.5]]), polynomial_series(5), [(0, 6)])
+        with pytest.raises(ValueError, match="series order 11 outside 1..10"):
+            series_feature_columns(np.array([[0.5]]), [(0, 11)])
 
     def test_weights_must_be_positive(self):
         with pytest.raises(ValueError, match="positive"):
@@ -324,7 +325,10 @@ class TestScale:
         assert make(0.0).scale == 0.0
 
     def test_negative_scale_from_config(self):
-        spec = [{"kind": "constant", "scale": 0.5}, {"kind": "linear", "scale": -1.0}]
+        spec = {
+            "kind": "sum",
+            "terms": [{"kind": "constant", "scale": 0.5}, {"kind": "linear", "scale": -1.0}],
+        }
         with pytest.raises(ValueError, match="LinearKernel scale must be nonnegative"):
             kernel_from_config(spec)
 
@@ -406,16 +410,34 @@ def test_normalized_section_has_unit_norm():
 
 
 class TestConfig:
-    def test_each_kind_builds(self):
-        specs = [
-            {"kind": "constant", "scale": 0.5},
-            {"kind": "linear", "scale": 1.0, "coords": [0, 1]},
-            {"kind": "gaussian_rbf", "lengthscale": 0.75, "scale": 0.5},
-            {"kind": "polynomial", "degree": 10, "decay": 2.2},
-            {"kind": "integrated_brownian", "order": 2},
-        ]
-        for spec in specs:
-            kernel_from_config(spec)
+    @pytest.mark.parametrize(
+        "spec, direct",
+        [
+            ({"kind": "constant"}, ConstantKernel(1.0)),
+            ({"kind": "constant", "scale": 2}, ConstantKernel(2.0)),
+            ({"kind": "linear"}, LinearKernel(1.0)),
+            ({"kind": "linear", "scale": 2}, LinearKernel(2.0)),
+            ({"kind": "gaussian_rbf"}, GaussianRBF(1.0, 1.0)),
+            ({"kind": "gaussian_rbf", "lengthscale": 3, "scale": 2}, GaussianRBF(3.0, 2.0)),
+            ({"kind": "polynomial"}, polynomial_series(10, 2.2)),
+            ({"kind": "polynomial", "degree": 4.0, "decay": 3}, polynomial_series(4, 3.0)),
+            ({"kind": "integrated_brownian"}, IntegratedBrownianKernel(1)),
+            ({"kind": "integrated_brownian", "order": 2.0}, IntegratedBrownianKernel(2)),
+            ({"kind": "linear", "scale": 1, "coords": [0, 1]},
+             CompositeKernel(((LinearKernel(1.0), (0, 1)),))),
+        ],
+    )
+    def test_each_kind_equals_its_constructor(self, spec, direct):
+        # every value is converted by the type of its default, which == alone
+        # would not show (2 == 2.0)
+        built = kernel_from_config(spec)
+        assert built == direct
+        assert [type(v) for v in vars(built).values()] == [type(v) for v in vars(direct).values()]
+
+    def test_bare_list_is_rejected(self):
+        # a sum is spelled {kind: sum, terms: [...]}
+        with pytest.raises(ValueError, match="^kernel spec must be a mapping, got <class 'list'>$"):
+            kernel_from_config([{"kind": "linear"}, {"kind": "constant"}])
 
     def test_sum_with_coords(self):
         spec = {
@@ -439,8 +461,14 @@ class TestConfig:
         assert np.allclose(k.gram(x), manual.gram(x), rtol=1e-14)
 
     def test_unknown_kind_and_keys(self):
-        with pytest.raises(ValueError, match="unknown kernel kind"):
+        expected = ("'constant', 'linear', 'gaussian_rbf', 'polynomial', "
+                    "'integrated_brownian', 'sum'")
+        with pytest.raises(ValueError, match=re.escape(
+            f"unknown kernel kind 'matern'; expected one of ({expected})"
+        )):
             kernel_from_config({"kind": "matern"})
+        with pytest.raises(ValueError, match=re.escape("unknown kernel kind ['rbf']")):
+            kernel_from_config({"kind": ["rbf"]})
         with pytest.raises(ValueError, match="lengthscal"):
             kernel_from_config({"kind": "gaussian_rbf", "lengthscal": 1.0})
         with pytest.raises(ValueError, match="unknown kernel config key 'series'"):

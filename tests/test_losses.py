@@ -71,6 +71,18 @@ class TestDerivatives:
         tol = np.maximum(1e-6, 1e-6 * np.abs(analytic))
         assert np.all(np.abs(analytic - fd) <= tol)
 
+    @pytest.mark.parametrize("loss, kappa", [(square_loss(), 1.0), (rescaled_square_loss(), 0.5)])
+    def test_square_losses_are_one_family_in_kappa(self, loss, kappa):
+        # L = kappa (y - t)^2, and the scale the ridge solver and the certified
+        # line search read is that same kappa
+        rng = np.random.default_rng(5)
+        y, t = rng.normal(size=12), rng.normal(size=12)
+        assert loss._square_scale == kappa
+        assert np.all(loss.value(y, t) == kappa * (y - t) ** 2)
+        assert np.all(loss.deriv(1, y, t) == 2.0 * kappa * (t - y))
+        assert np.all(loss.deriv(2, y, t) == 2.0 * kappa)
+        assert np.all(loss.deriv(3, y, t) == 0.0)
+
     def test_rescaled_square_unit_curvature(self):
         loss = rescaled_square_loss()
         rng = np.random.default_rng(3)

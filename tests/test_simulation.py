@@ -14,7 +14,7 @@ from rkhstest.inference import (
     SeriesInstrumentPlan,
     series_feature_columns,
 )
-from rkhstest.kernels import CompositeKernel, GaussianRBF
+from rkhstest.kernels import CompositeKernel, GaussianRBF, LinearKernel, polynomial_series
 from rkhstest.simulation import (
     DgpSpec,
     McConfig,
@@ -138,6 +138,28 @@ class TestRegistry:
         assert all(coord == 0 and v >= 2 for coord, v in inst.test_pairs)
         assert len(plan.r0.terms) == 10
 
+    def test_linpoly_and_lin2_at_four_coordinates_term_by_term(self):
+        lin, basis = LinearKernel(1.0), polynomial_series(10, 2.2)
+        poly = null_kernel_for("LinPoly", k=4)
+        assert poly.name == "LinPoly"
+        assert poly.r0 == CompositeKernel(
+            ((lin, (0,)), (basis, (1,)), (basis, (2,)), (basis, (3,)))
+        )
+        assert poly.r1 == CompositeKernel(((basis, (0,)),))
+        assert poly.instruments.test_pairs == tuple((0, v) for v in range(2, 11))
+        lin2 = null_kernel_for("Lin2", k=4)
+        assert lin2.name == "Lin2"
+        assert lin2.r0 == CompositeKernel(((lin, (0,)), (lin, (1,))))
+        assert lin2.r1 == CompositeKernel(
+            ((basis, (0,)), (basis, (1,)), (basis, (2,)), (basis, (3,)))
+        )
+        assert lin2.instruments.test_pairs == (
+            tuple((0, v) for v in range(2, 11))
+            + tuple((1, v) for v in range(2, 11))
+            + tuple((2, v) for v in range(1, 11))
+            + tuple((3, v) for v in range(1, 11))
+        )
+
     @pytest.mark.parametrize(
         "name, pairs",
         [
@@ -154,7 +176,7 @@ class TestRegistry:
         plan = null_kernel_for(name, k=10)
         x = np.random.default_rng(10).uniform(-2, 2, (25, 10))
         assert np.array_equal(
-            plan.r0.feature_matrix(x), series_feature_columns(x, plan.instruments.kernel, pairs)
+            plan.r0.feature_matrix(x), series_feature_columns(x, pairs)
         )
 
     def test_bivariate_plans(self):
