@@ -19,7 +19,6 @@ from rkhstest import (
     additive_kernel,
     gram_matrix,
     polynomial_series,
-    polynomial_weights,
 )
 
 rng = np.random.default_rng(11)
@@ -50,7 +49,7 @@ def horner(weights, p):
 
 print("\n=== series expansion vs closed form ===")
 series = polynomial_series(10, decay=2.2)   # weights v^-2.2 on (s t)^v
-weights = polynomial_weights(10, 2.2)
+weights = series.weights
 s, t = 0.8, -1.3
 print(f"series {value(series, s, t):+.12f}  vs closed {horner(weights, np.float64(s * t)):+.12f}")
 

@@ -20,7 +20,6 @@ from .kernels import (
     gram_matrix,
     kernel_from_config,
     polynomial_series,
-    polynomial_weights,
 )
 from .losses import (
     LossSpec,
@@ -50,7 +49,6 @@ from .inference import (
     TestResult,
     build_instruments,
     covariance_estimate,
-    default_projection_rho,
     p_value,
     project_instruments,
     project_on_features,

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import argparse
 import csv
-import io
 import json
 import sys
 from dataclasses import asdict, dataclass, field, fields, replace
@@ -19,13 +18,15 @@ from pathlib import Path
 import numpy as np
 import yaml
 
-from .estimators import AdditiveModel, FitConfig, _fit_by_solver
+from .estimators import AdditiveModel, FitConfig, GreedyTrace, _fit_by_solver
 from .inference import (
+    _SERIES_BASIS,
     HypothesisPlan,
     SectionInstrumentPlan,
     SeriesInstrumentPlan,
     TestResult,
     _check_count,
+    _check_penalty,
     run_test,
 )
 from .kernels import kernel_from_config
@@ -68,7 +69,7 @@ class TestSettings:
     instrument_mode: str = "series_features"
     r: int | None = None
     features: tuple = ()
-    proj_rho: object = "default"
+    proj_rho: float | None = None
     null_draws: int = 10000
 
 
@@ -93,7 +94,7 @@ class SimulateSettings:
     truncation: str = "clip"
     instrument_count: int | None = None
     null_draws: int = 10000
-    proj_rho: object = "default"
+    proj_rho: float | None = None
     iterations: int = 500
     step_rule: str = "line_search"
     budget_multiplier: float = 10.0
@@ -127,9 +128,6 @@ def _coerce_section(cls, mapping: dict, prefix: str):
     return cls(**kwargs)
 
 
-_TOP_KEYS = ("command", "seed", "out", "threads", "loss", "kernels", "fit", "test", "data", "simulate")
-
-
 def parse_config(text: str | None = None, *, overrides: dict | None = None, command: str | None = None) -> RunConfig:
     """Build a validated RunConfig from YAML text plus flag overrides.
 
@@ -144,8 +142,9 @@ def parse_config(text: str | None = None, *, overrides: dict | None = None, comm
         if not isinstance(loaded, dict):
             raise ConfigError("config root must be a mapping")
         raw = loaded
+    top_keys = {f.name for f in fields(RunConfig)}
     for key in raw:
-        if key not in _TOP_KEYS:
+        if key not in top_keys:
             raise ConfigError(f"unknown config key {key!r}")
 
     cfg_command = raw.get("command")
@@ -168,7 +167,7 @@ def parse_config(text: str | None = None, *, overrides: dict | None = None, comm
         command=final_command,
         seed=raw.get("seed"),
         out=str(raw.get("out", "results")),
-        threads=int(raw.get("threads", 1)),
+        threads=raw.get("threads", 1),
         loss=str(raw.get("loss", "rescaled_square")),
         kernels=kernels,
         fit=_coerce_section(FitSettings, raw.get("fit", {}) or {}, "fit."),
@@ -193,10 +192,12 @@ def _validate(config: RunConfig) -> None:
             raise ConfigError(f"unknown design {sim.design!r}")
         if sim.null not in HYPOTHESES:
             raise ConfigError(f"unknown null hypothesis {sim.null!r}")
-        for key in ("n", "replicates", "null_draws"):
+        for key in ("n", "k", "replicates", "null_draws"):
             _check_count(getattr(sim, key), f"simulate.{key}")
         if sim.instrument_count is not None:
             _check_count(sim.instrument_count, "simulate.instrument_count")
+        if sim.proj_rho is not None:
+            _check_penalty(sim.proj_rho, "simulate.proj_rho")
     if config.command in ("fit", "test"):
         if config.data.path is None:
             raise ConfigError(f"{config.command} mode requires data.path")
@@ -220,6 +221,10 @@ def _validate(config: RunConfig) -> None:
     if config.test.r is not None:
         _check_count(config.test.r, "test.r")
     _check_count(config.test.null_draws, "test.null_draws")
+    if config.test.proj_rho is not None:
+        _check_penalty(config.test.proj_rho, "test.proj_rho")
+    _expand_feature_ranges(config.test.features)
+    _check_count(config.threads, "threads")
 
 
 def resolved_config_yaml(config: RunConfig) -> str:
@@ -324,34 +329,14 @@ def _model_record(model: AdditiveModel) -> dict:
     rows = model.coeffs if model.representation == "series" else np.column_stack(model.coeffs)
     record["coeffs"] = [[float(v) for v in row] for row in rows]
     record["norm_kind"] = model.norm_kind
-    trace = model.trace
-    record["trace"] = {
-        "coords": [int(c) for c in trace.coords],
-        "steps": [float(s) for s in trace.steps],
-        "multipliers": [float(r) for r in trace.multipliers],
-        "objectives": [float(o) for o in trace.objectives],
-        "gaps": [float(g) for g in trace.gaps],
-    }
+    record["trace"] = {f.name: getattr(model.trace, f.name).tolist() for f in fields(GreedyTrace)}
     return record
 
 
 def _test_result_csv(result: TestResult) -> str:
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(
-        ["statistic", "p_value", "naive_statistic", "naive_p_value", "r", "proj_rho"]
-    )
-    writer.writerow(
-        [
-            repr(result.statistic),
-            repr(result.p_value),
-            repr(result.naive_statistic),
-            repr(result.naive_p_value),
-            result.r_count,
-            repr(result.proj_rho),
-        ]
-    )
-    return buf.getvalue()
+    floats = (result.statistic, result.p_value, result.naive_statistic, result.naive_p_value)
+    row = [*map(repr, floats), str(result.r_count), repr(result.proj_rho)]
+    return "statistic,p_value,naive_statistic,naive_p_value,r,proj_rho\n" + ",".join(row) + "\n"
 
 
 def emit_results(result, out_dir, config: RunConfig | None = None) -> list[Path]:
@@ -406,9 +391,18 @@ def _build_fit_config(config: RunConfig, y: np.ndarray) -> FitConfig:
 
 
 def _expand_feature_ranges(ranges) -> tuple[tuple[int, int], ...]:
+    """The (coord, order) pairs of the ``test.features`` ranges [coord, lo, hi]."""
+    if not isinstance(ranges, tuple):
+        raise ConfigError(f"test.features must be a list of [coord, lo, hi] ranges, got {ranges!r}")
+    top = _SERIES_BASIS.n_terms
     pairs = []
     for item in ranges:
-        coord, lo, hi = (int(v) for v in item)
+        ints = isinstance(item, tuple) and len(item) == 3 and all(type(v) is int for v in item)
+        if not ints or item[0] < 0 or not 1 <= item[1] <= item[2] <= top:
+            shown = list(item) if isinstance(item, tuple) else item
+            raise ConfigError(f"test.features entry {shown!r} must be [coord, lo, hi], integers "
+                              f"with coord >= 0 and 1 <= lo <= hi <= {top}")
+        coord, lo, hi = item
         pairs.extend((coord, v) for v in range(lo, hi + 1))
     return tuple(pairs)
 
@@ -440,14 +434,13 @@ def _run_test(config: RunConfig) -> list[Path]:
     loss = loss_by_name(config.loss)
     fit_config = _build_fit_config(config, data.y)
     plan = _plan_from_config(config)
-    proj_rho = config.test.proj_rho
     result = run_test(
         data.x,
         data.y,
         plan,
         loss,
         fit_config,
-        proj_rho=None if proj_rho in ("default", None) else float(proj_rho),
+        proj_rho=config.test.proj_rho,
         n_draws=config.test.null_draws,
         rng=config.seed if config.seed is not None else 0,
     )
@@ -471,7 +464,7 @@ def _run_simulate(config: RunConfig) -> list[Path]:
         replicates=sim.replicates,
         sizes=tuple(float(s) for s in sim.sizes),
         master_seed=config.seed,
-        proj_rho=None if sim.proj_rho in ("default", None) else float(sim.proj_rho),
+        proj_rho=sim.proj_rho,
         null_draws=sim.null_draws,
         instrument_count=sim.instrument_count,
         iterations=sim.iterations,

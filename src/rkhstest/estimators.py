@@ -312,11 +312,13 @@ def fit_constrained_ridge(kernel: Kernel, x, y, *, budget: float) -> AdditiveMod
     fit exceeds the budget; :func:`fit_ridge` solves at a fixed penalty.
     """
     x, y = _finite_sample(x, y)
-    feats = _term_features(_term_list(kernel), x)
+    terms = _term_list(kernel)
+    feats = _term_features(terms, x)
     features = np.hstack(feats) if feats and all(f is not None for f in feats) else None
     gram, grams = None, [None] * len(feats)
     if features is None:  # norm_lk reads the Grams of the terms with no feature map
-        gram, grams = kernel.gram_and_terms(x, keep={i for i, f in enumerate(feats) if f is None})
+        keep = {i for i, f in enumerate(feats) if f is None}
+        gram, grams = CompositeKernel(terms).gram_and_terms(x, keep=keep)
     eig = gram_eigen(gram, features)
     rho = solve_rho_for_budget(gram, y, budget, eig=eig)
     a = _ridge_from_eigen(eig, y, rho)
@@ -485,14 +487,14 @@ class _GramBlocks:
             w, q = products[self.picked], qs[self.picked]
         if q <= 0.0:
             return None
-        self.beta, rho = _unit_direction(grad, q, n)
+        self.unit, rho = _unit_direction(grad, q, n)
         return self.picked, rho, w * (-1.0 / (2.0 * rho * n))
 
     def step(self, tau: float, size: float):
         self.alpha *= 1.0 - tau
         targets = range(len(self.grams)) if self.picked < 0 else (self.picked,)
         for t in targets:
-            self.alpha[:, t] += size * self.beta
+            self.alpha[:, t] += size * self.unit
 
     def finish(self):
         """(coefficient blocks, block norms, in-sample fitted values, Gram).
@@ -512,9 +514,9 @@ class _GramBlocks:
         return coeffs, np.array(norms), fitted, gram
 
 
-def _one_term_direction(blocks_type, grad, span, attr: str) -> tuple[np.ndarray, float]:
-    """(``attr`` of the blocks, multiplier) of the greedy loop's direction on the
-    single term ``span``; (0, 1) when the gradient's dual norm vanishes."""
+def _one_term_direction(blocks_type, grad, span) -> tuple[np.ndarray, float]:
+    """(unit direction's coefficients, multiplier) of the greedy loop's direction
+    on the single term ``span``; (0, 1) when the gradient's dual norm vanishes."""
     grad = np.asarray(grad, dtype=float)
     if not np.all(np.isfinite(grad)):
         raise ValueError("gradient vector must be finite")
@@ -522,7 +524,7 @@ def _one_term_direction(blocks_type, grad, span, attr: str) -> tuple[np.ndarray,
     found = blocks.direction(grad, joint=True)
     if found is None:
         return np.zeros(span.shape[1]), 1.0
-    return getattr(blocks, attr), found[1]
+    return blocks.unit, found[1]
 
 
 def greedy_direction(grad: np.ndarray, gram: np.ndarray) -> tuple[np.ndarray, float]:
@@ -532,7 +534,7 @@ def greedy_direction(grad: np.ndarray, gram: np.ndarray) -> tuple[np.ndarray, fl
     f = sum_i beta_i C(X_i, .)) and the multiplier rho.  A vanishing
     gradient-kernel quadratic form yields (0, 1).
     """
-    return _one_term_direction(_GramBlocks, grad, gram, "beta")
+    return _one_term_direction(_GramBlocks, grad, gram)
 
 
 def greedy_direction_series(
@@ -544,7 +546,7 @@ def greedy_direction_series(
     lambda_v phi_v(X_i); the coefficient vector has unit Euclidean norm
     (= unit RKHS norm) unless the projected gradient vanishes, giving (0, 1).
     """
-    return _one_term_direction(_FeatureBlocks, grad, scaled_features, "unit")
+    return _one_term_direction(_FeatureBlocks, grad, scaled_features)
 
 
 def _step_size(rule: str, m: int, objective_1d) -> float:

@@ -10,6 +10,7 @@ of the estimated instrument covariance.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, fields
 from typing import Sequence
 
@@ -20,7 +21,6 @@ from .kernels import Kernel, _as_sample, _check_finite, polynomial_series
 from .losses import LossSpec
 
 __all__ = [
-    "default_projection_rho",
     "build_instruments",
     "series_feature_columns",
     "project_instruments",
@@ -45,16 +45,6 @@ SCALING_NOTE = (
 )
 
 
-def default_projection_rho(n: int) -> float:
-    """Default decay rule n^(-0.4) for the projection penalty.
-
-    This is the penalty entering the n-normalized projection objective; the
-    matrix-form solve (C0 + rho S^{-1})^{-1} uses the unnormalized objective,
-    so pipelines applying this rule pass ``n * default_projection_rho(n)``.
-    """
-    return float(n) ** (-0.4)
-
-
 # the series basis of every series test: monomials u^1..u^10 with weights v^(-2.2)
 _SERIES_BASIS = polynomial_series(10)
 
@@ -70,10 +60,12 @@ def series_feature_columns(x: np.ndarray, pairs: Sequence[tuple[int, int]]) -> n
     cache: dict[int, np.ndarray] = {}
     cols = []
     for coord, order in pairs:
-        if coord not in cache:
-            cache[coord] = _SERIES_BASIS.feature_matrix(x[:, coord])
+        if not 0 <= coord < x.shape[1]:
+            raise ValueError(f"series coordinate {coord} outside 0..{x.shape[1] - 1}")
         if not 1 <= order <= _SERIES_BASIS.n_terms:
             raise ValueError(f"series order {order} outside 1..{_SERIES_BASIS.n_terms}")
+        if coord not in cache:
+            cache[coord] = _SERIES_BASIS.feature_matrix(x[:, coord])
         cols.append(cache[coord][:, order - 1])
     return np.column_stack(cols)
 
@@ -101,9 +93,12 @@ def build_instruments(
     return g / np.sqrt(diag)
 
 
-def _check_penalty(proj_rho: float) -> None:
-    if proj_rho < 0:
-        raise ValueError("projection penalty must be nonnegative")
+def _check_penalty(proj_rho, name: str = "projection penalty") -> None:
+    """Reject a penalty that is not a finite real number of at least 0 (a bool is not one)."""
+    if isinstance(proj_rho, bool) or not isinstance(proj_rho, numbers.Real):
+        raise ValueError(f"{name} must be a real number, got {proj_rho!r}")
+    if not 0 <= proj_rho < math.inf:
+        raise ValueError(f"{name} must be nonnegative and finite, got {proj_rho!r}")
 
 
 def _check_count(value, name: str) -> None:
@@ -432,9 +427,10 @@ def run_test(
     Fits the restricted model, builds and projects instruments, computes the
     statistic and its estimated spectrum, and simulates the weighted
     chi-square null.  ``proj_rho`` is the penalty of the matrix-form
-    projection solve; None applies the default decay rule (n times
-    n^(-0.4)).  The uncorrected statistic (raw instruments in both the
-    moment and the covariance) is always computed alongside.
+    projection solve.  None applies n times n^(-0.4), except that a ridge
+    fit on a section plan projects with the fit's own multiplier.  The
+    uncorrected statistic (raw instruments in both the moment and the
+    covariance) is always computed alongside.
     """
     if proj_rho is not None:
         _check_penalty(proj_rho)
@@ -451,6 +447,8 @@ def run_test(
     if not series and plan.r1 is None:
         raise ValueError("kernel sections need the alternative kernel r1; the plan's r1 is None")
     x = _as_sample(x, None)
+    # series columns are built, so their pairs checked, before the fit
+    raw = series_feature_columns(x, spec.test_pairs) if series else None
     y = np.asarray(y, dtype=float)
     n = x.shape[0]
     if not isinstance(rng, np.random.Generator):
@@ -460,23 +458,19 @@ def run_test(
     e0 = np.asarray(loss.deriv(1, y, model.fitted), dtype=float)
     s_diag = np.broadcast_to(loss.deriv(2, y, model.fitted), (n,)).astype(float)
 
-    if proj_rho is None:
-        if model.representation == "representer" and not series:
-            # couple the projection ridge to the fit's realized multiplier so
-            # the projection removes exactly the directions the restricted
-            # fit absorbs; the matrix solve shares one rho in both places
-            rho = model.ridge_rho
-            rho_rule = "fit-coupled"
-        else:
-            rho = n * default_projection_rho(n)
-            rho_rule = "n*n^(-0.4) default rule"
+    if proj_rho is not None:
+        rho, rho_rule = float(proj_rho), "explicit"
+    elif model.representation == "representer" and not series:
+        # couple the projection ridge to the fit's realized multiplier so
+        # the projection removes exactly the directions the restricted
+        # fit absorbs; the matrix solve shares one rho in both places
+        rho, rho_rule = model.ridge_rho, "fit-coupled"
     else:
-        rho = float(proj_rho)
-        rho_rule = "explicit"
+        # n^(-0.4) penalizes the n-normalized objective; the matrix solve
+        # takes the unnormalized one, so the penalty is n times the rule
+        rho, rho_rule = n * float(n) ** (-0.4), "n*n^(-0.4) default rule"
 
-    if series:
-        raw = series_feature_columns(x, spec.test_pairs)
-    else:
+    if not series:
         idx = _evenly_spaced_indices(n, count) if count is not None else None
         raw = build_instruments(x, kernel=plan.r0 + plan.r1, anchor_indices=idx)
     projected, null_span = _project_on_null(model, s_diag, raw, rho)

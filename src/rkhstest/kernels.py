@@ -29,7 +29,6 @@ __all__ = [
     "IntegratedBrownianKernel",
     "CompositeKernel",
     "additive_kernel",
-    "polynomial_weights",
     "polynomial_series",
     "gram_matrix",
     "kernel_from_config",
@@ -76,11 +75,6 @@ class Kernel:
     def gram(self, x, z=None) -> np.ndarray:
         """Cross Gram matrix with entries C(x_i, z_j); z defaults to x."""
         raise NotImplementedError
-
-    def gram_and_terms(self, x, z=None, keep=()) -> tuple[np.ndarray, list]:
-        """The Gram, and per term its Gram if its index is in ``keep`` (else None)."""
-        g = self.gram(x, z)
-        return g, [g if 0 in keep else None]
 
     def feature_matrix(self, x) -> np.ndarray | None:
         """Matrix F with F F' = gram(x), or None: the kernel has only a Gram."""
@@ -196,14 +190,9 @@ class SeriesKernel(Kernel):
         return g
 
 
-def polynomial_weights(n_terms: int, decay: float = 2.2) -> tuple[float, ...]:
-    """Weights w_v = v^(-decay), v = 1..V."""
-    return tuple(float(v) ** (-decay) for v in range(1, n_terms + 1))
-
-
 def polynomial_series(n_terms: int, decay: float = 2.2) -> SeriesKernel:
     """Series form of the polynomial kernel sum_v v^(-decay) (s t)^v."""
-    return SeriesKernel(polynomial_weights(n_terms, decay))
+    return SeriesKernel(tuple(float(v) ** (-decay) for v in range(1, n_terms + 1)))
 
 
 def _integrated_brownian(order: int, s, t):
@@ -260,6 +249,7 @@ class CompositeKernel(Kernel):
         return self.gram_and_terms(x, z)[0]
 
     def gram_and_terms(self, x, z=None, keep=()) -> tuple[np.ndarray, list]:
+        """The Gram, and per term its Gram if its index is in ``keep`` (else None)."""
         x = _as_sample(x, None)
         z2 = x if z is None else _as_sample(z, None)
         total = np.zeros((x.shape[0], z2.shape[0]))

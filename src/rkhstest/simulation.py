@@ -26,6 +26,8 @@ from .inference import (
     SeriesInstrumentPlan,
     _SERIES_BASIS,
     _check_count,
+    _check_penalty,
+    _monte_carlo_se,
     run_test,
 )
 from .kernels import CompositeKernel, ConstantKernel, GaussianRBF, LinearKernel
@@ -45,7 +47,11 @@ __all__ = [
     "REJECTION_CSV_HEADER",
 ]
 
-DESIGNS = ("Lin3", "LinAll", "NonLinear", "Bivariate")
+# design -> (fewest, most) covariates its mean function reads
+_DESIGN_COVARIATES = {
+    "Lin3": (3, math.inf), "LinAll": (1, math.inf), "NonLinear": (4, math.inf), "Bivariate": (2, 2)
+}
+DESIGNS = tuple(_DESIGN_COVARIATES)
 HYPOTHESES = ("Lin1", "Lin2", "Lin3", "LinAll", "LinPoly", "Lin1NonLin", "BivLinAll")
 
 _TRUNC = 2.0
@@ -96,27 +102,31 @@ def gen_covariates(
     raise ValueError(f"unknown truncation mode {truncation!r}")
 
 
+def _check_covariates(design: str, k) -> None:
+    """Reject a covariate count ``k`` that the design's mean function cannot use."""
+    if design not in DESIGNS:
+        raise ValueError(f"unknown design {design!r}; expected one of {DESIGNS}")
+    _check_count(k, "n_covariates")
+    fewest, most = _DESIGN_COVARIATES[design]
+    if not fewest <= k <= most:
+        bound = "exactly" if fewest == most else "at least"
+        raise ValueError(f"{design} needs {bound} {fewest} covariates, got {k}")
+
+
 def _mu_values(x: np.ndarray, design: str, rng) -> np.ndarray:
     n, k = x.shape
+    _check_covariates(design, k)
     if design == "Lin3":
-        if k < 3:
-            raise ValueError("Lin3 needs at least 3 covariates")
         return x[:, :3] @ np.full(3, 1.0 / 3.0)
     if design == "LinAll":
         return x @ np.full(k, 1.0 / k)
     if design == "NonLinear":
-        if k < 4:
-            raise ValueError("NonLinear needs at least 4 covariates")
         orders = np.arange(1, 10)
         coeffs = rng.uniform(-20.0 / orders, 20.0 / orders)
         half = x[:, 3] / 2.0
         return x[:, 0] + np.polyval(np.append(coeffs[::-1], 0.0), half)
-    if design == "Bivariate":
-        if k != 2:
-            raise ValueError("Bivariate needs exactly 2 covariates")
-        x1, x2 = x[:, 0], x[:, 1]
-        return 0.5 * x1 + 1.5 * x2 - 4.0 * x2**2 + 3.0 * x2**3
-    raise ValueError(f"unknown design {design!r}; expected one of {DESIGNS}")
+    x1, x2 = x[:, 0], x[:, 1]  # Bivariate
+    return 0.5 * x1 + 1.5 * x2 - 4.0 * x2**2 + 3.0 * x2**3
 
 
 def gen_response(
@@ -227,10 +237,8 @@ class DgpSpec:
     truncation: str = "clip"
 
     def __post_init__(self):
-        if self.design not in DESIGNS:
-            raise ValueError(f"unknown design {self.design!r}")
-        if self.n < 1:
-            raise ValueError("sample size must be positive")
+        _check_covariates(self.design, self.n_covariates)
+        _check_count(self.n, "n")
 
 
 @dataclass(frozen=True)
@@ -242,7 +250,8 @@ class McConfig:
     replicates: int
     sizes: tuple[float, ...] = (0.10, 0.05)
     master_seed: int = 0
-    proj_rho: float | None = None  # None applies the default decay rule
+    # None: n times n^(-0.4), or the ridge fit's own multiplier on a section null
+    proj_rho: float | None = None
     null_draws: int = 10_000
     instrument_count: int | None = None
     iterations: int = 500
@@ -251,13 +260,19 @@ class McConfig:
     solver: str = "auto"  # auto: greedy for series designs, ridge for section designs
 
     def __post_init__(self):
-        if self.replicates < 1:
-            raise ValueError("need at least one replicate")
+        _check_count(self.replicates, "replicates")
         if self.null_hypothesis not in HYPOTHESES:
             raise ValueError(f"unknown hypothesis {self.null_hypothesis!r}")
         if self.solver not in ("auto", "greedy", "ridge"):
             raise ValueError("solver must be auto, greedy or ridge")
-        series = isinstance(null_kernel_for(self.null_hypothesis).instruments, SeriesInstrumentPlan)
+        k = self.dgp.n_covariates
+        plan = null_kernel_for(self.null_hypothesis, k)
+        reach = max(max(sel) for kern in (plan.r0, plan.r1) for _, sel in kern.terms if sel)
+        if reach >= k:
+            raise ValueError(
+                f"null {self.null_hypothesis} needs at least {reach + 1} covariates, got {k}"
+            )
+        series = isinstance(plan.instruments, SeriesInstrumentPlan)
         if series and self.instrument_count is not None:
             raise ValueError(
                 f"instrument_count counts kernel sections; {self.null_hypothesis} tests series"
@@ -265,6 +280,8 @@ class McConfig:
         if self.instrument_count is not None:
             _check_count(self.instrument_count, "the instrument count")
         _check_count(self.null_draws, "null_draws")
+        if self.proj_rho is not None:
+            _check_penalty(self.proj_rho)
         if not all(0.0 < s < 1.0 for s in self.sizes):
             raise ValueError("nominal sizes must lie in (0, 1)")
         object.__setattr__(self, "sizes", tuple(float(s) for s in self.sizes))
@@ -494,7 +511,7 @@ def run_monte_carlo(config: McConfig, n_jobs: int = 1) -> RejectionTable:
                 size=size,
                 freq_no_pi=freq_no_pi,
                 freq_pi=freq_pi,
-                mc_se=math.sqrt(freq_pi * (1.0 - freq_pi) / good),
+                mc_se=_monte_carlo_se(freq_pi, good),
                 replicates=good,
             )
         )

@@ -275,6 +275,9 @@ test:
   null_draws: 400
 """
 
+# the rule every test.features entry must satisfy, as its error states it
+RANGE_RULE = "must be [coord, lo, hi], integers with coord >= 0 and 1 <= lo <= hi <= 10"
+
 
 class TestCommands:
     def test_fit_emits_model_and_config(self, tmp_path):
@@ -533,8 +536,19 @@ class TestCommands:
             ({"null_draws": 0}, "simulate.null_draws must be at least 1, got 0"),
             ({"replicates": 2.5}, "simulate.replicates must be an integer, got 2.5"),
             ({"n": 2.5}, "simulate.n must be an integer, got 2.5"),
+            ({"design": "Lin3", "null": "Lin3", "k": 2.5}, "simulate.k must be an integer, got 2.5"),
+            ({"design": "Lin3", "null": "Lin3", "k": 0}, "simulate.k must be at least 1, got 0"),
+            ({"design": "Lin3", "null": "Lin3", "k": 2}, "Lin3 needs at least 3 covariates, got 2"),
+            ({"design": "LinAll", "null": "Lin3", "k": 2}, "null Lin3 needs at least 3 covariates, got 2"),
+            ({"proj_rho": -1}, "simulate.proj_rho must be nonnegative and finite, got -1"),
+            ({"proj_rho": "default"}, "simulate.proj_rho must be a real number, got 'default'"),
+            ({"proj_rho": float("nan")}, "simulate.proj_rho must be nonnegative and finite, got nan"),
+            ({"threads": 0}, "threads must be at least 1, got 0"),
+            ({"threads": 2.7}, "threads must be an integer, got 2.7"),
         ],
-        ids=["instrument_count", "null_draws", "replicates", "n"],
+        ids=["instrument_count", "null_draws", "replicates", "n", "k_fraction", "k_zero",
+             "k_below_design", "k_below_null", "proj_rho_negative", "proj_rho_default",
+             "proj_rho_nan", "threads_zero", "threads_fraction"],
     )
     def test_unusable_simulate_count_fails_before_any_replicate(
         self, tmp_path, capsys, monkeypatch, keys, message
@@ -544,13 +558,81 @@ class TestCommands:
 
         monkeypatch.setattr(simulation, "_replicate_safe", no_replicate)
         cfg = tmp_path / "sim.yaml"
+        top = {"threads": keys.pop("threads")} if "threads" in keys else {}
         simulate = {"design": "Bivariate", "null": "BivLinAll", "n": 40, "replicates": 3,
                     "sizes": [0.1], **keys}
-        cfg.write_text(yaml.safe_dump({"seed": 12, "simulate": simulate}))
+        cfg.write_text(yaml.safe_dump({"seed": 12, "simulate": simulate, **top}))
         out = tmp_path / "o"
         assert main(["simulate", "--config", str(cfg), "--out", str(out)]) == 1
         assert capsys.readouterr().err == f"error: {message}\n"
         assert not out.exists()
+
+    def test_zero_threads_flag_fails_before_any_replicate(self, tmp_path, capsys, monkeypatch):
+        # the flag overrides the file, and is checked after it does
+        def no_replicate(*args, **kwargs):
+            raise AssertionError("a replicate ran before the config check")
+
+        monkeypatch.setattr(simulation, "_replicate_safe", no_replicate)
+        cfg = tmp_path / "sim.yaml"
+        cfg.write_text("seed: 12\nthreads: 2\nsimulate: {design: Lin3, n: 40, replicates: 2}\n")
+        out = tmp_path / "o"
+        assert main(["simulate", "--config", str(cfg), "--out", str(out), "--threads", "0"]) == 1
+        assert capsys.readouterr().err == "error: threads must be at least 1, got 0\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "line, message",
+        [
+            ("proj_rho: default", "test.proj_rho must be a real number, got 'default'"),
+            ("proj_rho: abc", "test.proj_rho must be a real number, got 'abc'"),
+            ("proj_rho: true", "test.proj_rho must be a real number, got True"),
+            ("proj_rho: -1", "test.proj_rho must be nonnegative and finite, got -1"),
+            ("proj_rho: .nan", "test.proj_rho must be nonnegative and finite, got nan"),
+            ("proj_rho: .inf", "test.proj_rho must be nonnegative and finite, got inf"),
+            ("features: [[-1, 2, 6]]", f"test.features entry [-1, 2, 6] {RANGE_RULE}"),
+            ("features: [[0, 2, 11]]", f"test.features entry [0, 2, 11] {RANGE_RULE}"),
+            ("features: [[0, 6, 2]]", f"test.features entry [0, 6, 2] {RANGE_RULE}"),
+            ("features: [[0, 2.5, 6]]", f"test.features entry [0, 2.5, 6] {RANGE_RULE}"),
+            ("features: [[0, 2]]", f"test.features entry [0, 2] {RANGE_RULE}"),
+            ("features: [[0, true, 6]]", f"test.features entry [0, True, 6] {RANGE_RULE}"),
+            ("features: [5]", f"test.features entry 5 {RANGE_RULE}"),
+            ("features: 5", "test.features must be a list of [coord, lo, hi] ranges, got 5"),
+            ("features: [[5, 2, 6]]", "series coordinate 5 outside 0..1"),
+        ],
+        ids=["default", "abc", "true", "negative", "nan", "inf", "coord_negative", "order_11",
+             "reversed", "fraction", "two_entries", "bool", "not_a_range", "not_a_list",
+             "coord_past_csv"],
+    )
+    def test_unusable_test_setting_fails_before_the_fit(
+        self, tmp_path, capsys, monkeypatch, line, message
+    ):
+        def no_fit(*args, **kwargs):
+            raise AssertionError("the restricted fit ran before the config check")
+
+        monkeypatch.setattr(inference, "_fit_by_solver", no_fit)
+        data = tmp_path / "d.csv"
+        _write_dataset(data)
+        cfg = tmp_path / "cfg.yaml"
+        features = "  features: [[0, 2, 6], [1, 1, 6]]\n"
+        text = TEST_CONFIG.replace(features, "" if line.startswith("features") else features)
+        cfg.write_text(text + f"  {line}\ndata: {{path: {data}}}\n")
+        out = tmp_path / "out"
+        assert main(["test", "--config", str(cfg), "--out", str(out)]) == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not out.exists()
+
+    def test_config_echo_writes_the_penalty_rule_as_null(self, tmp_path):
+        data = tmp_path / "d.csv"
+        _write_dataset(data)
+        cfg = tmp_path / "cfg.yaml"
+        cfg.write_text(TEST_CONFIG + f"data: {{path: {data}}}\n")
+        out = tmp_path / "out"
+        assert main(["test", "--config", str(cfg), "--out", str(out)]) == 0
+        echo = (out / "config.yaml").read_text()
+        assert echo.count("  proj_rho: null\n") == 2
+        echoed = yaml.safe_load(echo)
+        assert echoed["test"]["proj_rho"] is None and echoed["simulate"]["proj_rho"] is None
+        assert json.loads((out / "test_result.json").read_text())["proj_rho"] == 40 * 40.0 ** (-0.4)
 
     def test_gram_columns_mode_is_unknown(self, tmp_path, capsys):
         data = tmp_path / "d.csv"

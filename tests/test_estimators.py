@@ -30,7 +30,6 @@ from rkhstest.kernels import (
     additive_kernel,
     gram_matrix,
     polynomial_series,
-    polynomial_weights,
 )
 from rkhstest.losses import (
     LossSpec,
@@ -332,7 +331,7 @@ class TestDirections:
         rng = np.random.default_rng(51)
         x = rng.uniform(-1, 1, 3)
         grad = rng.normal(size=3)
-        weights = polynomial_weights(4)
+        weights = polynomial_series(4).weights
         gram = HornerPolynomial(weights).gram(x)
         beta, rho = greedy_direction(grad, gram)
         n = 3
@@ -482,7 +481,7 @@ class TestGreedyFit:
         y = rng.normal(size=25) + 0.5 * x[:, 0]
         cfg = FitConfig(budget=1.2, iterations=60, step_rule="two_over_m_plus_two")
         series_terms = [(polynomial_series(8, 2.2), (k,)) for k in range(2)]
-        gram_terms = [(HornerPolynomial(polynomial_weights(8, 2.2)), (k,)) for k in range(2)]
+        gram_terms = [(HornerPolynomial(polynomial_series(8, 2.2).weights), (k,)) for k in range(2)]
         loss = rescaled_square_loss()
         m_series = greedy_fit(x, y, loss, series_terms, cfg)
         m_gram = greedy_fit(x, y, loss, gram_terms, cfg)

@@ -18,7 +18,6 @@ from rkhstest.inference import (
     SeriesInstrumentPlan,
     build_instruments,
     covariance_estimate,
-    default_projection_rho,
     orthogonality_defect,
     p_value,
     project_instruments,
@@ -894,8 +893,64 @@ class TestGramPathReuse:
 
 
 def test_default_projection_rho_rule():
-    assert default_projection_rho(100) == pytest.approx(100 ** -0.4)
-    assert 1000 ** -0.5 < default_projection_rho(1000) < 1000 ** (-1.0 / 3.0)
+    # the rule n^(-0.4) penalizes the n-normalized objective; the matrix
+    # solve takes the unnormalized one, so the penalty is n times the rule
+    n = 40
+    rng = np.random.default_rng(31)
+    x = rng.uniform(-2, 2, (n, 2))
+    y = 0.4 * x[:, 0] + 0.3 * rng.standard_normal(n)
+    res = run_test(
+        x, y, _toy_plan(), rescaled_square_loss(), FitConfig(budget=5.0, iterations=40),
+        n_draws=100, rng=2,
+    )
+    assert res.proj_rho == n * float(n) ** (-0.4)
+    assert res.proj_rho_rule == "n*n^(-0.4) default rule"
+
+
+@pytest.mark.parametrize(
+    "rho, message",
+    [
+        ("abc", "projection penalty must be a real number, got 'abc'"),
+        (True, "projection penalty must be a real number, got True"),
+        (-1, "projection penalty must be nonnegative and finite, got -1"),
+        (float("nan"), "projection penalty must be nonnegative and finite, got nan"),
+        (float("inf"), "projection penalty must be nonnegative and finite, got inf"),
+    ],
+)
+def test_unusable_projection_penalty_rejected_before_the_fit(monkeypatch, rho, message):
+    # NaN once failed after the fit in eigh; inf silently gave the
+    # uncorrected test; True ran with a penalty of 1.0
+    def no_fit(*args, **kwargs):
+        raise AssertionError("the restricted fit ran before the penalty check")
+
+    monkeypatch.setattr(inference, "_fit_by_solver", no_fit)
+    x = np.random.default_rng(3).uniform(-2, 2, (30, 2))
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        run_test(x, x[:, 0], _toy_plan(), rescaled_square_loss(), FitConfig(budget=5.0),
+                 proj_rho=rho)
+
+
+@pytest.mark.parametrize(
+    "pair, message",
+    [
+        ((5, 2), "series coordinate 5 outside 0..1"),
+        ((-1, 2), "series coordinate -1 outside 0..1"),
+        ((0, 11), "series order 11 outside 1..10"),
+        ((0, 0), "series order 0 outside 1..10"),
+    ],
+)
+def test_unusable_series_pair_rejected_before_the_fit(monkeypatch, pair, message):
+    # coordinate 5 once failed after the fit, and -1 silently tested the last column
+    def no_fit(*args, **kwargs):
+        raise AssertionError("the restricted fit ran before the series pairs were checked")
+
+    monkeypatch.setattr(inference, "_fit_by_solver", no_fit)
+    plan = replace(_toy_plan(), instruments=SeriesInstrumentPlan(test_pairs=((0, 2), pair)))
+    x = np.random.default_rng(3).uniform(-2, 2, (30, 2))
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        run_test(x, x[:, 0], plan, rescaled_square_loss(), FitConfig(budget=5.0))
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        series_feature_columns(x, [pair])
 
 
 class TestFeatureSpanProjection:

@@ -23,7 +23,6 @@ from rkhstest.kernels import (
     gram_matrix,
     kernel_from_config,
     polynomial_series,
-    polynomial_weights,
 )
 
 RNG = np.random.default_rng(1234)
@@ -31,7 +30,7 @@ RNG = np.random.default_rng(1234)
 ALL_SCALAR_KERNELS = [
     LinearKernel(1.0),
     GaussianRBF(lengthscale=0.75, scale=0.5),
-    HornerPolynomial(polynomial_weights(10, 2.2)),
+    HornerPolynomial(polynomial_series(10, 2.2).weights),
     polynomial_series(10, 2.2),
     IntegratedBrownianKernel(order=1),
     IntegratedBrownianKernel(order=2),
@@ -82,10 +81,10 @@ class TestSingleValues:
 
     def test_polynomial_partial_sum_at_one(self):
         # direct-summation oracle for sum_v v^-2.2 (s t)^v at s = t = 1
-        oracle = series_value(polynomial_weights(10, 2.2), 1.0, 1.0)
+        oracle = series_value(polynomial_series(10, 2.2).weights, 1.0, 1.0)
         assert oracle == pytest.approx(1.4410028461622895, rel=1e-15)
         assert value(polynomial_series(10, 2.2), 1.0, 1.0) == pytest.approx(oracle, rel=1e-12)
-        assert value(HornerPolynomial(polynomial_weights(10, 2.2)), 1.0, 1.0) == pytest.approx(
+        assert value(HornerPolynomial(polynomial_series(10, 2.2).weights), 1.0, 1.0) == pytest.approx(
             oracle, rel=1e-12
         )
 
@@ -191,9 +190,10 @@ class TestComposite:
         assert np.array_equal(gram, comp.gram(x))
         assert kept[0] is None
         assert np.array_equal(kept[1], GaussianRBF(1.1).gram(x[:, [1]], x[:, [1]]))
-        single, [term] = GaussianRBF(1.1).gram_and_terms(x, keep={0})
-        assert term is single and np.array_equal(single, GaussianRBF(1.1).gram(x))
-        assert GaussianRBF(1.1).gram_and_terms(x)[1] == [None]
+        single = CompositeKernel(((GaussianRBF(1.1), None),))
+        gram, [term] = single.gram_and_terms(x, keep={0})
+        assert np.array_equal(gram, GaussianRBF(1.1).gram(x)) and np.array_equal(term, gram)
+        assert single.gram_and_terms(x)[1] == [None]
 
     def test_additive_diagonal_scaling(self):
         base = polynomial_series(6)
@@ -222,13 +222,13 @@ class TestSeries:
         # dual route: scaled-feature outer product vs Horner evaluation
         x = RNG.uniform(-2, 2, (4, 1))
         series = polynomial_series(10, 2.2)
-        closed = HornerPolynomial(polynomial_weights(10, 2.2))
+        closed = HornerPolynomial(polynomial_series(10, 2.2).weights)
         f = series.feature_matrix(x)
         assert np.allclose(f @ f.T, closed.gram(x), rtol=1e-10, atol=0)
 
     def test_series_equals_closed_form_on_single_points(self):
         series = polynomial_series(10, 2.2)
-        closed = HornerPolynomial(polynomial_weights(10, 2.2))
+        closed = HornerPolynomial(polynomial_series(10, 2.2).weights)
         for _ in range(20):
             s, t = RNG.uniform(-2, 2, 2)
             assert value(series, s, t) == pytest.approx(value(closed, s, t), rel=1e-12)
@@ -261,7 +261,7 @@ class TestSeries:
         x=arrays(np.float64, st.integers(1, 20), elements=st.floats(-3.0, 3.0)),
     )
     def test_features_are_scaled_monomials_bit_for_bit(self, n_terms, decay, x):
-        w = np.asarray(polynomial_weights(n_terms, decay))
+        w = np.asarray([float(v) ** (-decay) for v in range(1, n_terms + 1)])
         expected = np.column_stack([x**v for v in range(1, n_terms + 1)]) * np.sqrt(w)
         assert np.array_equal(polynomial_series(n_terms, decay).feature_matrix(x), expected)
 
@@ -302,7 +302,7 @@ class TestFeatureMatrix:
         "kernel",
         [
             GaussianRBF(0.75, 0.5),
-            HornerPolynomial(polynomial_weights(10, 2.2)),
+            HornerPolynomial(polynomial_series(10, 2.2).weights),
             IntegratedBrownianKernel(order=2),
             CompositeKernel(((LinearKernel(0.5), (0,)), (GaussianRBF(0.75, 0.5), (1,)))),
         ],
@@ -396,7 +396,7 @@ class TestIntegratedBrownian:
 def test_normalized_section_has_unit_norm():
     for kernel, z, czz in (
         (GaussianRBF(0.75, 0.5), np.array([0.4, -1.0]), 0.5),
-        (polynomial_series(10, 2.2), np.array([1.3]), series_value(polynomial_weights(10), 1.3, 1.3)),
+        (polynomial_series(10, 2.2), np.array([1.3]), series_value(polynomial_series(10).weights, 1.3, 1.3)),
         (LinearKernel(2.0), np.array([0.7]), 2.0 * 0.7**2),
     ):
         # h = C(., z) / sqrt(C(z, z)); reproduction gives |h|^2 = h(z) / sqrt(C(z, z))

@@ -255,16 +255,82 @@ class TestMonteCarlo:
             np.sqrt(row.freq_pi * (1 - row.freq_pi) / row.replicates)
         )
 
-    def test_all_failures_raise(self):
-        # NonLinear needs four covariates; with k=3 every replicate fails
-        mc = McConfig(
-            dgp=DgpSpec("NonLinear", 30, 3, 0.0, "geometric", 1.0),
-            null_hypothesis="Lin1",
-            replicates=2,
-            master_seed=1,
-        )
-        with pytest.raises(RuntimeError, match="NonLinear needs"):
+    def test_all_failures_raise(self, monkeypatch):
+        def failing(config, rep):
+            raise ValueError(f"no data for replicate {rep}")
+
+        monkeypatch.setattr(simulation, "_replicate_outcome", failing)
+        mc = McConfig(dgp=DgpSpec("Lin3", 30), null_hypothesis="Lin1", replicates=2, master_seed=1)
+        message = "all replicates failed; first error: replicate 0: ValueError: no data for replicate 0"
+        with pytest.raises(RuntimeError, match=f"^{re.escape(message)}$"):
             run_monte_carlo(mc)
+
+    @pytest.mark.parametrize(
+        "design, k, message",
+        [
+            ("Lin3", 2.5, "n_covariates must be an integer, got 2.5"),
+            ("Lin3", 0, "n_covariates must be at least 1, got 0"),
+            ("Lin3", 2, "Lin3 needs at least 3 covariates, got 2"),
+            ("LinAll", 0, "n_covariates must be at least 1, got 0"),
+            ("NonLinear", 3, "NonLinear needs at least 4 covariates, got 3"),
+            ("Bivariate", 3, "Bivariate needs exactly 2 covariates, got 3"),
+            ("Bivariate", 1, "Bivariate needs exactly 2 covariates, got 1"),
+        ],
+    )
+    def test_unusable_covariate_count_rejected_before_any_replicate(
+        self, monkeypatch, design, k, message
+    ):
+        # each of these used to run every replicate, then fail them all
+        def no_replicate(config, rep):
+            raise AssertionError("a replicate ran before the covariate count check")
+
+        monkeypatch.setattr(simulation, "_replicate_outcome", no_replicate)
+        null = "BivLinAll" if design == "Bivariate" else "Lin1"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            run_monte_carlo(McConfig(dgp=DgpSpec(design, 40, k), null_hypothesis=null, replicates=2))
+
+    @pytest.mark.parametrize(
+        "design, k, null, reach",
+        [("LinAll", 2, "Lin3", 2), ("Bivariate", 2, "Lin3", 2), ("LinAll", 1, "Lin2", 1)],
+    )
+    def test_null_reading_past_the_covariates_rejected_before_any_replicate(
+        self, monkeypatch, design, k, null, reach
+    ):
+        def no_replicate(config, rep):
+            raise AssertionError("a replicate ran before the null's coordinates were checked")
+
+        monkeypatch.setattr(simulation, "_replicate_outcome", no_replicate)
+        message = f"null {null} needs at least {reach + 1} covariates, got {k}"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            run_monte_carlo(McConfig(dgp=DgpSpec(design, 40, k), null_hypothesis=null, replicates=2))
+
+    def test_plan_is_built_at_the_study_covariate_count(self):
+        # LinAll at k=3 restricts all three covariates, so a Lin3 null fits it
+        mc = McConfig(dgp=DgpSpec("LinAll", 40, 3), null_hypothesis="Lin3", replicates=1,
+                      null_draws=100, iterations=20)
+        assert run_monte_carlo(mc).errors == 0
+
+    @pytest.mark.parametrize(
+        "rho, message",
+        [
+            (-1, "projection penalty must be nonnegative and finite, got -1"),
+            (float("nan"), "projection penalty must be nonnegative and finite, got nan"),
+            (float("inf"), "projection penalty must be nonnegative and finite, got inf"),
+            (True, "projection penalty must be a real number, got True"),
+            ("default", "projection penalty must be a real number, got 'default'"),
+        ],
+    )
+    def test_unusable_projection_penalty_rejected_before_any_replicate(
+        self, monkeypatch, rho, message
+    ):
+        def no_replicate(config, rep):
+            raise AssertionError("a replicate ran before the penalty check")
+
+        monkeypatch.setattr(simulation, "_replicate_outcome", no_replicate)
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            run_monte_carlo(
+                McConfig(dgp=DgpSpec("Lin3", 40), null_hypothesis="Lin3", replicates=2, proj_rho=rho)
+            )
 
     @pytest.mark.parametrize(
         "design, null, count, message",
