@@ -316,8 +316,8 @@ def fit_constrained_ridge(kernel: Kernel, x, y, *, budget: float) -> AdditiveMod
     feats = _term_features(terms, x)
     features = np.hstack(feats) if feats and all(f is not None for f in feats) else None
     gram, grams = None, [None] * len(feats)
-    if features is None:  # norm_lk reads the Grams of the terms with no feature map
-        keep = {i for i, f in enumerate(feats) if f is None}
+    if features is None:  # norm_lk of several terms reads the Grams of those with no feature map
+        keep = {i for i, f in enumerate(feats) if f is None} if len(feats) > 1 else ()
         gram, grams = CompositeKernel(terms).gram_and_terms(x, keep=keep)
     eig = gram_eigen(gram, features)
     rho = solve_rho_for_budget(gram, y, budget, eig=eig)

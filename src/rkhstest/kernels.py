@@ -73,7 +73,10 @@ class Kernel:
             raise ValueError(f"{type(self).__name__} scale must be nonnegative, got {self.scale}")
 
     def gram(self, x, z=None) -> np.ndarray:
-        """Cross Gram matrix with entries C(x_i, z_j); z defaults to x."""
+        """Cross Gram matrix with entries C(x_i, z_j); z defaults to x.
+
+        A new array each call, which the caller may modify in place.
+        """
         raise NotImplementedError
 
     def feature_matrix(self, x) -> np.ndarray | None:
@@ -252,13 +255,17 @@ class CompositeKernel(Kernel):
         """The Gram, and per term its Gram if its index is in ``keep`` (else None)."""
         x = _as_sample(x, None)
         z2 = x if z is None else _as_sample(z, None)
-        total = np.zeros((x.shape[0], z2.shape[0]))
-        kept = []
+        total, kept = None, []
         for i, (kernel, sel) in enumerate(self.terms):
             g = kernel.gram(_select(x, sel), _select(z2, sel))
-            total += g
             kept.append(g if i in keep else None)
+            if total is None:  # no separate buffer: the sum starts from the first Gram
+                total = g.copy() if i in keep else g
+            else:
+                total += g
             del g  # so the next term's Gram is built with this one freed
+        if total is None:
+            total = np.zeros((x.shape[0], z2.shape[0]))
         return total, kept
 
     def feature_matrix(self, x) -> np.ndarray | None:

@@ -1,5 +1,7 @@
 """Ridge solves, the norm-budget equation and the greedy loop."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -805,6 +807,26 @@ class TestRidgeTermFeatures:
         assert shapes == [(300, 300)]
         assert np.array_equal(model.gram, want)
         assert model.norm_lk > model.norm_hk > 0.0
+
+
+    @pytest.mark.parametrize("kernel", [
+        GaussianRBF(1.0), CompositeKernel(((GaussianRBF(1.0), (0,)),)),
+    ])
+    def test_one_term_gram_fit_holds_two_square_matrices(self, kernel):
+        # the Gram and its eigenvectors: a single term's Gram is neither
+        # summed into a separate buffer nor kept for norm_lk
+        rng = np.random.default_rng(153)
+        n = 400
+        x = rng.uniform(-2, 2, (n, 1))
+        y = np.sin(x[:, 0]) + 0.3 * rng.standard_normal(n)
+        fit_constrained_ridge(kernel, x, y, budget=5.0)
+        tracemalloc.start()
+        try:
+            fit_constrained_ridge(kernel, x, y, budget=5.0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2.5 * n * n * 8
 
 
 class TestPredict:

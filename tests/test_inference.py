@@ -1,6 +1,7 @@
 """Instrument projection, the moment statistic and its simulated null."""
 
 import re
+import threading
 import tracemalloc
 from dataclasses import replace
 
@@ -1030,3 +1031,89 @@ class TestNullSpanFromTheFit:
         calls.clear()
         run_test(x, y, plan, loss, cfg, n_draws=100, rng=1)
         assert calls == fit_calls
+
+
+def _concurrency_case(kind):
+    """A series test on a linear null, or a section test on BivLinAll's r0 and r1."""
+    rng = np.random.default_rng(23)
+    x = rng.uniform(-2, 2, (60, 2))
+    y = 0.3 * x[:, 0] - 0.2 * x[:, 1] ** 2 + 0.5 * rng.standard_normal(60)
+    if kind == "series":
+        return x, y, _toy_plan(), FitConfig(budget=5.0, iterations=100), None
+    plan = null_kernel_for("BivLinAll", k=2)
+    return x, y, plan, FitConfig(budget=10.0, solver="ridge_closed_form"), 20
+
+
+class TestConcurrentNullDraws:
+    """run_test draws the uncorrected null on a helper thread when a core is free."""
+
+    @staticmethod
+    def _run(monkeypatch, kind, spare):
+        """The result with ``_spare_core`` patched to ``spare``, and per null
+        simulation whether it ran on the main thread."""
+        x, y, plan, cfg, count = _concurrency_case(kind)
+        on_main = []
+        real = inference.simulate_null
+
+        def spy(*args):
+            on_main.append(threading.current_thread() is threading.main_thread())
+            return real(*args)
+
+        monkeypatch.setattr(inference, "_spare_core", lambda: spare)
+        monkeypatch.setattr(inference, "simulate_null", spy)
+        result = run_test(
+            x, y, plan, rescaled_square_loss(), cfg,
+            n_draws=3000, rng=8, instrument_count=count,
+        )
+        return result, sorted(on_main)
+
+    @pytest.mark.parametrize("kind", ["series", "section"])
+    def test_helper_thread_leaves_every_draw_and_record(self, monkeypatch, kind):
+        threaded, threads = self._run(monkeypatch, kind, True)
+        serial, serial_threads = self._run(monkeypatch, kind, False)
+        assert threads == [False, True]
+        assert serial_threads == [True, True]
+        assert np.array_equal(threaded.null_draws, serial.null_draws)
+        assert np.array_equal(threaded.naive_null_draws, serial.naive_null_draws)
+        assert threaded.p_value == serial.p_value
+        assert threaded.naive_p_value == serial.naive_p_value
+        assert threaded.to_record() == serial.to_record()
+
+    def test_helper_error_reraised_after_the_join(self, monkeypatch):
+        x, y, plan, cfg, _ = _concurrency_case("series")
+        real = inference.simulate_null
+
+        def failing_on_the_helper(*args):
+            if threading.current_thread() is not threading.main_thread():
+                raise FloatingPointError("the helper's draw failed")
+            return real(*args)
+
+        unhandled = []
+        monkeypatch.setattr(threading, "excepthook", unhandled.append)
+        monkeypatch.setattr(inference, "_spare_core", lambda: True)
+        monkeypatch.setattr(inference, "simulate_null", failing_on_the_helper)
+        before = threading.active_count()
+        with pytest.raises(FloatingPointError, match="the helper's draw failed"):
+            run_test(x, y, plan, rescaled_square_loss(), cfg, n_draws=500, rng=8)
+        assert threading.active_count() == before
+        assert unhandled == []
+
+    def test_spare_core_needs_one_blas_thread(self, monkeypatch):
+        count = [1]
+        monkeypatch.setattr(
+            inference, "_openblas_thread_controls",
+            lambda: (("fake", lambda: count[0], None),),
+        )
+        monkeypatch.setattr(inference.os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+        assert inference._spare_core()
+        count[0] = 2
+        assert not inference._spare_core()
+        count[0] = 1
+        monkeypatch.setattr(inference.os, "sched_getaffinity", lambda pid: {0})
+        assert not inference._spare_core()
+        monkeypatch.setattr(inference, "_openblas_thread_controls", lambda: ())
+        monkeypatch.setattr(inference.os, "sched_getaffinity", lambda pid: {0, 1})
+        assert not inference._spare_core()
+
+    def test_blas_lookup_is_made_once(self):
+        assert inference._openblas_thread_controls() is inference._openblas_thread_controls()

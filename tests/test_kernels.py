@@ -190,9 +190,14 @@ class TestComposite:
         assert np.array_equal(gram, comp.gram(x))
         assert kept[0] is None
         assert np.array_equal(kept[1], GaussianRBF(1.1).gram(x[:, [1]], x[:, [1]]))
+        # a kept first term is not the buffer the later terms are summed into
+        gram, kept = comp.gram_and_terms(x, keep={0})
+        assert np.array_equal(gram, comp.gram(x))
+        assert np.array_equal(kept[0], LinearKernel(0.7).gram(x[:, [0]]))
         single = CompositeKernel(((GaussianRBF(1.1), None),))
         gram, [term] = single.gram_and_terms(x, keep={0})
         assert np.array_equal(gram, GaussianRBF(1.1).gram(x)) and np.array_equal(term, gram)
+        assert not np.shares_memory(term, gram)
         assert single.gram_and_terms(x)[1] == [None]
 
     def test_additive_diagonal_scaling(self):

@@ -8,7 +8,7 @@ from concurrent.futures import ProcessPoolExecutor
 import numpy as np
 import pytest
 
-from rkhstest import simulation
+from rkhstest import inference, simulation
 from rkhstest.inference import (
     SectionInstrumentPlan,
     SeriesInstrumentPlan,
@@ -23,6 +23,7 @@ from rkhstest.simulation import (
     _correlation_matrix,
     _one_blas_thread,
     _one_blas_thread_in_parent,
+    _openblas_thread_controls,
     gen_covariates,
     gen_response,
     null_kernel_for,
@@ -38,6 +39,22 @@ def _worker_blas_state():
     np.linalg.eigvalsh(a @ a.T)
     tasks = len(os.listdir("/proc/self/task")) if os.path.isdir("/proc/self/task") else None
     return _blas_thread_counts(), tasks
+
+
+def _worker_spare_core():
+    return inference._spare_core(), _blas_thread_counts()
+
+
+def _bivariate_study(null):
+    return McConfig(
+        dgp=DgpSpec("Bivariate", 60, 2, 0.0, "geometric", 1.0),
+        null_hypothesis=null,
+        replicates=2,
+        sizes=(0.05,),
+        master_seed=5,
+        null_draws=200,
+        instrument_count=20,
+    )
 
 
 class TestCovariates:
@@ -486,6 +503,67 @@ class TestMonteCarlo:
             run_monte_carlo(mc, n_jobs=2)
         assert seen == [{name: 1 for name in parent}]
         assert _blas_thread_counts() == parent
+
+    def test_serial_feature_study_runs_on_one_blas_thread(self, monkeypatch):
+        controls = _openblas_thread_controls()
+        if not controls:
+            pytest.skip("numpy bundles no OpenBLAS with a thread-count symbol")
+        saved = _blas_thread_counts()
+        seen = []
+        real = simulation._replicate_outcome
+
+        def spy(config, rep):
+            seen.append(_blas_thread_counts())
+            if rep == 1:
+                raise ValueError("replicate 1 broke")
+            return real(config, rep)
+
+        def broken(job):
+            seen.append(_blas_thread_counts())
+            raise RuntimeError("the study broke")
+
+        try:
+            for _, _, put in controls:
+                put(2)
+            threaded = {name: 2 for name in saved}
+            monkeypatch.setattr(simulation, "_replicate_outcome", spy)
+            table = run_monte_carlo(_bivariate_study("BivLinAll"))
+            assert table.errors == 1
+            assert seen == [{name: 1 for name in saved}] * 2
+            assert _blas_thread_counts() == threaded
+            seen.clear()
+            monkeypatch.setattr(simulation, "_replicate_safe", broken)
+            with pytest.raises(RuntimeError, match="the study broke"):
+                run_monte_carlo(_bivariate_study("BivLinAll"))
+            assert seen == [{name: 1 for name in saved}]
+            assert _blas_thread_counts() == threaded
+        finally:
+            for (_, _, put), count in zip(controls, saved.values()):
+                put(count)
+
+    def test_serial_gram_only_study_keeps_the_blas_threads(self, monkeypatch):
+        calls = []
+        fake = (("fake", lambda: 3, calls.append),)
+        monkeypatch.setattr(simulation, "_openblas_thread_controls", lambda: fake)
+        run_monte_carlo(_bivariate_study("Lin1NonLin"))
+        assert calls == []
+        run_monte_carlo(_bivariate_study("BivLinAll"))
+        assert calls == [1, 3]
+
+    def test_no_spare_core_in_a_multiprocessing_worker(self):
+        if not _openblas_thread_controls():
+            pytest.skip("numpy bundles no OpenBLAS with a thread-count symbol")
+        if "fork" not in multiprocessing.get_all_start_methods():
+            pytest.skip("no fork start method")
+        fork = multiprocessing.get_context("fork")
+        with _one_blas_thread_in_parent():
+            here = inference._spare_core()
+            with ProcessPoolExecutor(max_workers=1, mp_context=fork) as pool:
+                spare, counts = pool.submit(_worker_spare_core).result(timeout=60)
+        # the worker runs one BLAS thread, as this process did, yet has no spare core
+        assert set(counts.values()) == {1}
+        assert not spare
+        assert here == (len(os.sched_getaffinity(0)) >= 2)
 
     def test_text_table_layout(self):
         mc = McConfig(
