@@ -9,16 +9,10 @@ of the estimated instrument covariance.
 
 from __future__ import annotations
 
-import ctypes
-import functools
 import math
-import multiprocessing
 import numbers
-import os
 import threading
-from collections.abc import Callable
 from dataclasses import dataclass, fields
-from pathlib import Path
 from typing import Sequence
 
 import numpy as np
@@ -285,69 +279,16 @@ def simulate_null(spectrum, n_draws: int, rng) -> np.ndarray:
     return out
 
 
-@functools.cache
-def _openblas_thread_controls() -> tuple[tuple[str, Callable[[], int], Callable[[int], None]], ...]:
-    """(library name, get, set) thread-count functions of numpy's bundled OpenBLAS.
-
-    rkhstest computes only with numpy's BLAS (``np.linalg`` and matmul); the
-    OpenBLAS that scipy bundles is never called.  Opening an already loaded
-    library by its path returns that library, so the functions act on the
-    copy the process holds; a forked child inherits them with the library.
-    Empty when numpy bundles none (a system or vendor BLAS).  Cached, since
-    the lookup globs and opens files and :func:`run_test` asks once a test.
-    """
-    controls = []
-    libs = Path(np.__file__).parent.parent / "numpy.libs"
-    for lib in sorted(libs.glob("libscipy_openblas*.so")):
-        try:
-            handle = ctypes.CDLL(str(lib))
-        except OSError:
-            continue
-        for suffix in ("64_", ""):
-            get = getattr(handle, f"scipy_openblas_get_num_threads{suffix}", None)
-            put = getattr(handle, f"scipy_openblas_set_num_threads{suffix}", None)
-            if get is not None and put is not None:
-                get.argtypes, get.restype = [], ctypes.c_int
-                put.argtypes, put.restype = [ctypes.c_int], None
-                controls.append((lib.name, get, put))
-                break
-    return tuple(controls)
-
-
-def _spare_core() -> bool:
-    """Whether a second thread of this process would have a core to itself.
-
-    That needs numpy's OpenBLAS at one thread (a threaded OpenBLAS leaves
-    its idle worker spinning on the other cores after each call), a process
-    that is no multiprocessing worker (its siblings already fill the cores)
-    and at least two CPUs this process may run on.  Only Linux wheels put
-    OpenBLAS in ``numpy.libs``, so ``os.sched_getaffinity`` exists wherever
-    the first fact can hold.
-    """
-    controls = _openblas_thread_controls()
-    return (
-        bool(controls)
-        and all(get() == 1 for _, get, _ in controls)
-        and multiprocessing.parent_process() is None
-        and len(os.sched_getaffinity(0)) >= 2
-    )
-
-
 def _simulate_both(spectrum, naive_spectrum, n_draws: int, rng: np.random.Generator):
     """:func:`simulate_null` of the corrected and the uncorrected spectrum, on the
     two streams ``rng.spawn(2)`` gives, in that order.
 
-    When :func:`_spare_core` holds, the uncorrected draws run on a helper
-    thread while this one draws the corrected ones.  Each stream is used by
-    one thread only, so the draws are the same either way.  An error of the
-    helper is re-raised here after the join.
+    The uncorrected draws run on a helper thread while this one draws the
+    corrected ones.  Each stream is used by one thread only, so the draws
+    are those of drawing one null after the other.  An error of the helper
+    is re-raised here after the join.
     """
     stream_pi, stream_naive = rng.spawn(2)
-    if not _spare_core():
-        return (
-            simulate_null(spectrum, n_draws, stream_pi),
-            simulate_null(naive_spectrum, n_draws, stream_naive),
-        )
     naive = {}
 
     def draw_naive():
@@ -522,10 +463,9 @@ def run_test(
     fit on a section plan projects with the fit's own multiplier.  The
     uncorrected statistic (raw instruments in both the moment and the
     covariance) is always computed alongside.  Its null is drawn on a
-    helper thread, concurrently with the corrected one, when numpy's
-    OpenBLAS runs one thread, the process is no multiprocessing worker and
-    it may run on two CPUs; the two nulls come from separate streams of
-    ``rng``, so every draw and p-value is the same either way.
+    helper thread, concurrently with the corrected one; the two nulls come
+    from separate streams of ``rng``, so every draw and p-value is that of
+    drawing them one after the other.
     """
     if proj_rho is not None:
         _check_penalty(proj_rho)

@@ -9,10 +9,13 @@ frequencies for the corrected and uncorrected statistics.
 
 from __future__ import annotations
 
+import ctypes
 import math
+from collections.abc import Callable
 from concurrent.futures import ProcessPoolExecutor
 from contextlib import contextmanager, nullcontext
 from dataclasses import astuple, dataclass, field, fields
+from pathlib import Path
 
 import numpy as np
 
@@ -25,7 +28,6 @@ from .inference import (
     _check_count,
     _check_penalty,
     _monte_carlo_se,
-    _openblas_thread_controls,
     run_test,
 )
 from .kernels import CompositeKernel, ConstantKernel, GaussianRBF, LinearKernel
@@ -399,6 +401,33 @@ def _replicate_safe(args):
         return rep, None, f"replicate {rep}: {type(exc).__name__}: {exc}"
 
 
+def _openblas_thread_controls() -> list[tuple[str, Callable[[], int], Callable[[int], None]]]:
+    """(library name, get, set) thread-count functions of numpy's bundled OpenBLAS.
+
+    rkhstest computes only with numpy's BLAS (``np.linalg`` and matmul); the
+    OpenBLAS that scipy bundles is never called by a pool worker.  Opening
+    an already loaded library by its path returns that library, so the
+    functions act on the copy the process holds.  Empty when numpy bundles
+    none (a system or vendor BLAS).
+    """
+    controls = []
+    libs = Path(np.__file__).parent.parent / "numpy.libs"
+    for lib in sorted(libs.glob("libscipy_openblas*.so")):
+        try:
+            handle = ctypes.CDLL(str(lib))
+        except OSError:
+            continue
+        for suffix in ("64_", ""):
+            get = getattr(handle, f"scipy_openblas_get_num_threads{suffix}", None)
+            put = getattr(handle, f"scipy_openblas_set_num_threads{suffix}", None)
+            if get is not None and put is not None:
+                get.argtypes, get.restype = [], ctypes.c_int
+                put.argtypes, put.restype = [ctypes.c_int], None
+                controls.append((lib.name, get, put))
+                break
+    return controls
+
+
 def _blas_thread_counts() -> dict[str, int]:
     """Thread count of each bundled OpenBLAS, by library name."""
     return {name: int(get()) for name, get, _ in _openblas_thread_controls()}
@@ -410,8 +439,7 @@ def _one_blas_thread_in_parent():
     saved count, also when the block raises.
 
     A worker forked inside the block inherits the count of 1, so it never
-    starts an OpenBLAS thread of its own; a serial study run inside it may
-    draw each test's two nulls on two threads (see ``run_test``).
+    starts an OpenBLAS thread of its own.
     """
     controls = _openblas_thread_controls()
     saved = [get() for _, get, _ in controls]
@@ -449,9 +477,10 @@ def run_monte_carlo(config: McConfig, n_jobs: int = 1) -> RejectionTable:
     restores its counts when the pool is done or raises; meanwhile any other
     thread of the parent runs BLAS on one thread too.  The serial path does
     the same while it runs when the null kernel r0 has a feature map: its
-    SVDs gain nothing from BLAS threads, and with one thread each test draws
-    its two nulls on two cores.  A Gram-only r0 keeps the process's BLAS
-    threads for its n x n ``eigh``.
+    SVDs gain nothing from BLAS threads, and no idle OpenBLAS thread is left
+    spinning on the core each test's helper thread draws the uncorrected
+    null on.  A Gram-only r0 keeps the process's BLAS threads for its
+    n x n ``eigh``.
     """
     jobs = [(config, rep) for rep in range(config.replicates)]
     if n_jobs > 1:

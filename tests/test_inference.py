@@ -1045,12 +1045,10 @@ def _concurrency_case(kind):
 
 
 class TestConcurrentNullDraws:
-    """run_test draws the uncorrected null on a helper thread when a core is free."""
+    """run_test draws the uncorrected null on a helper thread."""
 
-    @staticmethod
-    def _run(monkeypatch, kind, spare):
-        """The result with ``_spare_core`` patched to ``spare``, and per null
-        simulation whether it ran on the main thread."""
+    @pytest.mark.parametrize("kind", ["series", "section"])
+    def test_helper_thread_gives_the_serial_draws(self, monkeypatch, kind):
         x, y, plan, cfg, count = _concurrency_case(kind)
         on_main = []
         real = inference.simulate_null
@@ -1059,25 +1057,20 @@ class TestConcurrentNullDraws:
             on_main.append(threading.current_thread() is threading.main_thread())
             return real(*args)
 
-        monkeypatch.setattr(inference, "_spare_core", lambda: spare)
         monkeypatch.setattr(inference, "simulate_null", spy)
         result = run_test(
             x, y, plan, rescaled_square_loss(), cfg,
             n_draws=3000, rng=8, instrument_count=count,
         )
-        return result, sorted(on_main)
-
-    @pytest.mark.parametrize("kind", ["series", "section"])
-    def test_helper_thread_leaves_every_draw_and_record(self, monkeypatch, kind):
-        threaded, threads = self._run(monkeypatch, kind, True)
-        serial, serial_threads = self._run(monkeypatch, kind, False)
-        assert threads == [False, True]
-        assert serial_threads == [True, True]
-        assert np.array_equal(threaded.null_draws, serial.null_draws)
-        assert np.array_equal(threaded.naive_null_draws, serial.naive_null_draws)
-        assert threaded.p_value == serial.p_value
-        assert threaded.naive_p_value == serial.naive_p_value
-        assert threaded.to_record() == serial.to_record()
+        assert sorted(on_main) == [False, True]
+        # the draws of one null after the other on the two spawned streams
+        stream_pi, stream_naive = np.random.default_rng(8).spawn(2)
+        draws = real(result.spectrum, 3000, stream_pi)
+        naive_draws = real(result.naive_spectrum, 3000, stream_naive)
+        assert np.array_equal(result.null_draws, draws)
+        assert np.array_equal(result.naive_null_draws, naive_draws)
+        assert result.p_value == p_value(result.statistic, draws)
+        assert result.naive_p_value == p_value(result.naive_statistic, naive_draws)
 
     def test_helper_error_reraised_after_the_join(self, monkeypatch):
         x, y, plan, cfg, _ = _concurrency_case("series")
@@ -1090,30 +1083,9 @@ class TestConcurrentNullDraws:
 
         unhandled = []
         monkeypatch.setattr(threading, "excepthook", unhandled.append)
-        monkeypatch.setattr(inference, "_spare_core", lambda: True)
         monkeypatch.setattr(inference, "simulate_null", failing_on_the_helper)
         before = threading.active_count()
         with pytest.raises(FloatingPointError, match="the helper's draw failed"):
             run_test(x, y, plan, rescaled_square_loss(), cfg, n_draws=500, rng=8)
         assert threading.active_count() == before
         assert unhandled == []
-
-    def test_spare_core_needs_one_blas_thread(self, monkeypatch):
-        count = [1]
-        monkeypatch.setattr(
-            inference, "_openblas_thread_controls",
-            lambda: (("fake", lambda: count[0], None),),
-        )
-        monkeypatch.setattr(inference.os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
-        assert inference._spare_core()
-        count[0] = 2
-        assert not inference._spare_core()
-        count[0] = 1
-        monkeypatch.setattr(inference.os, "sched_getaffinity", lambda pid: {0})
-        assert not inference._spare_core()
-        monkeypatch.setattr(inference, "_openblas_thread_controls", lambda: ())
-        monkeypatch.setattr(inference.os, "sched_getaffinity", lambda pid: {0, 1})
-        assert not inference._spare_core()
-
-    def test_blas_lookup_is_made_once(self):
-        assert inference._openblas_thread_controls() is inference._openblas_thread_controls()

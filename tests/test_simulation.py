@@ -8,7 +8,7 @@ from concurrent.futures import ProcessPoolExecutor
 import numpy as np
 import pytest
 
-from rkhstest import inference, simulation
+from rkhstest import simulation
 from rkhstest.inference import (
     SectionInstrumentPlan,
     SeriesInstrumentPlan,
@@ -39,10 +39,6 @@ def _worker_blas_state():
     np.linalg.eigvalsh(a @ a.T)
     tasks = len(os.listdir("/proc/self/task")) if os.path.isdir("/proc/self/task") else None
     return _blas_thread_counts(), tasks
-
-
-def _worker_spare_core():
-    return inference._spare_core(), _blas_thread_counts()
 
 
 def _bivariate_study(null):
@@ -549,21 +545,6 @@ class TestMonteCarlo:
         assert calls == []
         run_monte_carlo(_bivariate_study("BivLinAll"))
         assert calls == [1, 3]
-
-    def test_no_spare_core_in_a_multiprocessing_worker(self):
-        if not _openblas_thread_controls():
-            pytest.skip("numpy bundles no OpenBLAS with a thread-count symbol")
-        if "fork" not in multiprocessing.get_all_start_methods():
-            pytest.skip("no fork start method")
-        fork = multiprocessing.get_context("fork")
-        with _one_blas_thread_in_parent():
-            here = inference._spare_core()
-            with ProcessPoolExecutor(max_workers=1, mp_context=fork) as pool:
-                spare, counts = pool.submit(_worker_spare_core).result(timeout=60)
-        # the worker runs one BLAS thread, as this process did, yet has no spare core
-        assert set(counts.values()) == {1}
-        assert not spare
-        assert here == (len(os.sched_getaffinity(0)) >= 2)
 
     def test_text_table_layout(self):
         mc = McConfig(
