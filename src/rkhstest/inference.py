@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 import numbers
-import threading
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, fields
 from typing import Sequence
 
@@ -172,16 +172,19 @@ def project_on_features(
     return raw - gram_eigen(None, root * basis).smooth(raw, proj_rho, root=root)
 
 
+def _max_column_ratio(num: np.ndarray, den: np.ndarray) -> float:
+    """max_r |num_r| / |den_r| over the columns, a zero column of den giving 0."""
+    num = np.sqrt(np.einsum("ij,ij->j", num, num))
+    den = np.sqrt(np.einsum("ij,ij->j", den, den))
+    return float(np.max(num / np.where(den > 0, den, 1.0))) if num.size else 0.0
+
+
 def orthogonality_defect(span: np.ndarray, s_diag, projected: np.ndarray) -> float:
-    """max_r |span' S h_r| / |h_r|, the in-sample orthogonality diagnostic."""
-    span = np.asarray(span, dtype=float)
+    """max_r |span' S h_r| / |h_r|, the in-sample orthogonality diagnostic; S
+    weights the (n, p) span, not the (n, R) instruments."""
+    span = np.asarray(span, dtype=float) * np.asarray(s_diag, dtype=float)[:, None]
     projected = np.atleast_2d(np.asarray(projected, dtype=float))
-    weighted = projected * np.asarray(s_diag, dtype=float)[:, None]
-    cross = span.T @ weighted
-    num = np.linalg.norm(cross, axis=0)
-    den = np.linalg.norm(projected, axis=0)
-    den = np.where(den > 0, den, 1.0)
-    return float(np.max(num / den)) if num.size else 0.0
+    return _max_column_ratio(span.T @ projected, projected)
 
 
 def residual_null_score(span: np.ndarray, s_diag, e0: np.ndarray) -> float:
@@ -289,23 +292,10 @@ def _simulate_both(spectrum, naive_spectrum, n_draws: int, rng: np.random.Genera
     is re-raised here after the join.
     """
     stream_pi, stream_naive = rng.spawn(2)
-    naive = {}
-
-    def draw_naive():
-        try:
-            naive["draws"] = simulate_null(naive_spectrum, n_draws, stream_naive)
-        except BaseException as exc:  # noqa: BLE001 - re-raised by the caller
-            naive["error"] = exc
-
-    helper = threading.Thread(target=draw_naive, name="rkhstest-naive-null")
-    helper.start()
-    try:
+    with ThreadPoolExecutor(1, thread_name_prefix="rkhstest-naive-null") as helper:
+        naive = helper.submit(simulate_null, naive_spectrum, n_draws, stream_naive)
         draws = simulate_null(spectrum, n_draws, stream_pi)
-    finally:
-        helper.join()
-    if "error" in naive:
-        raise naive.pop("error")
-    return draws, naive["draws"]
+    return draws, naive.result()
 
 
 def p_value(statistic: float, null_draws) -> float:
@@ -374,7 +364,9 @@ class TestResult:
     the columns of its Gram when r0 has no feature map.  A non-binding fit
     with a score near 0 has reached the least-squares identity, under
     which the uncorrected test is conservative rather than liberal.
-    ``to_record`` adds the Monte Carlo standard error of each p-value.
+    ``orthogonality`` is the projected instruments' :func:`orthogonality_defect`
+    on that span, for every plan.  ``to_record`` adds the Monte Carlo
+    standard error of each p-value.
     """
 
     statistic: float
@@ -389,7 +381,7 @@ class TestResult:
     naive_p_value: float
     proj_rho: float
     proj_rho_rule: str
-    orthogonality: float | None
+    orthogonality: float
     budget_binding: bool
     residual_null_score: float
     config: dict
@@ -425,20 +417,25 @@ class TestResult:
 
 
 def _project_on_null(model, s_diag, raw, rho):
-    """The instruments projected off span(r0) as the restricted fit built it, and that
-    span: the fit's feature columns, or its Gram when r0 has no feature map.
+    """The instruments h projected off span(r0) as the restricted fit built it, that
+    span (the fit's feature columns, or its Gram C0 when r0 has no feature
+    map) and the :func:`orthogonality_defect` of h.
 
     Feature columns go through :func:`project_on_features`.  A Gram goes
-    through the ridge fit's eigenbasis when S is constant, else through
-    :func:`project_instruments`.
+    through the fit's eigenbasis when S is constant, else through
+    :func:`project_instruments`; either way (C0 + rho S^{-1}) b = raw with
+    h = rho S^{-1} b, so C0 S h = rho (raw - h) gives the defect in O(n R).
+    At rho = 0 it reads exactly 0, where the direct product reads rounding.
     """
     s_diag = _check_projection(s_diag, rho)
     if model.features is not None:
-        return project_on_features(model.features, s_diag, raw, rho), model.features
+        projected = project_on_features(model.features, s_diag, raw, rho)
+        return projected, model.features, orthogonality_defect(model.features, s_diag, projected)
     if model.eigen is not None and np.all(s_diag == s_diag[0]):
-        # with S = s I the penalized residual is raw - C0 (C0 + rho/s I)^{-1} raw
-        return raw - model.eigen.smooth(raw, rho / float(s_diag[0])), model.gram
-    return project_instruments(model.gram, s_diag, raw, rho), model.gram
+        projected = raw - model.eigen.smooth(raw, rho / float(s_diag[0]))  # S = s I
+    else:
+        projected = project_instruments(model.gram, s_diag, raw, rho)
+    return projected, model.gram, rho * _max_column_ratio(raw - projected, projected)
 
 
 def run_test(
@@ -452,7 +449,6 @@ def run_test(
     n_draws: int = 10_000,
     rng=0,
     instrument_count: int | None = None,
-    diagnostics: bool = False,
 ) -> TestResult:
     """Full testing pipeline for one dataset.
 
@@ -465,7 +461,9 @@ def run_test(
     covariance) is always computed alongside.  Its null is drawn on a
     helper thread, concurrently with the corrected one; the two nulls come
     from separate streams of ``rng``, so every draw and p-value is that of
-    drawing them one after the other.
+    drawing them one after the other.  A generalized residual e0 with
+    |e0| <= 1e-12 |L'(y, 0)|, an exact fit up to rounding, is read as 0: the
+    statistic is 0, both p-values 1 and the residual null score 0.
     """
     if proj_rho is not None:
         _check_penalty(proj_rho)
@@ -491,6 +489,8 @@ def run_test(
 
     model = _fit_by_solver(plan.r0, x, y, loss, fit_config)
     e0 = np.asarray(loss.deriv(1, y, model.fitted), dtype=float)
+    if np.linalg.norm(e0) <= 1e-12 * np.linalg.norm(loss.deriv(1, y, np.zeros(n))):
+        e0 = np.zeros(n)  # an exact fit: e0 is rounding, read as the 0 of y = 0
     s_diag = np.broadcast_to(loss.deriv(2, y, model.fitted), (n,)).astype(float)
 
     if proj_rho is not None:
@@ -508,11 +508,7 @@ def run_test(
     if not series:
         idx = _evenly_spaced_indices(n, count) if count is not None else None
         raw = build_instruments(x, kernel=plan.r0 + plan.r1, anchor_indices=idx)
-    projected, null_span = _project_on_null(model, s_diag, raw, rho)
-
-    ortho = None
-    if series or diagnostics:
-        ortho = orthogonality_defect(null_span, s_diag, projected)
+    projected, null_span, ortho = _project_on_null(model, s_diag, raw, rho)
 
     statistic = test_statistic(e0, projected)
     _, spectrum = covariance_estimate(e0, projected)

@@ -4,7 +4,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from gram_only import GramOnly, HornerPolynomial
@@ -564,24 +564,36 @@ class TestGreedyFit:
         assert gram.trace.objectives[-1] == 0.23074515146453092
         assert gram.trace.steps.sum() == 23.3542713132973
 
-    @pytest.mark.parametrize("rule", ["line_search", "one_over_m"])
-    def test_duality_gap_bounds_objective_gap(self, rule):
-        # criterion 5's instance: hk ball of radius 1.2, where the budget binds
-        rng = np.random.default_rng(515)
-        x = rng.uniform(-2, 2, (200, 3))
+    @settings(max_examples=30, deadline=None, derandomize=True, database=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        n=st.integers(30, 200),
+        budget=st.floats(0.1, 5.0),
+        rule=st.sampled_from(["line_search", "one_over_m"]),
+        iterations=st.integers(20, 120),
+    )
+    # criterion 5's instance: hk ball of radius 1.2, where the budget binds
+    @example(seed=515, n=200, budget=1.2, rule="line_search", iterations=500)
+    @example(seed=515, n=200, budget=1.2, rule="one_over_m", iterations=500)
+    def test_duality_gap_bounds_objective_gap(self, seed, n, budget, rule, iterations):
+        rng = np.random.default_rng(seed)
+        x = rng.uniform(-2, 2, (n, 3))
         y = 0.6 * x[:, 0] - 0.4 * x[:, 1] ** 2 + 0.3 * np.sin(2 * x[:, 2])
-        y = y + 0.4 * rng.standard_normal(200)
+        y = y + 0.4 * rng.standard_normal(n)
         oracle = fit_constrained_ridge(
-            additive_kernel(polynomial_series(10, 2.2), 3), x, y, budget=1.2
+            additive_kernel(polynomial_series(10, 2.2), 3), x, y, budget=budget
         )
         optimum = float(np.mean((y - oracle.fitted) ** 2))
         terms = [(polynomial_series(10, 2.2), (c,)) for c in range(3)]
-        cfg = FitConfig(budget=1.2, norm_kind="hk", iterations=500, step_rule=rule)
+        cfg = FitConfig(budget=budget, norm_kind="hk", iterations=iterations, step_rule=rule)
         trace = greedy_fit(x, y, square_loss(), terms, cfg).trace
         # gaps[m] belongs to the iterate after m steps; iterate 0 is f = 0
         before = np.concatenate(([float(np.mean(y**2))], trace.objectives[:-1]))
         assert trace.gaps.shape == trace.steps.shape
         assert np.all(trace.gaps >= before - optimum - 1e-12)
+        # every iterate lies in the hk ball, so none beats the ridge optimum
+        # there by more than rounding
+        assert np.all(trace.objectives >= optimum - 1e-12 * float(np.mean(y**2)))
 
 
 def _rbf_terms(count):

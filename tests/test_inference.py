@@ -42,6 +42,7 @@ from rkhstest.kernels import (
 )
 from rkhstest.losses import (
     LOSS_NAMES,
+    logistic_loss,
     loss_by_name,
     poisson_loss,
     rescaled_square_loss,
@@ -768,7 +769,7 @@ class TestRunTest:
             x, y, plan, rescaled_square_loss(), FitConfig(budget=5.0, iterations=80),
             proj_rho=0.0, n_draws=200, rng=3,
         )
-        assert res.orthogonality is not None and res.orthogonality <= 1e-8
+        assert res.orthogonality <= 1e-8
         assert res.proj_rho_rule == "explicit"
 
     def test_slack_section_fit_projects_off_null_span(self):
@@ -784,10 +785,11 @@ class TestRunTest:
         sections = r0 + CompositeKernel(((GaussianRBF(0.75, 0.5), (0, 1)),))
         raw = build_instruments(x, kernel=sections, anchor_indices=np.arange(0, n, 4))
         ones = np.ones(n)
-        once, _ = _project_on_null(model, ones, raw, 0.0)
+        once, _, defect = _project_on_null(model, ones, raw, 0.0)
         span = np.column_stack([ones, x])
         assert orthogonality_defect(span, ones, once) <= 1e-10
-        twice, _ = _project_on_null(model, ones, once, 0.0)
+        assert defect <= 1e-10
+        twice, _, _ = _project_on_null(model, ones, once, 0.0)
         assert np.max(np.abs(twice - once)) <= 1e-12
 
     def test_section_plan_full_pipeline(self):
@@ -804,7 +806,7 @@ class TestRunTest:
         res = run_test(
             x, y, plan, rescaled_square_loss(),
             FitConfig(budget=10.0, solver="ridge_closed_form"),
-            n_draws=500, rng=4, diagnostics=True,
+            n_draws=500, rng=4,
         )
         assert res.r_count == 15
         assert res.proj_rho_rule == "fit-coupled"
@@ -849,9 +851,11 @@ def _rbf_gram_case():
 
 
 def _project_on_rebuilt_gram(model, s_diag, raw, rho):
-    """Reference projection on a freshly built null Gram C0, whatever the fit."""
+    """Reference projection on a freshly built null Gram C0, whatever the fit, with
+    the defect from the direct product."""
     c0 = gram_matrix(CompositeKernel(model.terms), model.anchors)
-    return project_instruments(c0, s_diag, raw, rho), c0
+    projected = project_instruments(c0, s_diag, raw, rho)
+    return projected, c0, orthogonality_defect(c0, s_diag, projected)
 
 
 class TestGramPathReuse:
@@ -860,7 +864,7 @@ class TestGramPathReuse:
     def test_matches_rebuilt_predictions_and_null_gram(self, monkeypatch):
         x, y, plan, cfg = _rbf_gram_case()
         loss = rescaled_square_loss()
-        fast = run_test(x, y, plan, loss, cfg, n_draws=400, rng=8, diagnostics=True)
+        fast = run_test(x, y, plan, loss, cfg, n_draws=400, rng=8)
 
         def fit_and_predict(kernel, x, y, loss, fit_config):
             model = greedy_fit(x, y, loss, kernel, fit_config)
@@ -868,12 +872,12 @@ class TestGramPathReuse:
 
         monkeypatch.setattr(inference, "_fit_by_solver", fit_and_predict)
         monkeypatch.setattr(inference, "_project_on_null", _project_on_rebuilt_gram)
-        ref = run_test(x, y, plan, loss, cfg, n_draws=400, rng=8, diagnostics=True)
+        ref = run_test(x, y, plan, loss, cfg, n_draws=400, rng=8)
         assert fast.statistic == ref.statistic
         assert np.array_equal(fast.spectrum, ref.spectrum)
         assert fast.p_value == ref.p_value
         assert fast.naive_p_value == ref.naive_p_value
-        assert fast.orthogonality == ref.orthogonality
+        assert fast.orthogonality == pytest.approx(ref.orthogonality, rel=1e-6)
         assert fast.residual_null_score == ref.residual_null_score
 
     def test_builds_one_square_gram_per_null_term(self, monkeypatch):
@@ -992,9 +996,9 @@ class TestFeatureSpanProjection:
     def test_matches_projection_on_the_null_gram(self, monkeypatch):
         x, y, plan, cfg = self._case()
         loss = rescaled_square_loss()
-        fast = run_test(x, y, plan, loss, cfg, n_draws=200, rng=2, diagnostics=True)
+        fast = run_test(x, y, plan, loss, cfg, n_draws=200, rng=2)
         monkeypatch.setattr(inference, "_project_on_null", _project_on_rebuilt_gram)
-        ref = run_test(x, y, plan, loss, cfg, n_draws=200, rng=2, diagnostics=True)
+        ref = run_test(x, y, plan, loss, cfg, n_draws=200, rng=2)
         assert fast.statistic == pytest.approx(ref.statistic, rel=1e-10)
         np.testing.assert_allclose(
             fast.spectrum, ref.spectrum, rtol=1e-10, atol=1e-10 * ref.spectrum[0]
@@ -1089,3 +1093,151 @@ class TestConcurrentNullDraws:
             run_test(x, y, plan, rescaled_square_loss(), cfg, n_draws=500, rng=8)
         assert threading.active_count() == before
         assert unhandled == []
+
+
+def _defect_case(route):
+    """(x, y, plan, loss, fit config, proj_rho) of a run that reaches ``route``."""
+    rng = np.random.default_rng(41)
+    x = rng.uniform(-1, 1, (120, 2))
+    y = np.sin(2 * x[:, 0]) + 0.5 * x[:, 1] + 0.3 * rng.standard_normal(120)
+    ridge = FitConfig(budget=0.5, solver="ridge_closed_form")
+    if route == "series":
+        return x, y, _toy_plan(), rescaled_square_loss(), FitConfig(budget=5.0, iterations=60), None
+    if route == "features":
+        return x, y, null_kernel_for("BivLinAll", k=2), rescaled_square_loss(), ridge, None
+    if route in ("eigen-square", "eigen-rescaled"):
+        loss = square_loss() if route == "eigen-square" else rescaled_square_loss()
+        return x, y, null_kernel_for("Lin1NonLin", k=2), loss, ridge, None
+    if route == "logistic":
+        plan = replace(null_kernel_for("Lin1NonLin", k=2), instruments=SectionInstrumentPlan(30))
+        labels = np.where(y > 0, 1.0, -1.0)
+        return x, labels, plan, logistic_loss(), FitConfig(5.0, iterations=40), None
+    x, y, plan, cfg = _rbf_gram_case()
+    return x, y, plan, rescaled_square_loss(), cfg, (0.0 if route == "solve-rho0" else None)
+
+
+class TestOrthogonalityDefect:
+    """Every run reports the defect of its own projection, on every route."""
+
+    @pytest.mark.parametrize(
+        "route, path",
+        [("series", "features"), ("features", "features"), ("eigen-square", "eigen"),
+         ("eigen-rescaled", "eigen"), ("solve", "solve"), ("logistic", "solve"),
+         ("solve-rho0", "solve")],
+    )
+    def test_matches_the_direct_product(self, monkeypatch, route, path):
+        x, y, plan, loss, cfg, rho = _defect_case(route)
+        seen = {}
+
+        def spy(model, s_diag, raw, rho):
+            seen.update(model=model, s_diag=s_diag, out=_project_on_null(model, s_diag, raw, rho))
+            return seen["out"]
+
+        monkeypatch.setattr(inference, "_project_on_null", spy)
+        res = run_test(x, y, plan, loss, cfg, proj_rho=rho, n_draws=200, rng=5)
+        model, s_diag, (projected, span, defect) = seen["model"], seen["s_diag"], seen["out"]
+        constant_s = np.all(s_diag == s_diag[0])
+        taken = ("features" if model.features is not None
+                 else "eigen" if model.eigen is not None and constant_s else "solve")
+        assert taken == path
+        assert constant_s == (route != "logistic")
+        assert (res.proj_rho == 0.0) == (route == "solve-rho0")
+        assert isinstance(res.orthogonality, float) and res.orthogonality == defect
+        direct = orthogonality_defect(span, s_diag, projected)
+        if res.proj_rho == 0.0:
+            assert res.orthogonality == 0.0 and direct <= 1e-8
+        else:
+            assert res.orthogonality == pytest.approx(direct, rel=1e-6)
+            assert res.orthogonality > 0.0
+
+    def test_gram_identity_on_random_weights_and_penalties(self):
+        # C0 S h = rho (raw - h) for the Gram solve whatever S and rho > 0
+        rng = np.random.default_rng(43)
+        x = rng.uniform(-2, 2, (40, 1))
+        c0 = GaussianRBF(0.8).gram(x)
+        raw = rng.standard_normal((40, 6))
+        for rho in (1e-3, 1.0, 60.0):
+            s_diag = rng.uniform(0.1, 3.0, 40)
+            h = project_instruments(c0, s_diag, raw, rho)
+            ratio = np.linalg.norm(raw - h, axis=0) / np.linalg.norm(h, axis=0)
+            assert rho * ratio.max() == pytest.approx(orthogonality_defect(c0, s_diag, h), rel=1e-8)
+
+
+def _exact_fit_case(seed):
+    x = np.random.default_rng(seed).uniform(-1, 1, (50, 2))
+    return x, 0.3 * x[:, 0] - 0.2 * x[:, 1] + 0.1
+
+
+class TestExactFit:
+    """A response in span(r0) leaves a rounding-level residual, read as 0."""
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_rounding_residual_reads_as_zero(self, seed):
+        # these seeds once gave naive p-values 0.001 to 0.137 and residual
+        # null scores 3.3 to 6.9 from a residual of about 1e-17
+        x, y = _exact_fit_case(seed)
+        plan = null_kernel_for("BivLinAll", k=2)
+        cfg = FitConfig(budget=10.0, solver="ridge_closed_form")
+        res = run_test(x, y, plan, rescaled_square_loss(), cfg, n_draws=1000, rng=seed)
+        assert not res.budget_binding
+        assert res.statistic == res.naive_statistic == 0.0
+        assert res.p_value == res.naive_p_value == 1.0
+        assert res.residual_null_score == 0.0
+        assert not np.any(res.spectrum) and not np.any(res.naive_spectrum)
+
+    @pytest.mark.parametrize("solver", ["greedy", "ridge_closed_form"])
+    def test_matches_the_zero_response(self, solver):
+        x, _ = _exact_fit_case(0)
+        plan = null_kernel_for("BivLinAll", k=2)
+        cfg = FitConfig(budget=10.0, iterations=50, solver=solver)
+        res = run_test(x, np.zeros(50), plan, rescaled_square_loss(), cfg, n_draws=500, rng=1)
+        assert res.statistic == 0.0 and res.p_value == res.naive_p_value == 1.0
+        assert res.residual_null_score == 0.0
+
+    def test_noise_above_the_threshold_is_kept(self):
+        x, y = _exact_fit_case(0)
+        y = y + 1e-9 * np.random.default_rng(1).standard_normal(50)
+        plan = null_kernel_for("BivLinAll", k=2)
+        cfg = FitConfig(budget=10.0, solver="ridge_closed_form")
+        res = run_test(x, y, plan, rescaled_square_loss(), cfg, n_draws=500, rng=1)
+        assert res.statistic > 0.0 and res.residual_null_score > 0.0
+
+
+def _permutation_case(kind, n, seed):
+    rng = np.random.default_rng(seed)
+    x = rng.uniform(-2, 2, (n, 2))
+    y = 0.3 * x[:, 0] - 0.2 * x[:, 1] ** 2 + 0.5 * rng.standard_normal(n)
+    plan = _toy_plan() if kind == "series" else null_kernel_for("BivLinAll", k=2)
+    return x, y, plan, rng.permutation(n)
+
+
+class TestRowPermutation:
+    """Reordering the sample's rows changes nothing but summation order."""
+
+    @settings(max_examples=60, deadline=None, derandomize=True, database=None)
+    @given(
+        kind=st.sampled_from(["series", "section"]),
+        solver=st.sampled_from(["ridge_closed_form", "greedy"]),
+        n=st.integers(20, 60),
+        seed=st.integers(0, 2**32 - 1),
+        budget=st.sampled_from([0.3, 3.0, 100.0]),
+    )
+    def test_statistic_spectrum_and_p_values(self, kind, solver, n, seed, budget):
+        # the section plan has count None, so every row is an anchor and the
+        # permutation also reorders the instruments.  The greedy case takes
+        # the 1/m rule: its steps are fixed, so rounding cannot move a step
+        # as it can move a line search's, which stops within 1e-6
+        x, y, plan, perm = _permutation_case(kind, n, seed)
+        cfg = FitConfig(budget=budget, solver=solver, iterations=100, step_rule="one_over_m")
+        a = run_test(x, y, plan, rescaled_square_loss(), cfg, n_draws=500, rng=seed)
+        b = run_test(x[perm], y[perm], plan, rescaled_square_loss(), cfg, n_draws=500, rng=seed)
+        # rounding: 1e-9 of the largest weight, or of their sum for the
+        # statistic, whose scale under the null is that sum
+        for stat, spec in (("statistic", "spectrum"), ("naive_statistic", "naive_spectrum")):
+            scale = getattr(a, spec)
+            expected = pytest.approx(getattr(a, stat), rel=1e-9, abs=1e-9 * scale.sum())
+            assert getattr(b, stat) == expected
+            np.testing.assert_allclose(getattr(b, spec), scale, rtol=0, atol=1e-9 * scale[0])
+        # the same normals feed the same weights, so only a draw within
+        # rounding of the statistic could move a p-value
+        assert a.p_value == b.p_value and a.naive_p_value == b.naive_p_value
