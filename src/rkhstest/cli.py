@@ -37,6 +37,7 @@ from .simulation import (
     DgpSpec,
     McConfig,
     RejectionTable,
+    _check_fit_settings,
     run_monte_carlo,
 )
 
@@ -198,6 +199,7 @@ def _validate(config: RunConfig) -> None:
             _check_count(sim.instrument_count, "simulate.instrument_count")
         if sim.proj_rho is not None:
             _check_penalty(sim.proj_rho, "simulate.proj_rho")
+        _check_fit_settings(sim, "simulate.")
     if config.command in ("fit", "test"):
         if config.data.path is None:
             raise ConfigError(f"{config.command} mode requires data.path")

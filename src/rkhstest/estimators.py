@@ -197,18 +197,9 @@ def _finite_sample(x, y) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _term_list(kernel_or_terms) -> tuple[tuple[Kernel, tuple[int, ...] | None], ...]:
-    if isinstance(kernel_or_terms, CompositeKernel):
-        return kernel_or_terms.terms
-    if isinstance(kernel_or_terms, Kernel):
-        return ((kernel_or_terms, None),)
-    return tuple(
-        (k, tuple(sel) if sel is not None else None) for k, sel in kernel_or_terms
-    )
-
-
-def _term_features(terms, x: np.ndarray) -> list[np.ndarray | None]:
-    """Each term's feature matrix on its coordinates of x, None where it has none."""
-    return [kernel.feature_matrix(_select(x, sel)) for kernel, sel in terms]
+    if not isinstance(kernel_or_terms, Kernel):
+        kernel_or_terms = CompositeKernel(tuple(kernel_or_terms))
+    return (CompositeKernel(()) + kernel_or_terms).terms
 
 
 @dataclass
@@ -313,7 +304,7 @@ def fit_constrained_ridge(kernel: Kernel, x, y, *, budget: float) -> AdditiveMod
     """
     x, y = _finite_sample(x, y)
     terms = _term_list(kernel)
-    feats = _term_features(terms, x)
+    feats = [k.feature_matrix(_select(x, sel)) for k, sel in terms]  # None: no feature map
     features = np.hstack(feats) if feats and all(f is not None for f in feats) else None
     gram, grams = None, [None] * len(feats)
     if features is None:  # norm_lk of several terms reads the Grams of those with no feature map
@@ -568,7 +559,7 @@ def greedy_fit(x, y, loss: LossSpec, kernels, config: FitConfig) -> AdditiveMode
     x, y = _finite_sample(x, y)
     terms = _term_list(kernels)
     n, budget = x.shape[0], config.budget
-    feats = _term_features(terms, x)
+    feats = [k.feature_matrix(_select(x, sel)) for k, sel in terms]
     finite_rank = all(f is not None for f in feats)
     if finite_rank:
         blocks = _FeatureBlocks(n, feats)

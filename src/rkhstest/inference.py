@@ -127,7 +127,8 @@ def project_instruments(
     For each column c the coefficient b minimizes
     (c - C0 b)' S (c - C0 b) + rho b' C0 b, i.e. b = (C0 + rho S^{-1})^{-1} c
     for rho > 0; rho = 0 removes the S-weighted projection onto the column
-    space of C0, so the projected column is S-orthogonal to that space.
+    space of C0, so the projected column is S-orthogonal to that space.  At
+    rho > 0 the map shrinks rather than projects, so it is not idempotent.
     Since (C0 + rho S^{-1}) b = c, the projected column c - C0 b equals
     rho S^{-1} b, so rho > 0 costs one n x n solve and no C0 product.
     ``c0`` must be positive semi-definite, as a Gram matrix is; only a
@@ -266,8 +267,7 @@ def simulate_null(spectrum, n_draws: int, rng) -> np.ndarray:
         raise ValueError("spectrum weights must be nonnegative")
     if n_draws < 1:
         raise ValueError("need at least one draw")
-    if not isinstance(rng, np.random.Generator):
-        rng = np.random.default_rng(rng)
+    rng = np.random.default_rng(rng)
     active = omega[omega > _EIG_CUTOFF * omega.max(initial=0.0)]
     if active.size == 0:
         return np.zeros(n_draws)
@@ -454,16 +454,17 @@ def run_test(
 
     Fits the restricted model, builds and projects instruments, computes the
     statistic and its estimated spectrum, and simulates the weighted
-    chi-square null.  ``proj_rho`` is the penalty of the matrix-form
-    projection solve.  None applies n times n^(-0.4), except that a ridge
-    fit on a section plan projects with the fit's own multiplier.  The
-    uncorrected statistic (raw instruments in both the moment and the
-    covariance) is always computed alongside.  Its null is drawn on a
-    helper thread, concurrently with the corrected one; the two nulls come
-    from separate streams of ``rng``, so every draw and p-value is that of
-    drawing them one after the other.  A generalized residual e0 with
-    |e0| <= 1e-12 |L'(y, 0)|, an exact fit up to rounding, is read as 0: the
-    statistic is 0, both p-values 1 and the residual null score 0.
+    chi-square null.  A section count of n or more is clipped to n: every
+    row is a section and ``r_count`` reads n.  ``proj_rho`` is the penalty
+    of the matrix-form projection solve.  None applies n times n^(-0.4),
+    except that a ridge fit on a section plan projects with the fit's own
+    multiplier.  The uncorrected statistic (raw instruments in both the
+    moment and the covariance) is always computed alongside.  Its null is
+    drawn on a helper thread, concurrently with the corrected one; the two
+    nulls come from separate streams of ``rng``, so every draw and p-value
+    is that of drawing them one after the other.  A generalized residual e0
+    with |e0| <= 1e-12 |L'(y, 0)|, an exact fit up to rounding, is read as
+    0: the statistic is 0, both p-values 1 and the residual null score 0.
     """
     if proj_rho is not None:
         _check_penalty(proj_rho)
@@ -484,8 +485,7 @@ def run_test(
     raw = series_feature_columns(x, spec.test_pairs) if series else None
     y = np.asarray(y, dtype=float)
     n = x.shape[0]
-    if not isinstance(rng, np.random.Generator):
-        rng = np.random.default_rng(rng)
+    rng = np.random.default_rng(rng)
 
     model = _fit_by_solver(plan.r0, x, y, loss, fit_config)
     e0 = np.asarray(loss.deriv(1, y, model.fitted), dtype=float)

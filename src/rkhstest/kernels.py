@@ -8,6 +8,9 @@ object can be shared freely across threads.  Every kernel gives
 * a feature matrix F with F F' = gram(x) (``feature_matrix``), or None when
   the kernel has infinite rank and so only a Gram.
 
+A finite-rank kernel defines only ``feature_matrix``; the base class forms
+its Gram as F(x) F(z)'.  A kernel with no feature map overrides ``gram``.
+
 Points are real vectors; a sample is an ``(n, d)`` array.  The univariate
 kernels (series and integrated Brownian) take one coordinate, as an ``(n,)``
 or ``(n, 1)`` array.
@@ -75,9 +78,17 @@ class Kernel:
     def gram(self, x, z=None) -> np.ndarray:
         """Cross Gram matrix with entries C(x_i, z_j); z defaults to x.
 
-        A new array each call, which the caller may modify in place.
+        A new array each call, which the caller may modify in place.  This
+        rule forms F(x) F(z)' from ``feature_matrix``; a kernel with no
+        feature map overrides it.
         """
-        raise NotImplementedError
+        fx = self.feature_matrix(x)
+        if fx is None:
+            raise NotImplementedError(f"{type(self).__name__} has no feature map and no gram")
+        fz = fx if z is None else self.feature_matrix(z)
+        if fx.shape[1] != fz.shape[1]:
+            raise ValueError("dimension mismatch between point sets")
+        return fx @ fz.T  # fx @ fx.T is a symmetric product, so gram(x) is exactly symmetric
 
     def feature_matrix(self, x) -> np.ndarray | None:
         """Matrix F with F F' = gram(x), or None: the kernel has only a Gram."""
@@ -96,11 +107,6 @@ class ConstantKernel(Kernel):
 
     scale: float = 1.0
 
-    def gram(self, x, z=None) -> np.ndarray:
-        x = _as_sample(x, None)
-        z = x if z is None else _as_sample(z, None)
-        return np.full((x.shape[0], z.shape[0]), float(self.scale))
-
     def feature_matrix(self, x) -> np.ndarray:
         return np.full((_as_sample(x, None).shape[0], 1), math.sqrt(self.scale))
 
@@ -110,13 +116,6 @@ class LinearKernel(Kernel):
     """C(s, t) = scale * <s, t>."""
 
     scale: float = 1.0
-
-    def gram(self, x, z=None) -> np.ndarray:
-        x = _as_sample(x, None)
-        z = x if z is None else _as_sample(z, None)
-        if x.shape[1] != z.shape[1]:
-            raise ValueError("dimension mismatch between point sets")
-        return self.scale * (x @ z.T)
 
     def feature_matrix(self, x) -> np.ndarray:
         return math.sqrt(self.scale) * _as_sample(x, None)
@@ -176,21 +175,12 @@ class SeriesKernel(Kernel):
     def n_terms(self) -> int:
         return len(self.weights)
 
-    def _phi(self, values: np.ndarray) -> np.ndarray:
-        cols = [values**v for v in range(1, self.n_terms + 1)]
-        return np.column_stack(cols) if cols else np.empty((values.shape[0], 0))
-
     def feature_matrix(self, x) -> np.ndarray:
         """Scaled feature matrix with entries lambda_v phi_v(x_i), (n, V)."""
-        return self._phi(_as_sample(x, 1)[:, 0]) * np.sqrt(np.asarray(self.weights))
-
-    def gram(self, x, z=None) -> np.ndarray:
-        fx = self.feature_matrix(x)
-        fz = fx if z is None else self.feature_matrix(z)
-        g = fx @ fz.T
-        if z is None:
-            g = (g + g.T) / 2.0
-        return g
+        values = _as_sample(x, 1)[:, 0]
+        cols = [values**v for v in range(1, self.n_terms + 1)]
+        phi = np.column_stack(cols) if cols else np.empty((values.shape[0], 0))
+        return phi * np.sqrt(np.asarray(self.weights))
 
 
 def polynomial_series(n_terms: int, decay: float = 2.2) -> SeriesKernel:
@@ -241,12 +231,8 @@ class CompositeKernel(Kernel):
     terms: tuple[tuple[Kernel, tuple[int, ...] | None], ...]
 
     def __post_init__(self):
-        norm = []
-        for kernel, sel in self.terms:
-            if sel is not None:
-                sel = tuple(int(i) for i in sel)
-            norm.append((kernel, sel))
-        object.__setattr__(self, "terms", tuple(norm))
+        terms = tuple((k, None if sel is None else tuple(map(int, sel))) for k, sel in self.terms)
+        object.__setattr__(self, "terms", terms)
 
     def gram(self, x, z=None) -> np.ndarray:
         return self.gram_and_terms(x, z)[0]
@@ -326,14 +312,7 @@ def kernel_from_config(spec) -> Kernel:
             raise ValueError(f"unknown kernel config key {sorted(spec)[0]!r}")
         if not terms:
             raise ValueError("sum kernel needs a non-empty 'terms' list")
-        parts = []
-        for term in terms:
-            built = kernel_from_config(term)
-            if isinstance(built, CompositeKernel):
-                parts.extend(built.terms)
-            else:
-                parts.append((built, None))
-        kernel: Kernel = CompositeKernel(tuple(parts))
+        kernel: Kernel = sum(map(kernel_from_config, terms), CompositeKernel(()))
     elif isinstance(kind, str) and kind in _CONFIG_KINDS:
         make, defaults = _CONFIG_KINDS[kind]
         kernel = make(*(type(d)(spec.pop(key, d)) for key, d in defaults.items()))

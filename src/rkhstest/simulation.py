@@ -19,7 +19,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .estimators import FitConfig
+from .estimators import STEP_RULES, FitConfig
 from .inference import (
     HypothesisPlan,
     SectionInstrumentPlan,
@@ -86,8 +86,7 @@ def gen_covariates(
     ``truncation='clip'`` sets exceedances to the boundary; ``'resample'``
     redraws offending rows until all coordinates fall inside the box.
     """
-    if not isinstance(rng, np.random.Generator):
-        rng = np.random.default_rng(rng)
+    rng = np.random.default_rng(rng)
     corr = _correlation_matrix(k, pair_corr, corr_shape)
     chol = np.linalg.cholesky(corr + 1e-14 * np.eye(k))
     x = rng.standard_normal((n, k)) @ chol.T
@@ -141,8 +140,7 @@ def gen_response(
     """
     if snr <= 0:
         raise ValueError("signal-to-noise ratio must be positive")
-    if not isinstance(rng, np.random.Generator):
-        rng = np.random.default_rng(rng)
+    rng = np.random.default_rng(rng)
     x = np.asarray(x, dtype=float)
     mu = _mu_values(x, design, rng)
     var_mu = float(np.var(mu))
@@ -241,6 +239,19 @@ class DgpSpec:
         _check_count(self.n, "n")
 
 
+def _check_fit_settings(settings, prefix: str = "") -> None:
+    """Reject a step rule, iteration count or budget multiplier that no fit can
+    use; ``settings`` is a study's config or the CLI's simulate section."""
+    if settings.step_rule not in STEP_RULES:
+        raise ValueError(
+            f"{prefix}step_rule must be one of {STEP_RULES}, got {settings.step_rule!r}")
+    if settings.iterations < 0:
+        raise ValueError(f"{prefix}iterations must be >= 0, got {settings.iterations!r}")
+    if not 0.0 < settings.budget_multiplier < math.inf:
+        raise ValueError(f"{prefix}budget_multiplier must be finite and positive, "
+                         f"got {settings.budget_multiplier!r}")
+
+
 @dataclass(frozen=True)
 class McConfig:
     """Monte Carlo study configuration."""
@@ -265,6 +276,7 @@ class McConfig:
             raise ValueError(f"unknown hypothesis {self.null_hypothesis!r}")
         if self.solver not in ("auto", "greedy", "ridge"):
             raise ValueError("solver must be auto, greedy or ridge")
+        _check_fit_settings(self)
         k = self.dgp.n_covariates
         plan = null_kernel_for(self.null_hypothesis, k)
         reach = max(max(sel) for kern in (plan.r0, plan.r1) for _, sel in kern.terms if sel)
@@ -396,9 +408,9 @@ def _replicate_outcome(config: McConfig, rep: int) -> tuple[float, float, bool, 
 def _replicate_safe(args):
     config, rep = args
     try:
-        return rep, _replicate_outcome(config, rep), None
+        return _replicate_outcome(config, rep), None
     except Exception as exc:  # noqa: BLE001 - replicate failures are tallied
-        return rep, None, f"replicate {rep}: {type(exc).__name__}: {exc}"
+        return None, f"replicate {rep}: {type(exc).__name__}: {exc}"
 
 
 def _openblas_thread_controls() -> list[tuple[str, Callable[[], int], Callable[[int], None]]]:
@@ -426,11 +438,6 @@ def _openblas_thread_controls() -> list[tuple[str, Callable[[], int], Callable[[
                 controls.append((lib.name, get, put))
                 break
     return controls
-
-
-def _blas_thread_counts() -> dict[str, int]:
-    """Thread count of each bundled OpenBLAS, by library name."""
-    return {name: int(get()) for name, get, _ in _openblas_thread_controls()}
 
 
 @contextmanager
@@ -494,10 +501,9 @@ def run_monte_carlo(config: McConfig, n_jobs: int = 1) -> RejectionTable:
         feature_map = r0.feature_matrix(np.zeros((1, k))) is not None
         with _one_blas_thread_in_parent() if feature_map else nullcontext():
             outcomes = [_replicate_safe(job) for job in jobs]
-    outcomes.sort(key=lambda item: item[0])
-
-    messages = [err for _, _, err in outcomes if err is not None]
-    done = [outcome for _, outcome, err in outcomes if err is None]
+    # pool.map, like the loop, returns the replicates in order
+    messages = [err for _, err in outcomes if err is not None]
+    done = [outcome for outcome, err in outcomes if err is None]
     good = len(done)
     if good == 0:
         raise RuntimeError(

@@ -374,6 +374,28 @@ class TestCommands:
         for name in ("test_result.csv", "test_result.txt", "test_result.json"):
             assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes()
 
+    def test_kernel_section_test_without_a_budget(self, tmp_path):
+        # r0's constant and linear Grams are formed from their feature maps at
+        # scale 0.5; with no fit.budget the fit's budget is 10 sd(y)
+        data = tmp_path / "d.csv"
+        _write_dataset(data)
+        cfg = tmp_path / "cfg.yaml"
+        cfg.write_text(
+            f"seed: 3\ndata: {{path: {data}}}\nkernels:\n"
+            "  r0: {kind: sum, terms: [{kind: constant, scale: 0.5}, {kind: linear, scale: 0.5}]}\n"
+            "  r1: {kind: gaussian_rbf, coords: [0, 1]}\n"
+            "fit: {solver: ridge_closed_form}\n"
+            "test: {instrument_mode: kernel_sections_normalized, r: 12, null_draws: 400}\n"
+        )
+        outs = [tmp_path / "a", tmp_path / "b"]
+        for out in outs:
+            assert main(["test", "--config", str(cfg), "--out", str(out)]) == 0
+        for name in ("test_result.csv", "test_result.txt", "test_result.json"):
+            assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes()
+        record = json.loads((outs[0] / "test_result.json").read_text())
+        assert record["config"]["budget"] == 10.0 * float(np.std(ingest_csv(data).y))
+        assert record["r_count"] == 12 and record["proj_rho_rule"] == "fit-coupled"
+
     def test_simulate_schema_and_determinism(self, tmp_path):
         cfg = tmp_path / "sim.yaml"
         cfg.write_text(
@@ -545,10 +567,18 @@ class TestCommands:
             ({"proj_rho": float("nan")}, "simulate.proj_rho must be nonnegative and finite, got nan"),
             ({"threads": 0}, "threads must be at least 1, got 0"),
             ({"threads": 2.7}, "threads must be an integer, got 2.7"),
+            ({"step_rule": "golden"}, "simulate.step_rule must be one of ('line_search', "
+             "'two_over_m_plus_two', 'one_over_m'), got 'golden'"),
+            ({"iterations": -1}, "simulate.iterations must be >= 0, got -1"),
+            ({"budget_multiplier": -2.0},
+             "simulate.budget_multiplier must be finite and positive, got -2.0"),
+            ({"budget_multiplier": float("nan")},
+             "simulate.budget_multiplier must be finite and positive, got nan"),
         ],
         ids=["instrument_count", "null_draws", "replicates", "n", "k_fraction", "k_zero",
              "k_below_design", "k_below_null", "proj_rho_negative", "proj_rho_default",
-             "proj_rho_nan", "threads_zero", "threads_fraction"],
+             "proj_rho_nan", "threads_zero", "threads_fraction", "step_rule", "iterations",
+             "budget_multiplier_negative", "budget_multiplier_nan"],
     )
     def test_unusable_simulate_count_fails_before_any_replicate(
         self, tmp_path, capsys, monkeypatch, keys, message

@@ -1,5 +1,6 @@
 """Ridge solves, the norm-budget equation and the greedy loop."""
 
+import re
 import tracemalloc
 
 import numpy as np
@@ -28,6 +29,7 @@ from rkhstest.kernels import (
     CompositeKernel,
     ConstantKernel,
     GaussianRBF,
+    Kernel,
     LinearKernel,
     additive_kernel,
     gram_matrix,
@@ -143,6 +145,20 @@ class TestBudget:
         a = fit_ridge(gram, y, rho)
         assert float(a @ gram @ a) == pytest.approx(budget**2, rel=1e-6)
 
+    def test_bracket_grows_when_rounding_leaves_the_first_end_short(self):
+        # the first upper end kmax (|y|^2_C / budget^2 - 1) + 1 brackets the
+        # root in exact arithmetic; at kappa ~ 5e16 with budget^2 one ulp below
+        # the slack norm, the norm at that end rounds above budget^2, so the
+        # bracket is grown fourfold before the root is located
+        eig = GramEigen(values=np.array([4.75471976677484e16]), vectors=np.ones((1, 1)))
+        y, budget = np.array([7.6651810229102875]), 3.515280239927363e-08
+        norm0 = budget_norm_sq(eig, y, 0.0)
+        first_hi = eig.values[0] * (norm0 / budget**2 - 1.0) + 1.0
+        assert budget_norm_sq(eig, y, first_hi) > budget**2 and norm0 > budget**2
+        rho = solve_rho_for_budget(None, y, budget, eig=eig)
+        assert rho > first_hi
+        assert budget_norm_sq(eig, y, rho) == pytest.approx(budget**2, rel=1e-12)
+
     def test_budget_function_monotone(self):
         rng = np.random.default_rng(21)
         gram = random_psd(6, rng, jitter=0.1)
@@ -180,6 +196,25 @@ class TestBudget:
 
 
 class TestFitValidation:
+    @pytest.mark.parametrize(
+        "setting, message",
+        [
+            ({"norm_kind": "l2"}, "norm_kind must be 'lk' or 'hk'"),
+            ({"solver": "ridge"}, "solver must be 'greedy' or 'ridge_closed_form'"),
+            ({"step_rule": "golden"},
+             "step_rule must be one of ('line_search', 'two_over_m_plus_two', 'one_over_m')"),
+            ({"iterations": -1}, "iterations must be >= 0"),
+            ({"budget": 0.0}, "budget must be finite and positive"),
+            ({"budget": np.nan}, "budget must be finite and positive"),
+            ({"budget": np.inf}, "budget must be finite and positive"),
+        ],
+        ids=["norm_kind", "solver", "step_rule", "iterations", "budget_zero", "budget_nan",
+             "budget_inf"],
+    )
+    def test_unusable_fit_config_rejected(self, setting, message):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            FitConfig(**{"budget": 1.0, **setting})
+
     @pytest.mark.parametrize("tol", [0.0, -1.0, np.nan, np.inf])
     def test_line_search_tolerance_must_be_finite_and_positive(self, tol):
         with pytest.raises(ValueError, match=f"tolerance .* got {tol!r}"):
@@ -770,7 +805,7 @@ class TestAdditiveModel:
         assert np.array_equal(model.anchors, x)
         want = model.predict(model.anchors)
         if fit == "representer":
-            # a series kernel's Gram is symmetrised, its cross-Gram is not
+            # a series kernel's Gram is one symmetric product, its cross-Gram is not
             assert np.max(np.abs(model.fitted - want)) <= 1e-10 * np.max(np.abs(want))
         else:
             assert np.array_equal(model.fitted, want)
@@ -780,14 +815,25 @@ class TestRidgeTermFeatures:
     @pytest.mark.parametrize("path", ["features", "gram"])
     def test_each_feature_term_is_built_once(self, monkeypatch, path):
         # the fit stacks the term features for its SVD and reads the same
-        # blocks for the per-term norms
-        calls = []
+        # blocks for the per-term norms; the Gram path's term Grams are formed
+        # from features too, and those builds, inside a gram call, are the Gram's
+        calls, open_grams = [], [0]
         for cls in (ConstantKernel, LinearKernel):
             def spy(self, x, _method=cls.feature_matrix):
-                calls.append(type(self).__name__)
+                if not open_grams[0]:
+                    calls.append(type(self).__name__)
                 return _method(self, x)
 
             monkeypatch.setattr(cls, "feature_matrix", spy)
+
+        def gram_spy(self, x, z=None, _method=Kernel.gram):
+            open_grams[0] += 1
+            try:
+                return _method(self, x, z)
+            finally:
+                open_grams[0] -= 1
+
+        monkeypatch.setattr(Kernel, "gram", gram_spy)
         rng = np.random.default_rng(151)
         x = rng.uniform(-2, 2, (30, 2))
         y = x[:, 0] - 0.5 * x[:, 1] + 0.3 * rng.standard_normal(30)

@@ -243,6 +243,37 @@ class TestProjection:
                 assert np.max(np.abs(project(once) - once)) <= 1e-12
 
 
+    @settings(max_examples=30, deadline=None, derandomize=True, database=None)
+    @given(
+        route=st.sampled_from(["features", "eigenbasis", "gram_solve"]),
+        n=st.integers(10, 50),
+        r=st.integers(1, 6),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_projecting_twice_at_rho_zero_changes_nothing(self, route, n, r, seed):
+        # at rho = 0 each route is an S-weighted projection, so a second pass
+        # moves the instruments by rounding only (about 3e-15 of them, 1e-12 allowed);
+        # the eigenbasis route is the ridge fit's on a Gram-only r0 (S = s I)
+        rng = np.random.default_rng(seed)
+        x = rng.uniform(-2, 2, (n, 2))
+        raw = rng.normal(size=(n, r))
+        s_diag = rng.uniform(0.5, 2.0, n)
+        if route == "features":
+            r0 = CompositeKernel(((ConstantKernel(), None), (LinearKernel(), (1,)),
+                                  (polynomial_series(4), (0,))))
+            basis = r0.feature_matrix(x)
+            project = lambda h: project_on_features(basis, s_diag, h, 0.0)
+        elif route == "eigenbasis":
+            model = fit_constrained_ridge(GaussianRBF(1.0), x, x[:, 0], budget=1.0)
+            s_diag = np.full(n, s_diag[0])
+            project = lambda h: _project_on_null(model, s_diag, h, 0.0)[0]
+        else:
+            c0 = gram_matrix(GaussianRBF(1.0), x)
+            project = lambda h: project_instruments(c0, s_diag, h, 0.0)
+        once = project(raw)
+        assert np.max(np.abs(project(once) - once)) <= 1e-12 * np.max(np.abs(raw))
+
+
 def _sum_kernel(name):
     """C_R0 + C_R1 of a bivariate hypothesis: the kernel its sections are built on."""
     plan = null_kernel_for(name)
@@ -501,6 +532,20 @@ def _toy_plan():
 
 
 class TestRunTest:
+    def test_section_count_of_n_or_more_takes_every_row(self):
+        rng = np.random.default_rng(41)
+        x = rng.uniform(-2, 2, (30, 2))
+        y = 0.3 * x[:, 0] - 0.2 * x[:, 1] ** 2 + 0.5 * rng.standard_normal(30)
+        plan = null_kernel_for("BivLinAll", k=2)
+        cfg = FitConfig(budget=10.0, solver="ridge_closed_form")
+        run = lambda count: run_test(x, y, plan, rescaled_square_loss(), cfg, n_draws=200,
+                                     rng=3, instrument_count=count)
+        every = run(None)
+        for count in (30, 31, 100):
+            res = run(count)
+            assert res.r_count == res.config["r_count"] == 30
+            assert res.statistic == every.statistic and res.p_value == every.p_value
+
     @pytest.mark.parametrize(
         "instruments, count, shown",
         [
@@ -1007,7 +1052,9 @@ class TestFeatureSpanProjection:
 
 class TestNullSpanFromTheFit:
     """run_test projects off the span the restricted fit built, so it calls r0's
-    feature maps and square Grams exactly as the fit alone does."""
+    feature maps and square Grams exactly as the fit alone does.  Calls made
+    inside an open ``gram`` build that Gram (a finite-rank term's Gram is
+    formed from its features), so only calls outside every Gram are counted."""
 
     @pytest.mark.parametrize("case", ["features", "gram"])
     @pytest.mark.parametrize("solver", ["greedy", "ridge_closed_form"])
@@ -1018,13 +1065,18 @@ class TestNullSpanFromTheFit:
             x, y, plan, cfg = _rbf_gram_case()
         cfg = replace(cfg, solver=solver)
         n = x.shape[0]
-        calls = []
+        calls, open_grams = [], [0]
         for cls in (Kernel, CompositeKernel, ConstantKernel, LinearKernel, GaussianRBF):
             for name in ("feature_matrix", "gram"):
                 if name in vars(cls):
                     def spy(self, *args, _method=vars(cls)[name], _name=name, **kwargs):
-                        out = _method(self, *args, **kwargs)
-                        if _name == "feature_matrix" or out.shape == (n, n):
+                        outside = not open_grams[0]
+                        open_grams[0] += _name == "gram"
+                        try:
+                            out = _method(self, *args, **kwargs)
+                        finally:
+                            open_grams[0] -= _name == "gram"
+                        if outside and (_name == "feature_matrix" or out.shape == (n, n)):
                             calls.append((type(self).__name__, _name))
                         return out
 

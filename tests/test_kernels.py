@@ -2,6 +2,7 @@
 
 import math
 import re
+from dataclasses import dataclass
 
 import numpy as np
 import pytest
@@ -17,6 +18,7 @@ from rkhstest.kernels import (
     ConstantKernel,
     GaussianRBF,
     IntegratedBrownianKernel,
+    Kernel,
     LinearKernel,
     SeriesKernel,
     additive_kernel,
@@ -297,6 +299,32 @@ class TestFeatureMatrix:
         g = kernel.gram(x)
         assert f.shape[0] == 15
         assert np.max(np.abs(f @ f.T - g)) <= 1e-12 * np.max(np.abs(g))
+
+    @pytest.mark.parametrize(
+        "kernel", [ConstantKernel(0.5), LinearKernel(0.7), polynomial_series(6)],
+        ids=["constant", "linear", "series"],
+    )
+    def test_finite_rank_gram_is_the_feature_product(self, kernel):
+        # a finite-rank kernel defines only its feature map, and the base
+        # class forms every Gram from it
+        assert "gram" not in vars(type(kernel))
+        width = 1 if isinstance(kernel, SeriesKernel) else 2
+        x, z = RNG.uniform(-2, 2, (7, width)), RNG.uniform(-2, 2, (4, width))
+        f = kernel.feature_matrix
+        assert np.array_equal(kernel.gram(x, z), f(x) @ f(z).T)
+        assert np.array_equal(kernel.gram(x), f(x) @ f(x).T)
+
+    def test_feature_widths_must_agree(self):
+        with pytest.raises(ValueError, match="^dimension mismatch between point sets$"):
+            LinearKernel().gram(np.ones((3, 2)), np.ones((2, 3)))
+
+    def test_kernel_with_neither_feature_map_nor_gram(self):
+        @dataclass(frozen=True)
+        class Bare(Kernel):
+            pass
+
+        with pytest.raises(NotImplementedError, match="^Bare has no feature map and no gram$"):
+            Bare().gram(np.zeros((3, 1)))
 
     def test_composite_stacks_term_blocks(self):
         x = RNG.uniform(-2, 2, (4, 2))

@@ -19,7 +19,6 @@ from rkhstest.simulation import (
     DgpSpec,
     McConfig,
     REJECTION_CSV_HEADER,
-    _blas_thread_counts,
     _correlation_matrix,
     _one_blas_thread,
     _one_blas_thread_in_parent,
@@ -29,6 +28,11 @@ from rkhstest.simulation import (
     null_kernel_for,
     run_monte_carlo,
 )
+
+
+def _blas_thread_counts() -> dict[str, int]:
+    """Thread count of each bundled OpenBLAS, by library name."""
+    return {name: int(get()) for name, get, _ in _openblas_thread_controls()}
 
 
 def _worker_blas_state():
@@ -316,6 +320,53 @@ class TestMonteCarlo:
         message = f"null {null} needs at least {reach + 1} covariates, got {k}"
         with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             run_monte_carlo(McConfig(dgp=DgpSpec(design, 40, k), null_hypothesis=null, replicates=2))
+
+    @pytest.mark.parametrize(
+        "setting, message",
+        [
+            ({"step_rule": "golden"},
+             "step_rule must be one of ('line_search', 'two_over_m_plus_two', 'one_over_m'), "
+             "got 'golden'"),
+            ({"iterations": -1}, "iterations must be >= 0, got -1"),
+            ({"budget_multiplier": -2.0}, "budget_multiplier must be finite and positive, got -2.0"),
+            ({"budget_multiplier": float("nan")},
+             "budget_multiplier must be finite and positive, got nan"),
+        ],
+        ids=["step_rule", "iterations", "budget_multiplier_negative", "budget_multiplier_nan"],
+    )
+    def test_unusable_fit_setting_rejected_before_any_replicate(self, monkeypatch, setting, message):
+        # each of these used to generate every replicate's data, then fail its fit
+        def no_replicate(config, rep):
+            raise AssertionError("a replicate ran before the fit settings were checked")
+
+        monkeypatch.setattr(simulation, "_replicate_outcome", no_replicate)
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            run_monte_carlo(McConfig(dgp=DgpSpec("Lin3", 40), null_hypothesis="Lin3",
+                                     replicates=3, null_draws=100, **setting))
+
+    @pytest.mark.parametrize(
+        "design, null, solver, used",
+        [
+            ("Lin3", "Lin3", "auto", "greedy"),
+            ("Lin3", "Lin3", "ridge", "ridge_closed_form"),
+            ("Bivariate", "BivLinAll", "auto", "ridge_closed_form"),
+            ("Bivariate", "BivLinAll", "greedy", "greedy"),
+        ],
+    )
+    def test_solver_setting_picks_every_replicates_fit(self, monkeypatch, design, null, solver, used):
+        solvers, real = [], simulation.run_test
+
+        def spy(x, y, plan, loss, fit_config, **kwargs):
+            solvers.append(fit_config.solver)
+            return real(x, y, plan, loss, fit_config, **kwargs)
+
+        monkeypatch.setattr(simulation, "run_test", spy)
+        section = {"instrument_count": 10} if design == "Bivariate" else {}
+        mc = McConfig(dgp=DgpSpec(design, 40, 2 if design == "Bivariate" else 3),
+                      null_hypothesis=null, replicates=2, null_draws=100, iterations=20,
+                      solver=solver, **section)
+        assert run_monte_carlo(mc).errors == 0
+        assert solvers == [used, used]
 
     def test_plan_is_built_at_the_study_covariate_count(self):
         # LinAll at k=3 restricts all three covariates, so a Lin3 null fits it
