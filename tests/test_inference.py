@@ -242,7 +242,6 @@ class TestProjection:
             if rho == 0.0:
                 assert np.max(np.abs(project(once) - once)) <= 1e-12
 
-
     @settings(max_examples=30, deadline=None, derandomize=True, database=None)
     @given(
         route=st.sampled_from(["features", "eigenbasis", "gram_solve"]),
