@@ -17,7 +17,6 @@ and no n x n Gram is built: the Gram vanishes off the thin basis.
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass, field
 from typing import Callable
@@ -368,16 +367,12 @@ def line_search(objective: Callable[[float], float], tol: float = 1e-6) -> float
     """
     if not 0.0 < tol < math.inf:
         raise ValueError(f"line search tolerance must be finite and positive, got {tol!r}")
-    order, at = getattr(objective, "order", lambda p, q: None), functools.cache(objective)
-
-    def no_worse(p: float, q: float) -> bool:
-        sign = order(p, q)
-        return at(p) <= at(q) if sign is None else sign < 0
-
+    order, values = getattr(objective, "order", _uncertified), {}
     invphi = (math.sqrt(5.0) - 1.0) / 2.0
     a, b, c, d = 0.0, 1.0, 1.0 - invphi, invphi
     while (b - a) > tol:
-        if no_worse(c, d):
+        sign = order(c, d)
+        if (sign < 0) if sign is not None else _evaluated_no_worse(objective, values, c, d):
             b, d = d, c
             c = b - invphi * (b - a)
         else:
@@ -385,9 +380,23 @@ def line_search(objective: Callable[[float], float], tol: float = 1e-6) -> float
             d = a + invphi * (b - a)
     best = 0.5 * (a + b)
     for t in (0.0, 1.0):  # np.argmin's rule over (mid, 0, 1): the first minimum wins
-        if not no_worse(best, t):
+        sign = order(best, t)
+        if not ((sign < 0) if sign is not None else _evaluated_no_worse(objective, values, best, t)):
             best = t
     return best
+
+
+def _uncertified(p: float, q: float) -> None:
+    """The ``order`` of an objective that has none: no comparison is certified."""
+    return None
+
+
+def _evaluated_no_worse(objective, values: dict, p: float, q: float) -> bool:
+    """objective(p) <= objective(q), evaluating each point once over a search."""
+    for t in (p, q):
+        if t not in values:
+            values[t] = objective(t)
+    return values[p] <= values[q]
 
 
 def _unit_direction(v: np.ndarray, q: float, n: int = 1) -> tuple[np.ndarray, float]:
@@ -397,12 +406,15 @@ def _unit_direction(v: np.ndarray, q: float, n: int = 1) -> tuple[np.ndarray, fl
     a = F'grad / n (with n = 1), or grad'G grad / n^2 with v = grad.
     """
     root = math.sqrt(q)
-    return -v / (root * n), 0.5 * root
+    return v / -(root * n), 0.5 * root
 
 
 def _largest(qs) -> int:
-    """Index of the term with the largest multiplier sqrt(max(q_t, 0)) / 2."""
-    return int(np.argmax(np.sqrt(np.maximum(qs, 0.0))))
+    """Index of the term with the largest multiplier sqrt(max(q_t, 0)) / 2,
+    the first of equal ones (``np.argmax``'s rule); the roots, not the q_t,
+    are compared, since distinct q_t can have equal roots."""
+    roots = [math.sqrt(q) if q > 0.0 else 0.0 for q in qs]
+    return roots.index(max(roots))
 
 
 class _FeatureBlocks:
@@ -584,7 +596,7 @@ def greedy_fit(x, y, loss: LossSpec, kernels, config: FitConfig) -> AdditiveMode
         coords.append(picked)
         steps.append(tau)
         multipliers.append(rho)
-        objectives.append(float(np.mean(loss.value(y, fitted))))
+        objectives.append(segment(tau))
 
     coeffs, block_norms, in_sample, span = blocks.finish()
     norm_hk = float(np.sqrt((block_norms**2).sum()))

@@ -173,11 +173,14 @@ def project_on_features(
     return raw - gram_eigen(None, root * basis).smooth(raw, proj_rho, root=root)
 
 
-def _max_column_ratio(num: np.ndarray, den: np.ndarray) -> float:
-    """max_r |num_r| / |den_r| over the columns, a zero column of den giving 0."""
-    num = np.sqrt(np.einsum("ij,ij->j", num, num))
-    den = np.sqrt(np.einsum("ij,ij->j", den, den))
-    return float(np.max(num / np.where(den > 0, den, 1.0))) if num.size else 0.0
+def _column_norms(a: np.ndarray) -> np.ndarray:
+    return np.sqrt(np.einsum("ij,ij->j", a, a))
+
+
+def _max_column_ratio(num: np.ndarray, den_norms: np.ndarray) -> float:
+    """max_r |num_r| / den_norms_r over the columns, a zero norm giving 0."""
+    num = _column_norms(num)
+    return float(np.max(num / np.where(den_norms > 0, den_norms, 1.0))) if num.size else 0.0
 
 
 def orthogonality_defect(span: np.ndarray, s_diag, projected: np.ndarray) -> float:
@@ -185,7 +188,7 @@ def orthogonality_defect(span: np.ndarray, s_diag, projected: np.ndarray) -> flo
     weights the (n, p) span, not the (n, R) instruments."""
     span = np.asarray(span, dtype=float) * np.asarray(s_diag, dtype=float)[:, None]
     projected = np.atleast_2d(np.asarray(projected, dtype=float))
-    return _max_column_ratio(span.T @ projected, projected)
+    return _max_column_ratio(span.T @ projected, _column_norms(projected))
 
 
 def residual_null_score(span: np.ndarray, s_diag, e0: np.ndarray) -> float:
@@ -426,16 +429,25 @@ def _project_on_null(model, s_diag, raw, rho):
     :func:`project_instruments`; either way (C0 + rho S^{-1}) b = raw with
     h = rho S^{-1} b, so C0 S h = rho (raw - h) gives the defect in O(n R).
     At rho = 0 it reads exactly 0, where the direct product reads rounding.
+    Projected instruments whose largest column norm is at most 1e-12 of the
+    raw ones' are rounding, the instruments lying in the span: they are read
+    as exactly 0, with defect 0.
     """
     s_diag = _check_projection(s_diag, rho)
-    if model.features is not None:
-        projected = project_on_features(model.features, s_diag, raw, rho)
-        return projected, model.features, orthogonality_defect(model.features, s_diag, projected)
-    if model.eigen is not None and np.all(s_diag == s_diag[0]):
+    on_features = model.features is not None
+    span = model.features if on_features else model.gram
+    if on_features:
+        projected = project_on_features(span, s_diag, raw, rho)
+    elif model.eigen is not None and np.all(s_diag == s_diag[0]):
         projected = raw - model.eigen.smooth(raw, rho / float(s_diag[0]))  # S = s I
     else:
-        projected = project_instruments(model.gram, s_diag, raw, rho)
-    return projected, model.gram, rho * _max_column_ratio(raw - projected, projected)
+        projected = project_instruments(span, s_diag, raw, rho)
+    norms = _column_norms(projected)
+    if norms.max() <= _EIG_CUTOFF * _column_norms(raw).max():
+        return np.zeros_like(projected), span, 0.0
+    if on_features:  # orthogonality_defect, reusing the norms
+        return projected, span, _max_column_ratio((span * s_diag[:, None]).T @ projected, norms)
+    return projected, span, rho * _max_column_ratio(raw - projected, norms)
 
 
 def run_test(
@@ -465,6 +477,10 @@ def run_test(
     is that of drawing them one after the other.  A generalized residual e0
     with |e0| <= 1e-12 |L'(y, 0)|, an exact fit up to rounding, is read as
     0: the statistic is 0, both p-values 1 and the residual null score 0.
+    Likewise, projected instruments whose largest column norm is at most
+    1e-12 of the raw instruments' largest, as when a constant covariate puts
+    every instrument in span(r0), are read as 0: the statistic, its spectrum
+    and the orthogonality defect are 0 and the p-value is 1.
     """
     if proj_rho is not None:
         _check_penalty(proj_rho)

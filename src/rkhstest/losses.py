@@ -7,6 +7,7 @@ taken in the fitted value t.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable
 
@@ -69,7 +70,7 @@ class LossSpec:
         covers terms of order u².  Overflow makes B infinite: order says None.
         """
         y, start, delta = (np.asarray(a, dtype=float) for a in (y, start, delta))
-        if not (np.all(np.isfinite(start)) and np.all(np.isfinite(start + delta))):
+        if not (np.isfinite(start).all() and np.isfinite(start + delta).all()):
             raise ValueError("fitted value t must be finite")
         self._validate(y)
         value, total = self._value, np.add.reduce
@@ -83,11 +84,12 @@ class LossSpec:
         kappa, u, r, s, d = self._square_scale, 2.0**-53, y - start, start, delta
         if not r.shape == s.shape == d.shape == (n,):
             r, s, d = (np.ravel(a) for a in np.broadcast_arrays(r, s, d))
-        m = np.abs(r) + np.abs(d)
-        w = m + np.abs(s) + 2.0 * np.abs(d)
+        abs_d = np.abs(d)
+        m = np.abs(r) + abs_d
+        w = m + np.abs(s) + 2.0 * abs_d
         k0, k1, k2 = (kappa * float(a @ b) / n for a, b in ((r, r), (r, d), (d, d)))
         e = 2.0 * kappa * float(w @ (m + u * w)) / n
-        per_level, per_gap = 2.0 * (float(np.log2(n)) + 20.0) * u, 2.0 * (n + 6) * u * e
+        per_level, per_gap = 2.0 * (math.log2(n) + 20.0) * u, 2.0 * (n + 6) * u * e
         floor, k1 = 4.0 * u * e + 2.0**-1060, -2.0 * k1
 
         def order(p: float, q: float) -> int | None:

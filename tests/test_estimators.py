@@ -325,9 +325,11 @@ class TestLineSearch:
 
     def test_certified_comparisons_leave_few_evaluations(self, monkeypatch):
         # criterion 5's instance; evaluating every point costs 34 a search, so
-        # a certificate that stops deciding comparisons shows here
-        segment_mean = LossSpec.segment_mean
-        searches, evaluations = [], []
+        # a certificate that stops deciding comparisons shows here.  Each
+        # iteration records its objective through the segment, one evaluation
+        # more, and never through LossSpec.value
+        segment_mean, value = LossSpec.segment_mean, LossSpec.value
+        searches, evaluations, value_calls = [], [], []
 
         def counted(self, y, start, delta):
             objective = segment_mean(self, y, start, delta)
@@ -341,6 +343,7 @@ class TestLineSearch:
             return direct
 
         monkeypatch.setattr(LossSpec, "segment_mean", counted)
+        monkeypatch.setattr(LossSpec, "value", lambda *a: value_calls.append(1) or value(*a))
         rng = np.random.default_rng(515)
         x = rng.uniform(-2, 2, (200, 3))
         y = 0.6 * x[:, 0] - 0.4 * x[:, 1] ** 2 + 0.3 * np.sin(2 * x[:, 2])
@@ -350,6 +353,7 @@ class TestLineSearch:
         greedy_fit(x, y, square_loss(), terms, cfg)
         assert len(searches) == 500
         assert len(evaluations) <= 4 * len(searches)
+        assert len(value_calls) == 0
 
 
 class TestDirections:
@@ -427,6 +431,20 @@ class TestDirections:
         else:
             beta, rho = greedy_direction_series(rng.normal(size=12), feats)
         assert calls == [True] and rho > 0.0
+
+    @settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @given(
+        qs=st.lists(
+            st.floats(allow_nan=False, allow_infinity=False)
+            | st.sampled_from([-1.0, -0.0, 0.0, 1.0, 1.0000000000000002, 4.0, 4.000000000000001]),
+            min_size=1,
+            max_size=12,
+        )
+    )
+    @example(qs=[1.0, 1.0000000000000002])  # equal roots: the first wins
+    @example(qs=[-0.0, 0.0, -1.0])
+    def test_term_pick_is_the_first_largest_root(self, qs):
+        assert estimators._largest(qs) == int(np.argmax(np.sqrt(np.maximum(qs, 0.0))))
 
 
 class TestGreedyFit:

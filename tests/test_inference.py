@@ -1254,6 +1254,34 @@ class TestExactFit:
         assert res.statistic > 0.0 and res.residual_null_score > 0.0
 
 
+class TestVanishingProjection:
+    """Instruments that lie in span(r0) project to rounding, read as 0."""
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_constant_covariate_reads_as_zero(self, seed):
+        # a constant x makes every section a multiple of r0's constant term;
+        # these seeds once gave statistics of 1e-33 to 1e-30 and p-values
+        # of 0.26 to 0.97
+        y = np.random.default_rng(seed).standard_normal(40)
+        plan = null_kernel_for("Lin1NonLin", k=2)
+        cfg = FitConfig(budget=10.0, solver="ridge_closed_form")
+        res = run_test(
+            np.ones((40, 2)), y, plan, rescaled_square_loss(), cfg,
+            instrument_count=10, n_draws=500, rng=0,
+        )
+        assert res.statistic == 0.0 and res.p_value == 1.0
+        assert not np.any(res.spectrum) and res.orthogonality == 0.0
+
+    def test_projection_above_the_threshold_is_kept(self):
+        x = np.ones((40, 2))
+        x[0, 1] = 1.0 + 1e-3
+        y = np.random.default_rng(0).standard_normal(40)
+        plan = null_kernel_for("Lin1NonLin", k=2)
+        cfg = FitConfig(budget=10.0, solver="ridge_closed_form")
+        res = run_test(x, y, plan, rescaled_square_loss(), cfg, instrument_count=10, n_draws=500, rng=0)
+        assert res.statistic > 0.0 and np.any(res.spectrum)
+
+
 def _permutation_case(kind, n, seed):
     rng = np.random.default_rng(seed)
     x = rng.uniform(-2, 2, (n, 2))
