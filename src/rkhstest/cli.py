@@ -227,6 +227,12 @@ def _validate(config: RunConfig) -> None:
         _check_penalty(config.test.proj_rho, "test.proj_rho")
     _expand_feature_ranges(config.test.features)
     _check_count(config.threads, "threads")
+    _check_fit_settings(config.fit, "fit.")
+    for key, allowed in (("norm", ("lk", "hk")), ("solver", ("greedy", "ridge_closed_form"))):
+        if (value := getattr(config.fit, key)) not in allowed:
+            raise ConfigError(f"fit.{key} must be one of {allowed}, got {value!r}")
+    if not ((budget := config.fit.budget) is None or (type(budget) in (int, float) and 0 < budget < np.inf)):
+        raise ConfigError(f"fit.budget must be null or finite and positive, got {budget!r}")
 
 
 def resolved_config_yaml(config: RunConfig) -> str:

@@ -22,7 +22,6 @@ from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
-from scipy.optimize import brentq
 
 from .kernels import CompositeKernel, Kernel, _as_sample, _check_finite, _select, gram_matrix
 from .losses import LossSpec
@@ -160,31 +159,28 @@ def solve_rho_for_budget(
     """Penalty rho at which the fitted RKHS norm equals the budget.
 
     Returns 0 when the unconstrained (minimum-norm) fit already satisfies
-    a' C a <= budget^2; otherwise the unique positive root of the monotone
-    budget equation, located by bracketing plus Brent's method.  ``gram`` is
-    read only when ``eig`` is None.
+    a' C a <= budget^2.  Otherwise Newton's method on 1/sqrt(phi) = 1/budget,
+    phi(rho) = sum w / (kappa + rho)^2 over the eigenvalues above the rank
+    cutoff with w = (U'y)^2 kappa, rises from rho = 0 to the root without
+    overshooting, since 1/sqrt(phi) is concave and increasing (Moré &
+    Sorensen 1983).  ``gram`` is read only when ``eig`` is None.
     """
-    if budget <= 0:
+    if not budget > 0:
         raise ValueError("budget must be positive")
     if eig is None:
         eig = gram_eigen(np.asarray(gram, dtype=float))
-    target = budget**2
-    norm0 = budget_norm_sq(eig, y, 0.0)
-    if norm0 <= target:
-        return 0.0
-    kmax = float(np.max(eig.values))
-    hi = max(kmax * (norm0 / target - 1.0) + 1.0, 1.0)
-    while budget_norm_sq(eig, y, hi) > target:
-        hi *= 4.0
-    return float(
-        brentq(
-            lambda r: budget_norm_sq(eig, y, r) - target,
-            0.0,
-            hi,
-            xtol=1e-30,
-            rtol=1e-14,
-        )
-    )
+    live = eig.values > eig.cutoff
+    kappa, c = eig.values[live], (eig.vectors.T @ np.asarray(y, dtype=float))[live]
+    w, rho = c**2 * kappa, 0.0
+    for _ in range(100):
+        phi = float(np.sum(w / (kappa + rho) ** 2))
+        if phi <= budget**2:
+            return rho
+        step = phi * (math.sqrt(phi) / budget - 1.0) / float(np.sum(w / (kappa + rho) ** 3))
+        if rho + step <= rho:  # rounding has taken over from the rise
+            return rho
+        rho += step
+    raise RuntimeError("the budget root did not converge in 100 Newton steps")
 
 
 def _finite_sample(x, y) -> tuple[np.ndarray, np.ndarray]:

@@ -12,7 +12,6 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
-from scipy.special import expit
 
 __all__ = [
     "LossSpec",
@@ -166,15 +165,19 @@ def _check_logistic_y(y):
 def logistic_loss() -> LossSpec:
     """Binary classification loss L = ln(1 + e^{-y t}), y in {-1, +1}."""
 
+    @np.errstate(over="ignore")  # e^{-u} overflows to inf for u < -709, and the sigmoid to 0
+    def sigmoid(u):
+        return 1.0 / (1.0 + np.exp(-u))
+
     def d1(y, t):
-        return -y * expit(-y * t)
+        return -y * sigmoid(-y * t)
 
     def d2(y, t):
-        s = expit(-y * t)
+        s = sigmoid(-y * t)
         return s * (1.0 - s) * np.ones(np.broadcast(y, t).shape)
 
     def d3(y, t):
-        s = expit(-y * t)
+        s = sigmoid(-y * t)
         return -y * s * (1.0 - s) * (1.0 - 2.0 * s)
 
     return LossSpec(

@@ -416,8 +416,8 @@ def _replicate_safe(args):
 def _openblas_thread_controls() -> list[tuple[str, Callable[[], int], Callable[[int], None]]]:
     """(library name, get, set) thread-count functions of numpy's bundled OpenBLAS.
 
-    rkhstest computes only with numpy's BLAS (``np.linalg`` and matmul); the
-    OpenBLAS that scipy bundles is never called by a pool worker.  Opening
+    rkhstest imports no scipy and computes only with numpy's BLAS
+    (``np.linalg`` and matmul), so it maps no OpenBLAS but numpy's.  Opening
     an already loaded library by its path returns that library, so the
     functions act on the copy the process holds.  Empty when numpy bundles
     none (a system or vendor BLAS).

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 import yaml
 
-from rkhstest import inference, simulation
+from rkhstest import cli, inference, simulation
 from rkhstest.cli import (
     ConfigError,
     Dataset,
@@ -594,6 +594,41 @@ class TestCommands:
         cfg.write_text(yaml.safe_dump({"seed": 12, "simulate": simulate, **top}))
         out = tmp_path / "o"
         assert main(["simulate", "--config", str(cfg), "--out", str(out)]) == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "keys, message",
+        [
+            ({"norm": "l2"}, "fit.norm must be one of ('lk', 'hk'), got 'l2'"),
+            ({"solver": "ridge"},
+             "fit.solver must be one of ('greedy', 'ridge_closed_form'), got 'ridge'"),
+            ({"budget": 0}, "fit.budget must be null or finite and positive, got 0"),
+            ({"budget": float("inf")}, "fit.budget must be null or finite and positive, got inf"),
+            ({"budget": "1e-3"}, "fit.budget must be null or finite and positive, got '1e-3'"),
+            ({"budget_multiplier": -1.0},
+             "fit.budget_multiplier must be finite and positive, got -1.0"),
+            ({"step_rule": "golden"}, "fit.step_rule must be one of ('line_search', "
+             "'two_over_m_plus_two', 'one_over_m'), got 'golden'"),
+            ({"iterations": -1}, "fit.iterations must be >= 0, got -1"),
+        ],
+        ids=["norm", "solver", "budget_zero", "budget_inf", "budget_string",
+             "budget_multiplier", "step_rule", "iterations"],
+    )
+    def test_unusable_fit_setting_fails_before_the_data_is_read(
+        self, tmp_path, capsys, monkeypatch, keys, message
+    ):
+        def no_ingest(*args, **kwargs):
+            raise AssertionError("the data was read before the config check")
+
+        monkeypatch.setattr(cli, "ingest_csv", no_ingest)
+        data = tmp_path / "d.csv"
+        data.write_text("y,x\n1.0,2.0\n2.0,1.0\n")
+        cfg = tmp_path / "fit.yaml"
+        cfg.write_text(yaml.safe_dump({"seed": 1, "data": {"path": str(data)},
+                                       "kernels": {"r0": {"kind": "linear"}}, "fit": keys}))
+        out = tmp_path / "o"
+        assert main(["fit", "--config", str(cfg), "--out", str(out)]) == 1
         assert capsys.readouterr().err == f"error: {message}\n"
         assert not out.exists()
 

@@ -120,44 +120,60 @@ class TestBudget:
         y = np.random.default_rng(4).normal(size=5)
         assert solve_rho_for_budget(gram, y, 1e6) == 0.0
 
-    def test_three_by_three_bisection_oracle(self):
-        rng = np.random.default_rng(11)
-        gram = random_psd(3, rng, jitter=0.2)
+    @settings(max_examples=60, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        rank=st.sampled_from([3, 2, 1]),
+        scale=st.sampled_from([1e-8, 1.0, 1e8]),
+        spread=st.sampled_from([1.0, 1e-4, 1e-8]),
+        fraction=st.sampled_from([1e-6, 1e-3, 0.5, 0.999]),
+    )
+    @example(seed=11, rank=3, scale=1.0, spread=1.0, fraction=0.5)
+    @example(seed=11, rank=3, scale=1e8, spread=1e-8, fraction=0.999)
+    def test_three_by_three_bisection_oracle(self, seed, rank, scale, spread, fraction):
+        # three rows of full (rank 3, solved from the Gram) or thin features
+        # with eigenvalues scale * spread^u, u in [0, 1], and budgets from 1e-6
+        # of the slack norm to just below it
+        rng = np.random.default_rng(seed)
+        basis = np.linalg.qr(rng.normal(size=(3, 3)))[0][:, :rank]
+        feats = basis * np.sqrt(scale * spread ** rng.uniform(0.0, 1.0, rank))
         y = rng.normal(size=3) * 3.0
-        budget = 0.6
-        rho = solve_rho_for_budget(gram, y, budget)
-
-        def norm_sq(r):
-            a = np.linalg.solve(gram + r * np.eye(3), y)
-            return float(a @ gram @ a)
+        gram = feats @ feats.T if rank == 3 else None
+        eig = gram_eigen(gram, None if rank == 3 else feats)
+        budget = fraction * np.sqrt(budget_norm_sq(eig, y, 0.0))
+        rho = solve_rho_for_budget(gram, y, budget, eig=None if rank == 3 else eig)
 
         lo, hi = 0.0, 1.0
-        while norm_sq(hi) > budget**2:
+        while budget_norm_sq(eig, y, hi) > budget**2:
             hi *= 2.0
         for _ in range(200):
             mid = 0.5 * (lo + hi)
-            if norm_sq(mid) > budget**2:
+            if budget_norm_sq(eig, y, mid) > budget**2:
                 lo = mid
             else:
                 hi = mid
-        oracle = 0.5 * (lo + hi)
-        assert rho == pytest.approx(oracle, rel=1e-10)
-        a = fit_ridge(gram, y, rho)
-        assert float(a @ gram @ a) == pytest.approx(budget**2, rel=1e-6)
+        assert rho == pytest.approx(0.5 * (lo + hi), rel=1e-10)
+        # a' C a = |(F'F + rho I)^{-1} F'y|^2 for C = F F', from the features alone
+        coef = np.linalg.solve(feats.T @ feats + rho * np.eye(rank), feats.T @ y)
+        assert float(coef @ coef) == pytest.approx(budget**2, rel=1e-6)
+        if rank == 1:  # kappa c^2 / (kappa + rho)^2 = budget^2 in closed form
+            kappa, c = eig.values[0], float(eig.vectors[:, 0] @ y)
+            assert rho == pytest.approx(abs(c) * np.sqrt(kappa) / budget - kappa, rel=1e-10)
 
-    def test_bracket_grows_when_rounding_leaves_the_first_end_short(self):
-        # the first upper end kmax (|y|^2_C / budget^2 - 1) + 1 brackets the
-        # root in exact arithmetic; at kappa ~ 5e16 with budget^2 one ulp below
-        # the slack norm, the norm at that end rounds above budget^2, so the
-        # bracket is grown fourfold before the root is located
+    def test_root_at_a_huge_eigenvalue_with_the_budget_one_ulp_inside(self):
+        # at kappa ~ 5e16 with budget^2 one ulp below the slack norm, kappa + rho
+        # rounds to a multiple of 8, so rho is set only to within a few units;
+        # the root still meets the equation
         eig = GramEigen(values=np.array([4.75471976677484e16]), vectors=np.ones((1, 1)))
         y, budget = np.array([7.6651810229102875]), 3.515280239927363e-08
-        norm0 = budget_norm_sq(eig, y, 0.0)
-        first_hi = eig.values[0] * (norm0 / budget**2 - 1.0) + 1.0
-        assert budget_norm_sq(eig, y, first_hi) > budget**2 and norm0 > budget**2
+        assert budget_norm_sq(eig, y, 0.0) > budget**2
         rho = solve_rho_for_budget(None, y, budget, eig=eig)
-        assert rho > first_hi
         assert budget_norm_sq(eig, y, rho) == pytest.approx(budget**2, rel=1e-12)
+
+    @pytest.mark.parametrize("budget", [0.0, -1.0, float("nan")])
+    def test_unusable_budget_is_rejected(self, budget):
+        with pytest.raises(ValueError, match="budget must be positive"):
+            solve_rho_for_budget(np.eye(2), np.ones(2), budget)
 
     def test_budget_function_monotone(self):
         rng = np.random.default_rng(21)

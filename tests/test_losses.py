@@ -1,9 +1,12 @@
 """Loss values, analytic derivatives and convexity."""
 
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.special import expit
 
 from rkhstest.estimators import line_search
 from rkhstest.losses import (
@@ -56,6 +59,22 @@ class TestDerivatives:
         fd = (loss.deriv(1, 1.0, t + h) - loss.deriv(1, 1.0, t - h)) / (2 * h)
         assert loss.deriv(2, 1.0, t) == pytest.approx(np.exp(0.3), rel=1e-9)
         assert loss.deriv(2, 1.0, t) == pytest.approx(fd, rel=1e-6)
+
+    def test_logistic_sigmoid_matches_scipy_expit(self):
+        # the first derivative at y = 1, t = -u is -sigmoid(u); expit computes
+        # the same 1 / (1 + e^{-u}), but numpy's exp may differ from libm's by
+        # one ulp, which rounding 1 + e^{-u} (near e^{-u} ~ 1e16) and the
+        # division widen to at most four ulps of the sigmoid
+        u = np.linspace(-745.0, 745.0, 200_001)
+        sigmoid = -logistic_loss().deriv(1, 1.0, -u)
+        assert np.all(np.abs(sigmoid - expit(u)) <= 4 * np.spacing(expit(u)))
+
+    def test_logistic_sigmoid_saturates_without_a_warning(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            sigmoid = -logistic_loss().deriv(1, 1.0, np.array([1000.0, -1000.0]))
+            assert np.array_equal(sigmoid, [0.0, 1.0])
+            assert np.array_equal(logistic_loss().deriv(2, 1.0, np.array([1000.0, -1000.0])), [0.0, 0.0])
 
     @pytest.mark.parametrize("name", sorted(SMOOTH))
     @pytest.mark.parametrize("order", [1, 2, 3])
