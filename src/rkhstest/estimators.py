@@ -202,7 +202,8 @@ class GreedyTrace:
     """Per-iteration diagnostics of the greedy loop: the term each step moved
     (-1 when an hk step moves them all), the step size, the direction's
     multiplier and the objective after the step.  The constraint norms are
-    the final iterate's, on the model."""
+    the final iterate's, on the model.  After a line-search step of exactly
+    0 (a fixed point, see ``greedy_fit``) every entry repeats that step's."""
 
     coords: np.ndarray
     steps: np.ndarray
@@ -563,6 +564,11 @@ def greedy_fit(x, y, loss: LossSpec, kernels, config: FitConfig) -> AdditiveMode
     terms defining the additive components.  When every term has a feature
     matrix (n, V_t) the O(nV) feature path is used, otherwise the O(n^2)
     Gram path.
+
+    A line-search step of exactly 0 leaves the iterate bit-identical, and the
+    step depends on the iterate alone, so that step is a fixed point: the loop
+    stops there and repeats its trace entries up to ``config.iterations``.
+    The fixed schedules' steps depend on m, so they run every iteration.
     """
     x, y = _finite_sample(x, y)
     terms = _term_list(kernels)
@@ -593,6 +599,11 @@ def greedy_fit(x, y, loss: LossSpec, kernels, config: FitConfig) -> AdditiveMode
         steps.append(tau)
         multipliers.append(rho)
         objectives.append(segment(tau))
+        if tau == 0.0 and config.step_rule == "line_search":
+            # fixed point: ``fitted`` is unchanged, so every later iteration repeats this one
+            for record in (coords, steps, multipliers, objectives, gaps):
+                record.extend(record[-1:] * (config.iterations - m))
+            break
 
     coeffs, block_norms, in_sample, span = blocks.finish()
     norm_hk = float(np.sqrt((block_norms**2).sum()))

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import ctypes
 import math
+import numbers
 from collections.abc import Callable
 from concurrent.futures import ProcessPoolExecutor
 from contextlib import contextmanager, nullcontext
@@ -245,11 +246,16 @@ def _check_fit_settings(settings, prefix: str = "") -> None:
     if settings.step_rule not in STEP_RULES:
         raise ValueError(
             f"{prefix}step_rule must be one of {STEP_RULES}, got {settings.step_rule!r}")
-    if settings.iterations < 0:
-        raise ValueError(f"{prefix}iterations must be >= 0, got {settings.iterations!r}")
-    if not 0.0 < settings.budget_multiplier < math.inf:
+    iterations, multiplier = settings.iterations, settings.budget_multiplier
+    if isinstance(iterations, bool) or not isinstance(iterations, (int, np.integer)):
+        raise ValueError(f"{prefix}iterations must be an integer, got {iterations!r}")
+    if iterations < 0:
+        raise ValueError(f"{prefix}iterations must be >= 0, got {iterations!r}")
+    if isinstance(multiplier, bool) or not isinstance(multiplier, numbers.Real):
+        raise ValueError(f"{prefix}budget_multiplier must be a real number, got {multiplier!r}")
+    if not 0.0 < multiplier < math.inf:
         raise ValueError(f"{prefix}budget_multiplier must be finite and positive, "
-                         f"got {settings.budget_multiplier!r}")
+                         f"got {multiplier!r}")
 
 
 @dataclass(frozen=True)

@@ -570,15 +570,22 @@ class TestCommands:
             ({"step_rule": "golden"}, "simulate.step_rule must be one of ('line_search', "
              "'two_over_m_plus_two', 'one_over_m'), got 'golden'"),
             ({"iterations": -1}, "simulate.iterations must be >= 0, got -1"),
+            ({"iterations": 10.5}, "simulate.iterations must be an integer, got 10.5"),
+            ({"iterations": True}, "simulate.iterations must be an integer, got True"),
             ({"budget_multiplier": -2.0},
              "simulate.budget_multiplier must be finite and positive, got -2.0"),
             ({"budget_multiplier": float("nan")},
              "simulate.budget_multiplier must be finite and positive, got nan"),
+            ({"budget_multiplier": "1e-3"},
+             "simulate.budget_multiplier must be a real number, got '1e-3'"),
+            ({"budget_multiplier": True},
+             "simulate.budget_multiplier must be a real number, got True"),
         ],
         ids=["instrument_count", "null_draws", "replicates", "n", "k_fraction", "k_zero",
              "k_below_design", "k_below_null", "proj_rho_negative", "proj_rho_default",
              "proj_rho_nan", "threads_zero", "threads_fraction", "step_rule", "iterations",
-             "budget_multiplier_negative", "budget_multiplier_nan"],
+             "iterations_fraction", "iterations_bool", "budget_multiplier_negative",
+             "budget_multiplier_nan", "budget_multiplier_string", "budget_multiplier_bool"],
     )
     def test_unusable_simulate_count_fails_before_any_replicate(
         self, tmp_path, capsys, monkeypatch, keys, message
@@ -611,9 +618,14 @@ class TestCommands:
             ({"step_rule": "golden"}, "fit.step_rule must be one of ('line_search', "
              "'two_over_m_plus_two', 'one_over_m'), got 'golden'"),
             ({"iterations": -1}, "fit.iterations must be >= 0, got -1"),
+            ({"iterations": 10.5}, "fit.iterations must be an integer, got 10.5"),
+            ({"iterations": True}, "fit.iterations must be an integer, got True"),
+            ({"budget_multiplier": "1e-3"},
+             "fit.budget_multiplier must be a real number, got '1e-3'"),
         ],
         ids=["norm", "solver", "budget_zero", "budget_inf", "budget_string",
-             "budget_multiplier", "step_rule", "iterations"],
+             "budget_multiplier", "step_rule", "iterations", "iterations_fraction",
+             "iterations_bool", "budget_multiplier_string"],
     )
     def test_unusable_fit_setting_fails_before_the_data_is_read(
         self, tmp_path, capsys, monkeypatch, keys, message

@@ -2,6 +2,7 @@
 
 import re
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -663,6 +664,95 @@ class TestGreedyFit:
         # every iterate lies in the hk ball, so none beats the ridge optimum
         # there by more than rounding
         assert np.all(trace.objectives >= optimum - 1e-12 * float(np.mean(y**2)))
+
+
+def _stalling_fit(case, **changes):
+    """(x, y, loss, terms, config) of a slack-budget fit whose line search
+    returns a step of exactly 0 well before 500 iterations."""
+    if case == "series":
+        # a replicate of the Lin3 size study at n=100, budget 10 sd(y)
+        rng = np.random.default_rng([7, 0])
+        x = gen_covariates(100, 10, 0.0, "geometric", rng)
+        y, _, _ = gen_response(x, "Lin3", 1.0, rng)
+        loss, terms, budget = rescaled_square_loss(), null_kernel_for("Lin3").r0, 10.0 * np.std(y)
+    elif case == "gram":
+        # covariates on three levels, so the RBF Grams have rank 3
+        rng = np.random.default_rng(0)
+        x = rng.integers(0, 3, (40, 2)).astype(float)
+        y = np.sin(1.5 * x[:, 0]) + 0.3 * rng.standard_normal(40)
+        loss, terms, budget = rescaled_square_loss(), _rbf_terms(2), 50.0
+    else:
+        rng = np.random.default_rng(0)
+        x = rng.uniform(-2, 2, (40, 2))
+        y = rng.poisson(np.exp(0.5 * x[:, 0])).astype(float)
+        loss, terms, budget = poisson_loss(), [(polynomial_series(3), (c,)) for c in range(2)], 20.0
+    return x, y, loss, terms, FitConfig(**{"budget": float(budget), "iterations": 500, **changes})
+
+
+def _first_zero_step(model) -> int:
+    """The 1-based index of the first step of exactly 0; the fits here have one."""
+    return int(np.flatnonzero(model.trace.steps == 0.0)[0]) + 1
+
+
+def _model_bytes(model):
+    trace = model.trace
+    records = (trace.coords, trace.steps, trace.multipliers, trace.objectives, trace.gaps)
+    return (model.fitted.tobytes(), [c.tobytes() for c in model.coeffs], model.norm_hk,
+            model.norm_lk, model.ridge_rho, model.budget_binding, [r.tobytes() for r in records])
+
+
+def _counting_segments(monkeypatch) -> list:
+    """A list that gains one entry each time ``LossSpec.segment_mean`` builds a segment."""
+    built, segment_mean = [], LossSpec.segment_mean
+    monkeypatch.setattr(
+        LossSpec, "segment_mean", lambda *a: built.append(1) or segment_mean(*a)
+    )
+    return built
+
+
+class TestLineSearchFixedPoint:
+    """A line-search step of exactly 0 leaves the iterate as it is, so the loop
+    stops there; the model and the padded trace are the full loop's."""
+
+    @pytest.mark.parametrize("case", ["series", "gram", "poisson"])
+    def test_stopping_at_the_first_zero_step_changes_no_bit(self, monkeypatch, case):
+        x, y, loss, terms, cfg = _stalling_fit(case)
+        model = greedy_fit(x, y, loss, terms, cfg)
+        first = _first_zero_step(model)
+        assert first < cfg.iterations
+        assert model.representation == ("representer_greedy" if case == "gram" else "series")
+        trace = model.trace
+        for record in (trace.coords, trace.steps, trace.multipliers, trace.objectives, trace.gaps):
+            assert len(record) == cfg.iterations
+            tail = np.repeat(record[first - 1], cfg.iterations - first + 1)
+            assert record[first - 1:].tobytes() == tail.tobytes()
+        # every model field; the shorter run's trace is shorter
+        short = greedy_fit(x, y, loss, terms, replace(cfg, iterations=first))
+        assert _model_bytes(short)[:6] == _model_bytes(model)[:6]
+        # the loop without the stop: line-search steps under a rule name the
+        # stop does not apply to, so each of the 500 iterations is computed
+        built = _counting_segments(monkeypatch)
+        monkeypatch.setattr(estimators, "_step_size", lambda rule, m, segment: line_search(segment))
+        full = greedy_fit(x, y, loss, terms, replace(cfg, step_rule="one_over_m"))
+        assert len(built) == cfg.iterations
+        assert _model_bytes(full) == _model_bytes(model)
+
+    @pytest.mark.parametrize("case", ["series", "gram", "poisson"])
+    def test_a_stalled_fit_builds_one_segment_per_computed_iteration(self, monkeypatch, case):
+        x, y, loss, terms, cfg = _stalling_fit(case)
+        built = _counting_segments(monkeypatch)
+        first = _first_zero_step(greedy_fit(x, y, loss, terms, cfg))
+        assert first < cfg.iterations and len(built) == first
+
+    @pytest.mark.parametrize("rule", ["one_over_m", "two_over_m_plus_two"])
+    def test_fixed_schedules_compute_every_iteration(self, monkeypatch, rule):
+        x, y, loss, terms, cfg = _stalling_fit("series", step_rule=rule)
+        built = _counting_segments(monkeypatch)
+        model = greedy_fit(x, y, loss, terms, cfg)
+        m = np.arange(1.0, cfg.iterations + 1.0)
+        assert len(built) == cfg.iterations
+        schedule = 1.0 / m if rule == "one_over_m" else 2.0 / (m + 2.0)
+        assert np.array_equal(model.trace.steps, schedule)
 
 
 def _rbf_terms(count):

@@ -328,11 +328,17 @@ class TestMonteCarlo:
              "step_rule must be one of ('line_search', 'two_over_m_plus_two', 'one_over_m'), "
              "got 'golden'"),
             ({"iterations": -1}, "iterations must be >= 0, got -1"),
+            ({"iterations": 10.5}, "iterations must be an integer, got 10.5"),
+            ({"iterations": True}, "iterations must be an integer, got True"),
             ({"budget_multiplier": -2.0}, "budget_multiplier must be finite and positive, got -2.0"),
             ({"budget_multiplier": float("nan")},
              "budget_multiplier must be finite and positive, got nan"),
+            ({"budget_multiplier": "1e-3"}, "budget_multiplier must be a real number, got '1e-3'"),
+            ({"budget_multiplier": True}, "budget_multiplier must be a real number, got True"),
         ],
-        ids=["step_rule", "iterations", "budget_multiplier_negative", "budget_multiplier_nan"],
+        ids=["step_rule", "iterations", "iterations_fraction", "iterations_bool",
+             "budget_multiplier_negative", "budget_multiplier_nan", "budget_multiplier_string",
+             "budget_multiplier_bool"],
     )
     def test_unusable_fit_setting_rejected_before_any_replicate(self, monkeypatch, setting, message):
         # each of these used to generate every replicate's data, then fail its fit
