@@ -25,21 +25,11 @@ from .inference import (
     SectionInstrumentPlan,
     SeriesInstrumentPlan,
     TestResult,
-    _check_count,
-    _check_penalty,
     run_test,
 )
-from .kernels import kernel_from_config
+from .kernels import _check_count, _check_real, kernel_from_config
 from .losses import LOSS_NAMES, loss_by_name
-from .simulation import (
-    DESIGNS,
-    HYPOTHESES,
-    DgpSpec,
-    McConfig,
-    RejectionTable,
-    _check_fit_settings,
-    run_monte_carlo,
-)
+from .simulation import DgpSpec, McConfig, RejectionTable, _check_fit_settings, run_monte_carlo
 
 __all__ = [
     "RunConfig",
@@ -133,7 +123,10 @@ def parse_config(text: str | None = None, *, overrides: dict | None = None, comm
     """Build a validated RunConfig from YAML text plus flag overrides.
 
     Unknown keys anywhere in the document are fatal, naming the offending
-    key, so typos cannot silently fall back to defaults.
+    key, so typos cannot silently fall back to defaults.  A ``simulate``
+    run's study is built here, so every setting it rejects (its design,
+    null, data-generating settings and sizes included) fails before any
+    replicate runs.
     """
     raw: dict = {}
     if text is not None:
@@ -189,17 +182,14 @@ def _validate(config: RunConfig) -> None:
         if config.seed is None:
             raise ConfigError("simulate mode requires an explicit seed")
         sim = config.simulate
-        if sim.design not in DESIGNS:
-            raise ConfigError(f"unknown design {sim.design!r}")
-        if sim.null not in HYPOTHESES:
-            raise ConfigError(f"unknown null hypothesis {sim.null!r}")
         for key in ("n", "k", "replicates", "null_draws"):
             _check_count(getattr(sim, key), f"simulate.{key}")
         if sim.instrument_count is not None:
             _check_count(sim.instrument_count, "simulate.instrument_count")
         if sim.proj_rho is not None:
-            _check_penalty(sim.proj_rho, "simulate.proj_rho")
+            _check_real(sim.proj_rho, "simulate.proj_rho")
         _check_fit_settings(sim, "simulate.")
+        _study(config)
     if config.command in ("fit", "test"):
         if config.data.path is None:
             raise ConfigError(f"{config.command} mode requires data.path")
@@ -224,7 +214,7 @@ def _validate(config: RunConfig) -> None:
         _check_count(config.test.r, "test.r")
     _check_count(config.test.null_draws, "test.null_draws")
     if config.test.proj_rho is not None:
-        _check_penalty(config.test.proj_rho, "test.proj_rho")
+        _check_real(config.test.proj_rho, "test.proj_rho")
     _expand_feature_ranges(config.test.features)
     _check_count(config.threads, "threads")
     _check_fit_settings(config.fit, "fit.")
@@ -455,10 +445,11 @@ def _run_test(config: RunConfig) -> list[Path]:
     return emit_results(result, config.out, config)
 
 
-def _run_simulate(config: RunConfig) -> list[Path]:
+def _study(config: RunConfig) -> McConfig:
+    """The Monte Carlo study of a simulate config."""
     sim = config.simulate
     k = 2 if sim.design == "Bivariate" else sim.k
-    mc = McConfig(
+    return McConfig(
         dgp=DgpSpec(
             design=sim.design,
             n=sim.n,
@@ -470,7 +461,7 @@ def _run_simulate(config: RunConfig) -> list[Path]:
         ),
         null_hypothesis=sim.null,
         replicates=sim.replicates,
-        sizes=tuple(float(s) for s in sim.sizes),
+        sizes=sim.sizes,
         master_seed=config.seed,
         proj_rho=sim.proj_rho,
         null_draws=sim.null_draws,
@@ -479,7 +470,10 @@ def _run_simulate(config: RunConfig) -> list[Path]:
         step_rule=sim.step_rule,
         budget_multiplier=sim.budget_multiplier,
     )
-    table = run_monte_carlo(mc, n_jobs=config.threads)
+
+
+def _run_simulate(config: RunConfig) -> list[Path]:
+    table = run_monte_carlo(_study(config), n_jobs=config.threads)
     return emit_results(table, config.out, config)
 
 

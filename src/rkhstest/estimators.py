@@ -24,6 +24,7 @@ from typing import Callable
 import numpy as np
 
 from .kernels import CompositeKernel, Kernel, _as_sample, _check_finite, _select, gram_matrix
+from .kernels import _check_count, _check_real
 from .losses import LossSpec
 
 __all__ = [
@@ -49,6 +50,7 @@ _EIG_CUTOFF = 1e-12
 BINDING_RTOL = 0.05
 
 STEP_RULES = ("line_search", "two_over_m_plus_two", "one_over_m")
+_LINE_SEARCH_TOL = 1e-6
 
 
 @dataclass(frozen=True)
@@ -120,8 +122,7 @@ def gram_eigen(gram: np.ndarray, features: np.ndarray | None = None) -> GramEige
 def fit_ridge(gram: np.ndarray, y: np.ndarray, rho: float) -> np.ndarray:
     """Solve (C + rho I) a = y, minimum-norm at rho = 0, as fit_constrained_ridge does."""
     y = np.asarray(y, dtype=float)
-    if rho < 0:
-        raise ValueError("ridge penalty must be nonnegative")
+    _check_real(rho, "ridge penalty")
     return _ridge_from_eigen(gram_eigen(gram), y, float(rho))
 
 
@@ -329,9 +330,19 @@ def fit_constrained_ridge(kernel: Kernel, x, y, *, budget: float) -> AdditiveMod
     )
 
 
+def _check_schedule(settings, prefix: str = "") -> None:
+    """Reject a step rule or iteration count that no greedy fit can use;
+    ``prefix`` names the config section of ``settings`` in the messages."""
+    if settings.step_rule not in STEP_RULES:
+        raise ValueError(
+            f"{prefix}step_rule must be one of {STEP_RULES}, got {settings.step_rule!r}")
+    _check_count(settings.iterations, f"{prefix}iterations", least=0)
+
+
 @dataclass(frozen=True)
 class FitConfig:
-    """Settings shared by the ridge and greedy solvers."""
+    """Settings shared by the ridge and greedy solvers, each checked here, before any
+    fit: ``budget`` is a finite positive real and ``iterations`` an integer >= 0."""
 
     budget: float
     norm_kind: str = "lk"
@@ -344,27 +355,21 @@ class FitConfig:
             raise ValueError("norm_kind must be 'lk' or 'hk'")
         if self.solver not in ("greedy", "ridge_closed_form"):
             raise ValueError("solver must be 'greedy' or 'ridge_closed_form'")
-        if self.step_rule not in STEP_RULES:
-            raise ValueError(f"step_rule must be one of {STEP_RULES}")
-        if self.iterations < 0:
-            raise ValueError("iterations must be >= 0")
-        if not np.isfinite(self.budget) or self.budget <= 0:
-            raise ValueError("budget must be finite and positive")
+        _check_schedule(self)
+        _check_real(self.budget, "budget", positive=True)
 
 
-def line_search(objective: Callable[[float], float], tol: float = 1e-6) -> float:
+def line_search(objective: Callable[[float], float]) -> float:
     """Golden-section search for a convex objective on [0, 1].
 
+    The search narrows the bracket to a width of ``_LINE_SEARCH_TOL`` (1e-6).
     The returned point is snapped to an endpoint whenever the endpoint does
     at least as well, so boundary minimizers come back as exactly 0 or 1.
-    ``tol`` is the final bracket width and must be finite and positive.
     A comparison certified by the objective's ``order(p, q)`` (see
     :meth:`LossSpec.segment_mean`) evaluates nothing, any other both points,
     each once; every comparison and the result are those of direct evaluation.
     """
-    if not 0.0 < tol < math.inf:
-        raise ValueError(f"line search tolerance must be finite and positive, got {tol!r}")
-    order, values = getattr(objective, "order", _uncertified), {}
+    order, values, tol = getattr(objective, "order", _uncertified), {}, _LINE_SEARCH_TOL
     invphi = (math.sqrt(5.0) - 1.0) / 2.0
     a, b, c, d = 0.0, 1.0, 1.0 - invphi, invphi
     while (b - a) > tol:

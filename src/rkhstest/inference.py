@@ -10,7 +10,6 @@ of the estimated instrument covariance.
 from __future__ import annotations
 
 import math
-import numbers
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, fields
 from typing import Sequence
@@ -18,7 +17,7 @@ from typing import Sequence
 import numpy as np
 
 from .estimators import _EIG_CUTOFF, FitConfig, _fit_by_solver, gram_eigen
-from .kernels import Kernel, _as_sample, _check_finite, polynomial_series
+from .kernels import Kernel, _as_sample, _check_count, _check_finite, _check_real, polynomial_series
 from .losses import LossSpec
 
 __all__ = [
@@ -94,28 +93,12 @@ def build_instruments(
     return g / np.sqrt(diag)
 
 
-def _check_penalty(proj_rho, name: str = "projection penalty") -> None:
-    """Reject a penalty that is not a finite real number of at least 0 (a bool is not one)."""
-    if isinstance(proj_rho, bool) or not isinstance(proj_rho, numbers.Real):
-        raise ValueError(f"{name} must be a real number, got {proj_rho!r}")
-    if not 0 <= proj_rho < math.inf:
-        raise ValueError(f"{name} must be nonnegative and finite, got {proj_rho!r}")
-
-
-def _check_count(value, name: str) -> None:
-    """Reject a count that is not an integer of at least 1 (a bool is not one)."""
-    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
-        raise ValueError(f"{name} must be an integer, got {value!r}")
-    if value < 1:
-        raise ValueError(f"{name} must be at least 1, got {value}")
-
-
 def _check_projection(s_diag, proj_rho: float) -> np.ndarray:
     """The weights as an array, after the checks every projection route shares."""
     s_diag = np.asarray(s_diag, dtype=float)
     if np.any(s_diag <= 0):
         raise ValueError("projection weights must be positive")
-    _check_penalty(proj_rho)
+    _check_real(proj_rho, "projection penalty")
     return s_diag
 
 
@@ -268,8 +251,7 @@ def simulate_null(spectrum, n_draws: int, rng) -> np.ndarray:
         )
     if np.any(omega < 0):
         raise ValueError("spectrum weights must be nonnegative")
-    if n_draws < 1:
-        raise ValueError("need at least one draw")
+    _check_count(n_draws, "n_draws")
     rng = np.random.default_rng(rng)
     active = omega[omega > _EIG_CUTOFF * omega.max(initial=0.0)]
     if active.size == 0:
@@ -483,7 +465,7 @@ def run_test(
     and the orthogonality defect are 0 and the p-value is 1.
     """
     if proj_rho is not None:
-        _check_penalty(proj_rho)
+        _check_real(proj_rho, "projection penalty")
     spec = plan.instruments
     series = isinstance(spec, SeriesInstrumentPlan)
     if series and instrument_count is not None:

@@ -19,6 +19,7 @@ or ``(n, 1)`` array.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -72,8 +73,8 @@ class Kernel:
 
     def __post_init__(self):
         # a kernel's scale enters feature maps as sqrt(scale); negative is not PSD
-        if getattr(self, "scale", 0.0) < 0:
-            raise ValueError(f"{type(self).__name__} scale must be nonnegative, got {self.scale}")
+        if hasattr(self, "scale"):
+            _check_real(self.scale, f"{type(self).__name__} scale")
 
     def gram(self, x, z=None) -> np.ndarray:
         """Cross Gram matrix with entries C(x_i, z_j); z defaults to x.
@@ -132,8 +133,7 @@ class GaussianRBF(Kernel):
     scale: float = 1.0
 
     def __post_init__(self):
-        if self.lengthscale <= 0:
-            raise ValueError("lengthscale must be positive")
+        _check_real(self.lengthscale, "lengthscale", positive=True)
         super().__post_init__()
 
     def gram(self, x, z=None) -> np.ndarray:
@@ -208,8 +208,7 @@ class IntegratedBrownianKernel(Kernel):
     order: int = 1
 
     def __post_init__(self):
-        if self.order < 1:
-            raise ValueError("order must be >= 1")
+        _check_count(self.order, "order")
 
     def gram(self, x, z=None) -> np.ndarray:
         x = _as_sample(x, 1)
@@ -271,6 +270,24 @@ def additive_kernel(base: Kernel, n_coords: int) -> CompositeKernel:
 def _check_finite(name: str, values: np.ndarray) -> None:
     if not np.isfinite(values).all():
         raise ValueError(f"{name} must be finite; found NaN or inf")
+
+
+def _check_count(value, name: str, least: int = 1) -> None:
+    """Reject a count that is not an integer of at least ``least`` (a bool is not one)."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    if value < least:
+        raise ValueError(f"{name} must be at least {least}, got {value}")
+
+
+def _check_real(value, name: str, positive: bool = False) -> None:
+    """Reject a value that is not a finite real >= 0, or > 0 if ``positive`` (a bool is not one)."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise ValueError(f"{name} must be a real number, got {value!r}")
+    if positive and not 0 < value < math.inf:
+        raise ValueError(f"{name} must be finite and positive, got {value!r}")
+    if not 0 <= value < math.inf:
+        raise ValueError(f"{name} must be nonnegative and finite, got {value!r}")
 
 
 def gram_matrix(kernel: Kernel, x) -> np.ndarray:

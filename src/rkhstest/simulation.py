@@ -20,18 +20,17 @@ from pathlib import Path
 
 import numpy as np
 
-from .estimators import STEP_RULES, FitConfig
+from .estimators import FitConfig, _check_schedule
 from .inference import (
     HypothesisPlan,
     SectionInstrumentPlan,
     SeriesInstrumentPlan,
     _SERIES_BASIS,
-    _check_count,
-    _check_penalty,
     _monte_carlo_se,
     run_test,
 )
 from .kernels import CompositeKernel, ConstantKernel, GaussianRBF, LinearKernel
+from .kernels import _check_count, _check_real
 from .losses import rescaled_square_loss
 
 __all__ = [
@@ -56,11 +55,12 @@ DESIGNS = tuple(_DESIGN_COVARIATES)
 HYPOTHESES = ("Lin1", "Lin2", "Lin3", "LinAll", "LinPoly", "Lin1NonLin", "BivLinAll")
 
 _TRUNC = 2.0
+_TRUNCATIONS = ("clip", "resample")
 
 
 def _correlation_matrix(k: int, pair_corr: float, shape: str) -> np.ndarray:
-    if not -1.0 < pair_corr < 1.0:
-        raise ValueError("pair correlation must lie in (-1, 1)")
+    if not (isinstance(pair_corr, numbers.Real) and -1.0 < pair_corr < 1.0):
+        raise ValueError(f"pair_corr must lie in (-1, 1), got {pair_corr!r}")
     if shape == "geometric":
         idx = np.arange(k)
         return pair_corr ** np.abs(idx[:, None] - idx[None, :])
@@ -71,7 +71,12 @@ def _correlation_matrix(k: int, pair_corr: float, shape: str) -> np.ndarray:
                 f"for K={k} (needs >= {-1.0 / (k - 1):.4f})"
             )
         return np.full((k, k), pair_corr) + (1.0 - pair_corr) * np.eye(k)
-    raise ValueError(f"unknown correlation shape {shape!r}")
+    raise ValueError(f"unknown corr_shape {shape!r}; expected 'geometric' or 'equi'")
+
+
+def _check_truncation(mode: str) -> None:
+    if mode not in _TRUNCATIONS:
+        raise ValueError(f"unknown truncation {mode!r}; expected one of {_TRUNCATIONS}")
 
 
 def gen_covariates(
@@ -87,19 +92,18 @@ def gen_covariates(
     ``truncation='clip'`` sets exceedances to the boundary; ``'resample'``
     redraws offending rows until all coordinates fall inside the box.
     """
+    _check_truncation(truncation)
     rng = np.random.default_rng(rng)
     corr = _correlation_matrix(k, pair_corr, corr_shape)
     chol = np.linalg.cholesky(corr + 1e-14 * np.eye(k))
     x = rng.standard_normal((n, k)) @ chol.T
     if truncation == "clip":
         return np.clip(x, -_TRUNC, _TRUNC)
-    if truncation == "resample":
+    bad = np.any(np.abs(x) > _TRUNC, axis=1)
+    while np.any(bad):
+        x[bad] = rng.standard_normal((int(bad.sum()), k)) @ chol.T
         bad = np.any(np.abs(x) > _TRUNC, axis=1)
-        while np.any(bad):
-            x[bad] = rng.standard_normal((int(bad.sum()), k)) @ chol.T
-            bad = np.any(np.abs(x) > _TRUNC, axis=1)
-        return x
-    raise ValueError(f"unknown truncation mode {truncation!r}")
+    return x
 
 
 def _check_covariates(design: str, k) -> None:
@@ -139,8 +143,7 @@ def gen_response(
     signal variance to the noise variance equals ``snr``.  Returns
     (y, noise_sd, mu_values).
     """
-    if snr <= 0:
-        raise ValueError("signal-to-noise ratio must be positive")
+    _check_real(snr, "snr", positive=True)
     rng = np.random.default_rng(rng)
     x = np.asarray(x, dtype=float)
     mu = _mu_values(x, design, rng)
@@ -238,24 +241,16 @@ class DgpSpec:
     def __post_init__(self):
         _check_covariates(self.design, self.n_covariates)
         _check_count(self.n, "n")
+        _correlation_matrix(self.n_covariates, self.pair_corr, self.corr_shape)
+        _check_real(self.snr, "snr", positive=True)
+        _check_truncation(self.truncation)
 
 
 def _check_fit_settings(settings, prefix: str = "") -> None:
     """Reject a step rule, iteration count or budget multiplier that no fit can
-    use; ``settings`` is a study's config or the CLI's simulate section."""
-    if settings.step_rule not in STEP_RULES:
-        raise ValueError(
-            f"{prefix}step_rule must be one of {STEP_RULES}, got {settings.step_rule!r}")
-    iterations, multiplier = settings.iterations, settings.budget_multiplier
-    if isinstance(iterations, bool) or not isinstance(iterations, (int, np.integer)):
-        raise ValueError(f"{prefix}iterations must be an integer, got {iterations!r}")
-    if iterations < 0:
-        raise ValueError(f"{prefix}iterations must be >= 0, got {iterations!r}")
-    if isinstance(multiplier, bool) or not isinstance(multiplier, numbers.Real):
-        raise ValueError(f"{prefix}budget_multiplier must be a real number, got {multiplier!r}")
-    if not 0.0 < multiplier < math.inf:
-        raise ValueError(f"{prefix}budget_multiplier must be finite and positive, "
-                         f"got {multiplier!r}")
+    use; ``settings`` is a study's config or the CLI's fit or simulate section."""
+    _check_schedule(settings, prefix)
+    _check_real(settings.budget_multiplier, f"{prefix}budget_multiplier", positive=True)
 
 
 @dataclass(frozen=True)
@@ -279,7 +274,8 @@ class McConfig:
     def __post_init__(self):
         _check_count(self.replicates, "replicates")
         if self.null_hypothesis not in HYPOTHESES:
-            raise ValueError(f"unknown hypothesis {self.null_hypothesis!r}")
+            raise ValueError(
+                f"unknown hypothesis {self.null_hypothesis!r}; expected one of {HYPOTHESES}")
         if self.solver not in ("auto", "greedy", "ridge"):
             raise ValueError("solver must be auto, greedy or ridge")
         _check_fit_settings(self)
@@ -299,7 +295,11 @@ class McConfig:
             _check_count(self.instrument_count, "the instrument count")
         _check_count(self.null_draws, "null_draws")
         if self.proj_rho is not None:
-            _check_penalty(self.proj_rho)
+            _check_real(self.proj_rho, "projection penalty")
+        if not isinstance(self.sizes, (tuple, list)):
+            raise ValueError(f"sizes must be a list of nominal sizes, got {self.sizes!r}")
+        for size in self.sizes:
+            _check_real(size, "nominal size")
         if not all(0.0 < s < 1.0 for s in self.sizes):
             raise ValueError("nominal sizes must lie in (0, 1)")
         object.__setattr__(self, "sizes", tuple(float(s) for s in self.sizes))

@@ -189,6 +189,11 @@ class TestParseConfig:
         with pytest.raises(ConfigError, match="command"):
             parse_config("command: fit\n", command="test")
 
+    def test_missing_command_is_fatal(self):
+        # main always passes its subcommand, so only a library caller can omit one
+        with pytest.raises(ConfigError, match="^exactly one command of fit/test/simulate is required$"):
+            parse_config("seed: 1\n")
+
     def test_round_trip(self, tmp_path):
         data = tmp_path / "d.csv"
         data.write_text("y,x\n1.0,2.0\n")
@@ -262,6 +267,8 @@ def _write_dataset(path: Path, n=40, seed=0):
     rows = ["y,x1,x2"] + [f"{yi},{a},{b}" for yi, (a, b) in zip(y, x)]
     path.write_text("\n".join(rows) + "\n")
 
+
+LINEAR = {"kind": "linear"}
 
 TEST_CONFIG = """
 seed: 5
@@ -569,7 +576,7 @@ class TestCommands:
             ({"threads": 2.7}, "threads must be an integer, got 2.7"),
             ({"step_rule": "golden"}, "simulate.step_rule must be one of ('line_search', "
              "'two_over_m_plus_two', 'one_over_m'), got 'golden'"),
-            ({"iterations": -1}, "simulate.iterations must be >= 0, got -1"),
+            ({"iterations": -1}, "simulate.iterations must be at least 0, got -1"),
             ({"iterations": 10.5}, "simulate.iterations must be an integer, got 10.5"),
             ({"iterations": True}, "simulate.iterations must be an integer, got True"),
             ({"budget_multiplier": -2.0},
@@ -580,12 +587,24 @@ class TestCommands:
              "simulate.budget_multiplier must be a real number, got '1e-3'"),
             ({"budget_multiplier": True},
              "simulate.budget_multiplier must be a real number, got True"),
+            ({"design": "Lin9"}, "unknown design 'Lin9'; expected one of "
+             "('Lin3', 'LinAll', 'NonLinear', 'Bivariate')"),
+            ({"null": "Lin9"}, "unknown hypothesis 'Lin9'; expected one of ('Lin1', 'Lin2', "
+             "'Lin3', 'LinAll', 'LinPoly', 'Lin1NonLin', 'BivLinAll')"),
+            ({"truncation": "foo"}, "unknown truncation 'foo'; expected one of ('clip', 'resample')"),
+            ({"corr_shape": "ring"}, "unknown corr_shape 'ring'; expected 'geometric' or 'equi'"),
+            ({"pair_corr": 1.5}, "pair_corr must lie in (-1, 1), got 1.5"),
+            ({"snr": 0}, "snr must be finite and positive, got 0"),
+            ({"sizes": ["a"]}, "nominal size must be a real number, got 'a'"),
+            ({"sizes": 0.05}, "sizes must be a list of nominal sizes, got 0.05"),
         ],
         ids=["instrument_count", "null_draws", "replicates", "n", "k_fraction", "k_zero",
              "k_below_design", "k_below_null", "proj_rho_negative", "proj_rho_default",
              "proj_rho_nan", "threads_zero", "threads_fraction", "step_rule", "iterations",
              "iterations_fraction", "iterations_bool", "budget_multiplier_negative",
-             "budget_multiplier_nan", "budget_multiplier_string", "budget_multiplier_bool"],
+             "budget_multiplier_nan", "budget_multiplier_string", "budget_multiplier_bool",
+             "design", "null", "truncation", "corr_shape", "pair_corr", "snr", "sizes_string",
+             "sizes_scalar"],
     )
     def test_unusable_simulate_count_fails_before_any_replicate(
         self, tmp_path, capsys, monkeypatch, keys, message
@@ -617,7 +636,7 @@ class TestCommands:
              "fit.budget_multiplier must be finite and positive, got -1.0"),
             ({"step_rule": "golden"}, "fit.step_rule must be one of ('line_search', "
              "'two_over_m_plus_two', 'one_over_m'), got 'golden'"),
-            ({"iterations": -1}, "fit.iterations must be >= 0, got -1"),
+            ({"iterations": -1}, "fit.iterations must be at least 0, got -1"),
             ({"iterations": 10.5}, "fit.iterations must be an integer, got 10.5"),
             ({"iterations": True}, "fit.iterations must be an integer, got True"),
             ({"budget_multiplier": "1e-3"},
@@ -643,6 +662,46 @@ class TestCommands:
         assert main(["fit", "--config", str(cfg), "--out", str(out)]) == 1
         assert capsys.readouterr().err == f"error: {message}\n"
         assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "command, doc, message",
+        [
+            ("fit", "- r0\n", "config root must be a mapping"),
+            ("fit", {"kernels": ["r0"]}, "'kernels' must be a mapping with keys r0/r1"),
+            ("fit", {"kernels": {"r0": LINEAR, "r2": LINEAR}}, "unknown config key kernels.'r2'"),
+            ("fit", {"kernels": {"r0": LINEAR}}, "fit mode requires data.path"),
+            ("test", {"kernels": {"r0": LINEAR}}, "test mode requires data.path"),
+            ("fit", {"data": {"path": "d.csv"}}, "fit mode needs kernels.r0 (the model kernel)"),
+            ("test", {"data": {"path": "d.csv"}},
+             "test mode needs kernels.r0 (the null-space kernel)"),
+            ("test", {"data": {"path": "d.csv"}, "kernels": {"r0": LINEAR},
+                      "test": {"instrument_mode": "kernel_sections_normalized"}},
+             "instrument mode 'kernel_sections_normalized' needs kernels.r1"),
+            ("test", {"data": {"path": "d.csv"}, "kernels": {"r0": LINEAR}},
+             "series_features mode needs test.features ranges"),
+            ("fit", {"data": {"path": "header.csv"}, "kernels": {"r0": LINEAR}},
+             "header.csv: no data rows"),
+            ("fit", {"data": {"path": "d.csv", "response": "z"}, "kernels": {"r0": LINEAR}},
+             "d.csv: response column 'z' not found"),
+            ("fit", {"data": {"path": "d.csv", "covariates": ["x1", "q"]},
+                     "kernels": {"r0": LINEAR}},
+             "d.csv: covariate column 'q' not found"),
+        ],
+        ids=["root", "kernels_list", "kernels_r2", "fit_no_data", "test_no_data", "fit_no_r0",
+             "test_no_r0", "sections_no_r1", "series_no_features", "no_rows", "no_response",
+             "no_covariate"],
+    )
+    def test_unusable_config_names_its_fault_and_writes_nothing(
+        self, tmp_path, capsys, monkeypatch, command, doc, message
+    ):
+        monkeypatch.chdir(tmp_path)
+        _write_dataset(tmp_path / "d.csv")
+        (tmp_path / "header.csv").write_text("y,x1,x2\n")
+        cfg = tmp_path / "cfg.yaml"
+        cfg.write_text(doc if isinstance(doc, str) else yaml.safe_dump({"seed": 1, **doc}))
+        assert main([command, "--config", str(cfg), "--out", "o"]) == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not (tmp_path / "o").exists()
 
     def test_zero_threads_flag_fails_before_any_replicate(self, tmp_path, capsys, monkeypatch):
         # the flag overrides the file, and is checked after it does

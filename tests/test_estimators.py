@@ -84,6 +84,18 @@ class TestFitRidge:
             resid = (gram + rho * np.eye(n)) @ a - y
             assert np.linalg.norm(resid) <= 1e-8 * np.linalg.norm(y)
 
+    @pytest.mark.parametrize(
+        "rho, message",
+        [
+            (-1.0, "ridge penalty must be nonnegative and finite, got -1.0"),
+            (float("nan"), "ridge penalty must be nonnegative and finite, got nan"),
+            ("0.5", "ridge penalty must be a real number, got '0.5'"),
+        ],
+    )
+    def test_unusable_penalty_rejected(self, rho, message):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            fit_ridge(np.eye(2), np.array([2.0, 4.0]), rho)
+
     def test_zero_penalty_minimum_norm(self):
         # rank-1 gram: many solutions; lstsq must pick the smallest
         v = np.array([1.0, 2.0, 2.0])
@@ -219,23 +231,25 @@ class TestFitValidation:
             ({"norm_kind": "l2"}, "norm_kind must be 'lk' or 'hk'"),
             ({"solver": "ridge"}, "solver must be 'greedy' or 'ridge_closed_form'"),
             ({"step_rule": "golden"},
-             "step_rule must be one of ('line_search', 'two_over_m_plus_two', 'one_over_m')"),
-            ({"iterations": -1}, "iterations must be >= 0"),
-            ({"budget": 0.0}, "budget must be finite and positive"),
-            ({"budget": np.nan}, "budget must be finite and positive"),
-            ({"budget": np.inf}, "budget must be finite and positive"),
+             "step_rule must be one of ('line_search', 'two_over_m_plus_two', 'one_over_m'), "
+             "got 'golden'"),
+            ({"iterations": -1}, "iterations must be at least 0, got -1"),
+            ({"iterations": 10.5}, "iterations must be an integer, got 10.5"),
+            ({"iterations": True}, "iterations must be an integer, got True"),
+            ({"budget": 0.0}, "budget must be finite and positive, got 0.0"),
+            ({"budget": np.nan}, "budget must be finite and positive, got nan"),
+            ({"budget": np.inf}, "budget must be finite and positive, got inf"),
+            ({"budget": True}, "budget must be a real number, got True"),
+            ({"budget": "1"}, "budget must be a real number, got '1'"),
+            ({"budget": None}, "budget must be a real number, got None"),
         ],
-        ids=["norm_kind", "solver", "step_rule", "iterations", "budget_zero", "budget_nan",
-             "budget_inf"],
+        ids=["norm_kind", "solver", "step_rule", "iterations", "iterations_fraction",
+             "iterations_bool", "budget_zero", "budget_nan", "budget_inf", "budget_bool",
+             "budget_string", "budget_none"],
     )
     def test_unusable_fit_config_rejected(self, setting, message):
         with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             FitConfig(**{"budget": 1.0, **setting})
-
-    @pytest.mark.parametrize("tol", [0.0, -1.0, np.nan, np.inf])
-    def test_line_search_tolerance_must_be_finite_and_positive(self, tol):
-        with pytest.raises(ValueError, match=f"tolerance .* got {tol!r}"):
-            line_search(lambda t: (t - 0.3) ** 2, tol=tol)
 
     @pytest.mark.parametrize(
         "build",
@@ -248,7 +262,7 @@ class TestFitValidation:
         ids=["config_ridge_rho", "config_line_search_tol", "ridge_rho", "ridge_no_budget"],
     )
     def test_the_budget_is_the_only_ridge_setting(self, build):
-        # a fixed penalty goes through fit_ridge; the line search runs at its default
+        # a fixed penalty goes through fit_ridge; the line search's bracket width is fixed
         x = np.random.default_rng(7).uniform(-2, 2, (20, 1))
         with pytest.raises(TypeError):
             build(x, np.sin(x[:, 0]))
@@ -328,11 +342,11 @@ class TestLineSearch:
         diff = cand - f_prev
         vertex = float((y - f_prev) @ diff / (diff @ diff))
         oracle = min(max(vertex, 0.0), 1.0)
-        tau = line_search(objective, tol=1e-6)
+        tau = line_search(objective)
         assert objective(tau) <= objective(oracle) + 1e-10
 
     def test_flat_objective(self):
-        tau = line_search(lambda t: 1.0, tol=1e-6)
+        tau = line_search(lambda t: 1.0)
         assert 0.0 <= tau <= 1.0
 
     def test_boundary_clipping(self):

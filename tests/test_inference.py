@@ -434,6 +434,15 @@ class TestSimulatedNull:
         with pytest.raises(ValueError, match="nonnegative"):
             simulate_null([-0.1], 10, 0)
 
+    @pytest.mark.parametrize(
+        "n_draws, message",
+        [(0, "n_draws must be at least 1, got 0"), (10.5, "n_draws must be an integer, got 10.5"),
+         (True, "n_draws must be an integer, got True")],
+    )
+    def test_unusable_draw_count_rejected(self, n_draws, message):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            simulate_null([0.5], n_draws, 0)
+
     def test_rounding_weights_leave_draws_bit_identical(self):
         # weights at 1e-17 of the top one are rounding noise in a spectrum;
         # they must not change which normals the real weights receive

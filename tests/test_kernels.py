@@ -346,6 +346,34 @@ class TestFeatureMatrix:
         assert kernel.feature_matrix(RNG.uniform(0, 1, (5, width))) is None
 
 
+class TestSettings:
+    @pytest.mark.parametrize(
+        "make, message",
+        [
+            (lambda: LinearKernel(float("nan")),
+             "LinearKernel scale must be nonnegative and finite, got nan"),
+            (lambda: ConstantKernel(float("inf")),
+             "ConstantKernel scale must be nonnegative and finite, got inf"),
+            (lambda: ConstantKernel(True), "ConstantKernel scale must be a real number, got True"),
+            (lambda: GaussianRBF(float("nan")), "lengthscale must be finite and positive, got nan"),
+            (lambda: GaussianRBF(0.0), "lengthscale must be finite and positive, got 0.0"),
+            (lambda: GaussianRBF("1"), "lengthscale must be a real number, got '1'"),
+            (lambda: IntegratedBrownianKernel(order=1.5), "order must be an integer, got 1.5"),
+            (lambda: IntegratedBrownianKernel(order=0), "order must be at least 1, got 0"),
+            (lambda: IntegratedBrownianKernel(order=True), "order must be an integer, got True"),
+        ],
+        ids=["scale_nan", "scale_inf", "scale_bool", "lengthscale_nan", "lengthscale_zero",
+             "lengthscale_string", "order_fraction", "order_zero", "order_bool"],
+    )
+    def test_unusable_setting_rejected_when_built(self, make, message):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            make()
+
+    def test_numpy_settings_accepted(self):
+        assert GaussianRBF(np.float64(0.5), np.float64(2.0)).lengthscale == 0.5
+        assert IntegratedBrownianKernel(order=np.int64(2)).order == 2
+
+
 class TestScale:
     @pytest.mark.parametrize(
         "make",

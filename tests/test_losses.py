@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.special import expit
 
+from rkhstest import estimators
 from rkhstest.estimators import line_search
 from rkhstest.losses import (
     duration_loss,
@@ -212,6 +213,13 @@ def _draw_segment(data):
     return loss.segment_mean(y, start, delta)
 
 
+def _search_with_width(objective, tol):
+    """``line_search`` with its final bracket width set to ``tol``."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(estimators, "_LINE_SEARCH_TOL", tol)
+        return line_search(objective)
+
+
 class TestCertifiedOrder:
     """The square losses' segments decide comparisons without changing any."""
 
@@ -220,14 +228,15 @@ class TestCertifiedOrder:
     def test_line_search_is_bit_identical_to_direct_evaluation(self, data):
         objective = _draw_segment(data)
         tol = data.draw(st.sampled_from([1e-6, 1e-3, 1e-12]))
-        assert line_search(objective, tol) == line_search(lambda t: objective(t), tol)
+        direct = _search_with_width(lambda t: objective(t), tol)
+        assert _search_with_width(objective, tol) == direct
 
     @settings(max_examples=300, deadline=None, derandomize=True, database=None)
     @given(data=st.data())
     def test_a_certified_sign_is_the_sign_of_the_direct_evaluations(self, data):
         objective = _draw_segment(data)
         probe = _Probe(objective)
-        line_search(probe, data.draw(st.sampled_from([1e-6, 1e-12])))
+        _search_with_width(probe, data.draw(st.sampled_from([1e-6, 1e-12])))
         p = data.draw(st.floats(0.0, 1.0))
         drawn = [(p, data.draw(st.floats(0.0, 1.0))), (p, float(np.nextafter(p, 2.0)))]
         for p, q in probe.pairs + drawn:

@@ -282,6 +282,32 @@ class TestMonteCarlo:
         with pytest.raises(RuntimeError, match=f"^{re.escape(message)}$"):
             run_monte_carlo(mc)
 
+    def test_partial_failures_are_counted_and_shown(self, monkeypatch):
+        # odd replicates fail; the others give the p-values they give in a clean run
+        mc = McConfig(dgp=DgpSpec("Lin3", 40), null_hypothesis="Lin3", replicates=4,
+                      master_seed=5, null_draws=200, iterations=50)
+        clean, real = run_monte_carlo(mc), simulation._replicate_outcome
+
+        def odd_fails(config, rep):
+            if rep % 2:
+                raise ValueError(f"no data for replicate {rep}")
+            return real(config, rep)
+
+        monkeypatch.setattr(simulation, "_replicate_outcome", odd_fails)
+        serial, pooled = run_monte_carlo(mc), run_monte_carlo(mc, n_jobs=2)
+        messages = [f"replicate {r}: ValueError: no data for replicate {r}" for r in (1, 3)]
+        for table in (serial, pooled):
+            assert table.errors == 2
+            assert table.error_messages == messages
+            np.testing.assert_array_equal(table.p_values, clean.p_values[::2])
+            np.testing.assert_array_equal(table.naive_p_values, clean.naive_p_values[::2])
+            assert [row.replicates for row in table.rows] == [2, 2]
+            assert table.to_text().endswith("\nfailed replicates: 2\n")
+        # the CSV holds the header and one row per size, failures or not
+        assert pooled.to_csv() == serial.to_csv()
+        assert len(serial.to_csv().splitlines()) == 1 + len(mc.sizes)
+        assert "failed" not in clean.to_text()
+
     @pytest.mark.parametrize(
         "design, k, message",
         [
@@ -327,7 +353,7 @@ class TestMonteCarlo:
             ({"step_rule": "golden"},
              "step_rule must be one of ('line_search', 'two_over_m_plus_two', 'one_over_m'), "
              "got 'golden'"),
-            ({"iterations": -1}, "iterations must be >= 0, got -1"),
+            ({"iterations": -1}, "iterations must be at least 0, got -1"),
             ({"iterations": 10.5}, "iterations must be an integer, got 10.5"),
             ({"iterations": True}, "iterations must be an integer, got True"),
             ({"budget_multiplier": -2.0}, "budget_multiplier must be finite and positive, got -2.0"),
@@ -442,6 +468,40 @@ class TestMonteCarlo:
             McConfig(
                 dgp=DgpSpec("Lin3", 40), null_hypothesis="Lin3", replicates=2, null_draws=draws
             )
+
+    @pytest.mark.parametrize(
+        "setting, message",
+        [
+            ({"truncation": "foo"}, "unknown truncation 'foo'; expected one of ('clip', 'resample')"),
+            ({"corr_shape": "ring"}, "unknown corr_shape 'ring'; expected 'geometric' or 'equi'"),
+            ({"pair_corr": 1.5}, "pair_corr must lie in (-1, 1), got 1.5"),
+            ({"pair_corr": "0.5"}, "pair_corr must lie in (-1, 1), got '0.5'"),
+            ({"pair_corr": -0.5, "corr_shape": "equi"},
+             "equicorrelation -0.5 is not positive semi-definite for K=10 (needs >= -0.1111)"),
+            ({"snr": 0}, "snr must be finite and positive, got 0"),
+            ({"snr": float("inf")}, "snr must be finite and positive, got inf"),
+            ({"snr": "1"}, "snr must be a real number, got '1'"),
+        ],
+        ids=["truncation", "corr_shape", "pair_corr", "pair_corr_string", "equicorrelation",
+             "snr_zero", "snr_inf", "snr_string"],
+    )
+    def test_unusable_dgp_setting_rejected_when_built(self, setting, message):
+        # a study would otherwise run every replicate, then fail them all
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            DgpSpec("Lin3", 40, **setting)
+
+    @pytest.mark.parametrize(
+        "sizes, message",
+        [
+            (("a",), "nominal size must be a real number, got 'a'"),
+            ((0.05, True), "nominal size must be a real number, got True"),
+            (0.05, "sizes must be a list of nominal sizes, got 0.05"),
+            ((0.05, 1.0), "nominal sizes must lie in (0, 1)"),
+        ],
+    )
+    def test_unusable_sizes_rejected_when_built(self, sizes, message):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            McConfig(dgp=DgpSpec("Lin3", 40), null_hypothesis="Lin3", replicates=2, sizes=sizes)
 
     def test_size_calibration_under_true_null(self):
         size = 0.10
